@@ -18,7 +18,7 @@ from .extractor import extract_nsw, load_priority_list
 from .labels import DEFAULT_REGISTRY
 from .neural import ClassifierConfig, classify, load_params, save_params, train
 from .corpus import extract_window
-from .rules import compile_rules, normalize_rule_based
+from .rules import compile_rules
 
 
 def _data_path(name: str) -> str:
@@ -89,8 +89,8 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _build_system(args) -> pipeline.HybridSystem:
-    params, config, vocab = load_params(args.model)
+def _build_system(args, model: str | None) -> pipeline.HybridSystem:
+    params, config, vocab = load_params(model) if model else (None, None, None)
     return pipeline.HybridSystem(
         rules=compile_rules(args.rules or _data_path("rules.txt")),
         priority=load_priority_list(args.priority or _data_path("priority.txt")),
@@ -102,31 +102,21 @@ def _build_system(args) -> pipeline.HybridSystem:
 
 
 def cmd_normalize(args) -> int:
-    rules = compile_rules(args.rules or _data_path("rules.txt"))
+    if not args.rules_only and not args.model:
+        print("normalize: --model is required unless --rules-only", file=sys.stderr)
+        return 2
+    system = _build_system(args, None if args.rules_only else args.model)
     texts = [args.text] if args.text is not None else _read_lines(args.infile)
-    outputs, traced = [], []
-    if args.rules_only:
-        for text in texts:
-            out, traces = normalize_rule_based(rules, text)
-            outputs.append(out)
-            traced.append((text, traces))
-    else:
-        if not args.model:
-            print("normalize: --model is required unless --rules-only", file=sys.stderr)
-            return 2
-        system = _build_system(args)
-        for text in texts:
-            out, traces = pipeline.normalize(text, system)
-            outputs.append(out)
-            traced.append((text, traces))
-    _write_lines(args.out, outputs)
+    results = [pipeline.normalize(text, system) for text in texts]
+    _write_lines(args.out, [out for out, _ in results])
     if args.trace:
-        pipeline.write_traces(args.trace, traced)
+        traced = [(text, traces) for text, (_, traces) in zip(texts, results)]
+        pipeline.write_traces(args.trace, traced, system.formats.labels)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    system = _build_system(args)
+    system = _build_system(args, args.model)
     records = eval_mod.load_golden(args.golden)
     report = eval_mod.evaluate_golden(records, system)
     print(eval_mod.format_golden_report(report))

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 from . import pipeline, reader
 from .corpus import LabeledSentence, oversample_expand
 from .labels import DEFAULT_REGISTRY, LabelRegistry
+from .legality import FormatRegistry, default_formats
 from .neural import ClassifierConfig, make_training_batch, predict_batch, train
-from .rules import normalize_rule_based
 
 
 @dataclass(frozen=True)
@@ -76,25 +76,27 @@ def split_corpus(
 # Golden sets: (input, reference) sentence pairs with gold spans
 # --------------------------------------------------------------------------
 
-def reference_sfw(sentence: LabeledSentence, labels: LabelRegistry = DEFAULT_REGISTRY) -> str:
+def reference_sfw(sentence: LabeledSentence, formats: FormatRegistry = default_formats()) -> str:
     """Reference output: every gold span rendered by its own label's reader."""
     out = sentence.text
     for span in sorted(sentence.spans, key=lambda s: s.start, reverse=True):
-        sfw = reader.render(sentence.surface(span), span.label, labels).text
+        sfw = reader.render(sentence.surface(span), span.label, formats).text
         out = out[: span.start] + sfw + out[span.end :]
     return out
 
 
 def build_golden(
-    corpus: list[LabeledSentence], labels: LabelRegistry = DEFAULT_REGISTRY
+    corpus: list[LabeledSentence], formats: FormatRegistry = default_formats()
 ) -> list[dict]:
     records = []
     for sentence in corpus:
         records.append(
             {
                 "input": sentence.text,
-                "reference": reference_sfw(sentence, labels),
-                "spans": [[s.start, s.end, labels.by_id(s.label).name] for s in sentence.spans],
+                "reference": reference_sfw(sentence, formats),
+                "spans": [
+                    [s.start, s.end, formats.labels.by_id(s.label).name] for s in sentence.spans
+                ],
             }
         )
     return records
@@ -132,17 +134,22 @@ class GoldenReport:
 
 
 def evaluate_golden(records: list[dict], sys: pipeline.HybridSystem) -> GoldenReport:
-    """Hybrid vs rule-only on a golden set; pattern metrics from hybrid traces."""
+    """Hybrid vs rule-only on a golden set; pattern metrics from hybrid traces.
+
+    The baseline is the same system with the classifier removed.
+    """
+    labels = sys.formats.labels
+    rules_sys = replace(sys, params=None, config=None, vocab=None)
     hybrid_pairs, rule_pairs = [], []
     hybrid_span_pairs, rule_span_pairs = [], []
     for record in records:
         text, reference = record["input"], record["reference"]
         hybrid_out, hybrid_traces = pipeline.normalize(text, sys)
-        rules_out, rule_traces = normalize_rule_based(sys.rules, text, sys.labels)
+        rules_out, rule_traces = pipeline.normalize(text, rules_sys)
         hybrid_pairs.append((hybrid_out, reference))
         rule_pairs.append((rules_out, reference))
         gold_by_span = {
-            (int(s), int(e)): sys.labels.id_of(name) for s, e, name in record.get("spans", [])
+            (int(s), int(e)): labels.id_of(name) for s, e, name in record.get("spans", [])
         }
         for traces, sink in ((hybrid_traces, hybrid_span_pairs), (rule_traces, rule_span_pairs)):
             for trace in traces:
@@ -150,8 +157,8 @@ def evaluate_golden(records: list[dict], sys: pipeline.HybridSystem) -> GoldenRe
                 if gold is not None:
                     sink.append((gold, -1 if trace.label is None else trace.label))
     if hybrid_span_pairs:
-        per_label, hybrid_acc = pattern_metrics(hybrid_span_pairs, sys.labels)
-        _, rules_acc = pattern_metrics(rule_span_pairs, sys.labels)
+        per_label, hybrid_acc = pattern_metrics(hybrid_span_pairs, labels)
+        _, rules_acc = pattern_metrics(rule_span_pairs, labels)
     else:  # golden records without gold spans still score sentences
         per_label, hybrid_acc, rules_acc = {}, float("nan"), float("nan")
     return GoldenReport(

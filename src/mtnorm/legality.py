@@ -61,10 +61,3 @@ _DEFAULT_FORMATS = FormatRegistry(DEFAULT_REGISTRY)
 def default_formats() -> FormatRegistry:
     return _DEFAULT_FORMATS
 
-
-def legal_labels(surface: str, reg: FormatRegistry | None = None) -> list[bool]:
-    return (reg or _DEFAULT_FORMATS).legal_labels(surface)
-
-
-def verify(surface: str, label_id: int, reg: FormatRegistry | None = None) -> bool:
-    return (reg or _DEFAULT_FORMATS).verify(surface, label_id)

@@ -10,8 +10,6 @@ from .model import (
     batch_loss,
     batch_loss_and_grads,
     classify,
-    embed_window,
-    encode,
     forward_batch,
     init_params,
     load_char_vectors,
@@ -40,8 +38,6 @@ __all__ = [
     "batch_loss_and_grads",
     "build_vocab",
     "classify",
-    "embed_window",
-    "encode",
     "focal_loss",
     "focal_loss_vec",
     "forward_batch",

@@ -408,38 +408,6 @@ def batch_loss_and_grads(
 # Single-window conveniences
 # --------------------------------------------------------------------------
 
-def embed_window(window: ContextWindow, vocab: Vocabulary, params: EncoderParams) -> np.ndarray:
-    """Embedding rows plus positional rows for one window."""
-    ids = np.asarray(vocab.window_ids(window))
-    return params.embedding[ids] + params.positional[: len(ids)]
-
-
-def encode(x: np.ndarray, params: EncoderParams, pad_mask: np.ndarray | None = None):
-    """One encoder block over a (W, D) matrix; returns (output, attention).
-
-    ``pad_mask`` marks key positions to suppress. Attention is returned as
-    (H, W, W) rows over key positions.
-    """
-    w, d = x.shape
-    scale = 1.0 / np.sqrt(params.attn_q.shape[-1])
-    q = np.einsum("wd,hdk->hwk", x, params.attn_q)
-    k = np.einsum("wd,hdk->hwk", x, params.attn_k)
-    v = np.einsum("wd,hdk->hwk", x, params.attn_v)
-    scores = np.einsum("hik,hjk->hij", q, k) * scale
-    if pad_mask is not None:
-        scores = scores + np.where(np.asarray(pad_mask, dtype=bool), ATTN_NEG, 0.0)[None, None, :]
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    attn = np.exp(scores)
-    attn = attn / attn.sum(axis=-1, keepdims=True)
-    ctx = np.einsum("hij,hjk->hik", attn, v)
-    concat = ctx.transpose(1, 0, 2).reshape(w, d)
-    res1 = x + concat @ params.attn_out
-    norm1, _, _ = _layer_norm(res1, params.ln1_scale, params.ln1_shift)
-    ff = np.maximum(norm1 @ params.ff_w1 + params.ff_b1, 0.0) @ params.ff_w2 + params.ff_b2
-    norm2, _, _ = _layer_norm(norm1 + ff, params.ln2_scale, params.ln2_shift)
-    return norm2, attn
-
-
 def classify(
     window: ContextWindow,
     vocab: Vocabulary,

@@ -4,8 +4,10 @@ Per sentence: extract NSW spans, classify every span against the original
 text first (replacements would shift the context other spans depend on),
 then splice the spoken forms right-to-left so earlier indices stay valid.
 Routing per span: priority surfaces go straight to the rules; everything
-else is classified under the legality mask and verified, with rule
-fallback on any failure; a span nothing can handle stays verbatim.
+else is classified under the legality mask and rendered, with rule
+fallback on any failure; a span nothing can handle stays verbatim. A
+system without a classifier is the rules-only baseline: every
+non-priority span takes the fallback route.
 """
 
 from __future__ import annotations
@@ -61,28 +63,35 @@ class NormalizationTrace:
 
 @dataclass
 class HybridSystem:
-    """Everything inference needs, sharing one label universe."""
+    """Everything inference needs; labels are ``formats.labels``.
+
+    ``params``, ``config`` and ``vocab`` are all set or all ``None``; with
+    none of them the system runs rules only.
+    """
 
     rules: RuleSet
     priority: PriorityList
-    params: EncoderParams
-    config: ClassifierConfig
-    vocab: Vocabulary
+    params: EncoderParams | None
+    config: ClassifierConfig | None
+    vocab: Vocabulary | None
     formats: legality.FormatRegistry
-    labels: LabelRegistry = DEFAULT_REGISTRY
 
     def __post_init__(self):
-        if len(self.formats) != len(self.labels):
-            raise ValueError("format registry and label registry disagree")
-        if self.config.label_count != len(self.labels):
+        classifier = (self.params, self.config, self.vocab)
+        if None in classifier and any(part is not None for part in classifier):
+            raise ValueError("params, config and vocab must be all set or all None")
+        if self.config is not None and self.config.label_count != len(self.formats):
             raise ValueError("classifier label count and label registry disagree")
 
 
 def _rule_route(sys: HybridSystem, text: str, span: NSWSpan, surface: str, route: str, probs=None):
     match = match_nsw(sys.rules, text, span)
-    if match is not None and sys.formats.verify(surface, match.label):
-        sfw = reader.render(surface, match.label, sys.labels).text
-        return NormalizationTrace(span, route, match.label, sfw, probs)
+    if match is not None:
+        try:
+            sfw = reader.render(surface, match.label, sys.formats).text
+            return NormalizationTrace(span, route, match.label, sfw, probs)
+        except ValueError:
+            pass
     return NormalizationTrace(span, ROUTE_UNMATCHED, None, None, probs)
 
 
@@ -90,20 +99,17 @@ def _normalize_span(sys: HybridSystem, text: str, sentence: LabeledSentence, spa
     surface = text[span.start : span.end]
     if priority_check(surface, sys.priority):
         return _rule_route(sys, text, span, surface, ROUTE_PRIORITY)
+    if sys.params is None:
+        return _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
 
     legal = sys.formats.legal_labels(surface)
     if not sys.config.use_mask:
-        legal = [True] * len(sys.labels)
+        legal = [True] * len(sys.formats)
     probs = None
     try:
         window = extract_window(sentence, span, sys.config.window)
         probs, label = classify(window, sys.vocab, sys.params, sys.config, legal)
-    except ValueError:
-        return _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
-    if not sys.formats.verify(surface, label):
-        return _rule_route(sys, text, span, surface, ROUTE_FALLBACK, probs)
-    try:
-        sfw = reader.render(surface, label, sys.labels).text
+        sfw = reader.render(surface, label, sys.formats).text
     except ValueError:
         return _rule_route(sys, text, span, surface, ROUTE_FALLBACK, probs)
     return NormalizationTrace(span, ROUTE_NEURAL, label, sfw, probs)

@@ -19,7 +19,6 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .labels import DEFAULT_REGISTRY, LabelRegistry
 from . import legality
 
 DIGIT_CHARS = "零一二三四五六七八九"
@@ -194,15 +193,18 @@ RENDERERS: dict[str, Callable[[str], str]] = {
 }
 
 
-def render(surface: str, label: int | str, registry: LabelRegistry = DEFAULT_REGISTRY) -> RenderedSFW:
+def render(
+    surface: str, label: int | str, formats: legality.FormatRegistry = legality.default_formats()
+) -> RenderedSFW:
     """Render an NSW surface via the label's reader.
 
-    The surface must pass the label's format check; an illegal pairing is a
-    caller error (the pipeline verifies before rendering).
+    The surface is checked against ``formats``, the caller's registry, and
+    label names resolve through ``formats.labels``. A surface that registry
+    rejects, or that the reader cannot read, raises ``ValueError``.
     """
-    lab = registry.by_name(label) if isinstance(label, str) else registry.by_id(label)
-    formats = None if registry is DEFAULT_REGISTRY else legality.FormatRegistry(registry)
-    if not legality.verify(surface, lab.id, formats):
+    labels = formats.labels
+    lab = labels.by_name(label) if isinstance(label, str) else labels.by_id(label)
+    if not formats.verify(surface, lab.id):
         raise ValueError(f"surface {surface!r} is not legal for label {lab.name}")
     try:
         renderer = RENDERERS[lab.name]

@@ -1,4 +1,4 @@
-"""Prioritized context-pattern rules: the baseline normalizer and fallback.
+"""Prioritized context-pattern rules: the pipeline's priority and fallback route.
 
 Matching walks rules by declared context length, longest first, so more
 specific context always beats higher priority at a shorter length;
@@ -12,9 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .corpus import LabeledSentence, NSWSpan
-from .extractor import extract_nsw
 from .labels import DEFAULT_REGISTRY, LabelRegistry
-from . import legality, reader
 
 
 class RuleError(ValueError):
@@ -140,35 +138,3 @@ def match_nsw(rs: RuleSet, sentence: LabeledSentence | str, span: NSWSpan) -> Ru
             return RuleMatch(rule, span, rule.label)
     return None
 
-
-def normalize_rule_based(
-    rs: RuleSet,
-    text: str,
-    labels: LabelRegistry = DEFAULT_REGISTRY,
-) -> tuple[str, list["pipeline.NormalizationTrace"]]:
-    """Rule-only normalization of a sentence, NSW left verbatim on no-match."""
-    from . import pipeline  # trace type lives with the orchestrator
-
-    formats = (
-        legality.default_formats()
-        if labels is DEFAULT_REGISTRY
-        else legality.FormatRegistry(labels)
-    )
-    spans = extract_nsw(text)
-    traces = []
-    for span in spans:
-        surface = text[span.start : span.end]
-        match = match_nsw(rs, text, span)
-        sfw = None
-        label = None
-        route = pipeline.ROUTE_UNMATCHED
-        if match is not None and formats.verify(surface, match.label):
-            sfw = reader.render(surface, match.label, labels).text
-            label = match.label
-            route = pipeline.ROUTE_PRIORITY
-        traces.append(pipeline.NormalizationTrace(span=span, route=route, label=label, sfw=sfw))
-    out = text
-    for trace in reversed(traces):
-        if trace.sfw is not None:
-            out = out[: trace.span.start] + trace.sfw + out[trace.span.end :]
-    return out, traces

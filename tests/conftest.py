@@ -34,6 +34,15 @@ def formats():
 
 
 @pytest.fixture(scope="session")
+def rules_system(ruleset, priority_list, formats):
+    """The rules-only baseline: the shipped system with no classifier."""
+    return pipeline.HybridSystem(
+        rules=ruleset, priority=priority_list, params=None, config=None, vocab=None,
+        formats=formats,
+    )
+
+
+@pytest.fixture(scope="session")
 def fixture_rows():
     rows = []
     text = resources.files("mtnorm").joinpath("data/fixtures.tsv").read_text("utf-8")

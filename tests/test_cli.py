@@ -1,9 +1,13 @@
 import json
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mtnorm import evaluate as ev
 from mtnorm.cli import main
+from mtnorm.corpus import CorpusDistribution, generate_synthetic_corpus
 from mtnorm.neural import load_params
 
 TINY_CONFIG = {
@@ -95,6 +99,53 @@ class TestNormalize:
         records = [json.loads(l) for l in trace.read_text("utf-8").splitlines()]
         assert records[1]["route"] == "priority_rule"
         assert records[1]["sfw"] == "九幺幺"
+
+    @pytest.mark.parametrize("mode", ["rules_only", "hybrid"])
+    def test_bad_span_stays_verbatim(self, workspace, tmp_path, mode):
+        # 10^12 is beyond the positional reader: only that span is skipped
+        infile, outfile, trace = tmp_path / "in.txt", tmp_path / "out.txt", tmp_path / "t.jsonl"
+        infile.write_text("总额1,000,000,000,000元\n只有10%的学生\n", encoding="utf-8")
+        system = ["--rules-only"] if mode == "rules_only" else ["--model", str(workspace["model"])]
+        assert main(["normalize", *system, "--in", str(infile), "--out", str(outfile),
+                     "--trace", str(trace)]) == 0
+        assert outfile.read_text("utf-8").splitlines() == ["总额1,000,000,000,000元", "只有百分之十的学生"]
+        record = json.loads(trace.read_text("utf-8").splitlines()[0])
+        assert record["route"] == "unmatched"
+        assert record["sfw"] is None
+
+    def test_rules_only_honours_priority(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+
+        def routes(*extra):
+            assert main(["normalize", "--rules-only", "--text", "请拨打911，10:30见",
+                         "--trace", str(trace), *extra]) == 0
+            return [json.loads(l)["route"] for l in trace.read_text("utf-8").splitlines()]
+
+        assert routes() == ["priority_rule", "fallback_rule"]
+        priority = tmp_path / "priority.txt"
+        priority.write_text("10:30\n", encoding="utf-8")
+        assert routes("--priority", str(priority)) == ["fallback_rule", "priority_rule"]
+
+    def test_rules_only_matches_evaluate_baseline(self, workspace, tmp_path, rules_system):
+        # lines of 2-8 joined sentences; evaluate_golden scores its rules
+        # baseline against the CLI output, so accuracy 1.0 means every line agrees
+        sentences = [s.text for s in generate_synthetic_corpus(
+            CorpusDistribution.default(), 300, seed=12)]
+        rng = random.Random(12)
+        lines = []
+        while sentences:
+            k = rng.randint(2, 8)
+            lines.append("".join(sentences[:k]))
+            sentences = sentences[k:]
+        infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
+        infile.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["normalize", "--rules-only", "--in", str(infile), "--out", str(outfile)]) == 0
+        outputs = outfile.read_text("utf-8").splitlines()
+        assert len(outputs) == len(lines)
+        params, config, vocab = load_params(str(workspace["model"]))
+        system = replace(rules_system, params=params, config=config, vocab=vocab)
+        records = [{"input": i, "reference": o} for i, o in zip(lines, outputs)]
+        assert ev.evaluate_golden(records, system).rules_sentence_accuracy == 1.0
 
     def test_model_required_without_rules_only(self, capsys):
         assert main(["normalize", "--text", "共100人"]) == 2

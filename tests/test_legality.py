@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtnorm.labels import DEFAULT_REGISTRY
-from mtnorm.legality import FormatRegistry, legal_labels, verify
+from mtnorm.legality import FormatRegistry, default_formats
 from mtnorm.neural import masked_softmax
 
 TABLE_EXAMPLES = {
@@ -22,41 +22,43 @@ TABLE_EXAMPLES = {
 }
 
 
+FORMATS = default_formats()
+
 def lid(name):
     return DEFAULT_REGISTRY.id_of(name)
 
 
 class TestLegalLabels:
     def test_colon_time_is_not_pure_number(self):
-        flags = legal_labels("12:00")
+        flags = FORMATS.legal_labels("12:00")
         assert not flags[lid("A_Read_No_Zero")]
         assert not flags[lid("A_Spell_Keep_Zero")]
         assert flags[lid("B_Time")]
 
     def test_percent_is_not_date_or_time(self):
-        flags = legal_labels("10%")
+        flags = FORMATS.legal_labels("10%")
         assert flags[lid("B_Percent")]
         assert not flags[lid("B_Date_YMD")]
         assert not flags[lid("B_Time")]
 
     def test_digits_are_positional_legal(self):
-        assert legal_labels("200")[lid("A_Read_No_Zero")]
+        assert FORMATS.legal_labels("200")[lid("A_Read_No_Zero")]
 
     def test_verify_examples(self):
-        assert verify("10:30", lid("B_Time"))
-        assert not verify("10%", lid("B_Date_YMD"))
+        assert FORMATS.verify("10:30", lid("B_Time"))
+        assert not FORMATS.verify("10%", lid("B_Date_YMD"))
         for name in TABLE_EXAMPLES:
-            assert not verify("", lid(name))
+            assert not FORMATS.verify("", lid(name))
 
     def test_unregistered_label_rejected(self):
         with pytest.raises(KeyError):
-            verify("200", 99)
+            FORMATS.verify("200", 99)
 
 
 class TestTableCoverage:
     def test_each_example_legal_for_own_label(self):
         for name, example in TABLE_EXAMPLES.items():
-            assert verify(example, lid(name)), (name, example)
+            assert FORMATS.verify(example, lid(name)), (name, example)
 
     def test_pairwise_distinguishing(self):
         # every label rejects at least one other label's example
@@ -64,7 +66,7 @@ class TestTableCoverage:
             rejected = [
                 other
                 for other, example in TABLE_EXAMPLES.items()
-                if other != name and not verify(example, lid(name))
+                if other != name and not FORMATS.verify(example, lid(name))
             ]
             assert rejected, f"{name} accepts every example"
 
@@ -77,11 +79,11 @@ class TestMaskVerifierConsistency:
         surfaces = list(TABLE_EXAMPLES.values()) + ["7", "99%", "0:59", "1999", "23-45"]
         for _ in range(500):
             surface = rng.choice(surfaces)
-            flags = np.asarray(legal_labels(surface))
+            flags = np.asarray(FORMATS.legal_labels(surface))
             if not flags.any():
                 continue
             probs = masked_softmax(np_rng.normal(size=len(flags)), flags)[0]
-            assert verify(surface, int(np.argmax(probs)))
+            assert FORMATS.verify(surface, int(np.argmax(probs)))
 
 
 class TestRegistryFile:

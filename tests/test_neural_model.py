@@ -8,8 +8,7 @@ from mtnorm.neural import (
     Vocabulary,
     build_vocab,
     classify,
-    embed_window,
-    encode,
+    forward_batch,
     init_params,
     load_char_vectors,
     load_params,
@@ -67,21 +66,31 @@ class TestVocabulary:
         assert vocab.unk_id == 1
 
 
+def run_forward(params, ids, nsw=None, pad_id=1, labels=5):
+    """forward_batch over window id rows; every position is NSW unless given."""
+    ids = np.atleast_2d(ids)
+    nsw = np.ones(ids.shape, dtype=bool) if nsw is None else np.atleast_2d(nsw)
+    legal = np.ones((ids.shape[0], labels), dtype=bool)
+    _, cache = forward_batch(params, ids, nsw, legal, pad_id)
+    return cache
+
+
 class TestEmbedding:
     def test_all_pad_window(self):
         config, vocab, params = small_setup()
         window = ContextWindow(PAD_CHAR * 8, (True,) * 8)
-        emb = embed_window(window, vocab, params)
+        cache = run_forward(params, vocab.window_ids(window), window.nsw_mask)
         expected = params.embedding[vocab.pad_id][None, :] + params.positional[:8]
-        assert np.allclose(emb, expected)
+        assert np.allclose(cache["x0"][0], expected)
 
     def test_locality(self):
         config, vocab, params = small_setup()
         w1 = ContextWindow("一二三四五678", (False,) * 4 + (True,) * 4)
         w2 = ContextWindow("一二三四五978", (False,) * 4 + (True,) * 4)
-        e1 = embed_window(w1, vocab, params)
-        e2 = embed_window(w2, vocab, params)
-        diff = np.abs(e1 - e2).sum(axis=1)
+        cache = run_forward(
+            params, [vocab.window_ids(w1), vocab.window_ids(w2)], [w1.nsw_mask, w2.nsw_mask]
+        )
+        diff = np.abs(cache["x0"][0] - cache["x0"][1]).sum(axis=1)
         assert diff[5] > 0
         assert np.all(diff[np.arange(8) != 5] == 0)
 
@@ -89,26 +98,29 @@ class TestEmbedding:
 class TestEncoderBlock:
     def test_output_shape_matches_input(self):
         _, _, params = small_setup()
-        x = np.random.default_rng(0).normal(size=(8, 16))
-        out, _ = encode(x, params)
-        assert out.shape == x.shape
+        ids = np.random.default_rng(0).integers(2, 14, size=(3, 8))
+        cache = run_forward(params, ids)
+        assert cache["norm2"].shape == cache["x0"].shape == (3, 8, 16)
 
     def test_attention_rows_sum_over_non_pad(self):
-        _, _, params = small_setup()
-        x = np.random.default_rng(1).normal(size=(8, 16))
+        _, vocab, params = small_setup()
+        ids = np.random.default_rng(1).integers(2, 14, size=8)
         pad = np.asarray([False] * 5 + [True] * 3)
-        _, attn = encode(x, params, pad_mask=pad)
+        ids[pad] = vocab.pad_id
+        attn = run_forward(params, ids, ~pad)["attn"]
+        assert attn.shape == (1, 2, 8, 8)
         assert np.allclose(attn.sum(axis=-1), 1.0)
-        assert np.all(attn[:, :, pad] == 0.0)
+        assert np.all(attn[..., pad] == 0.0)
 
     def test_permutation_equivariance(self):
         # brute-force check at D=4, H=2, W=3 with positional encoding removed
         config = ClassifierConfig(window=3, heads=2, model_dim=4, ff_dim=8, label_count=2, seed=2)
         params = init_params(config, vocab_size=6, rng=np.random.default_rng(2))
-        x = np.random.default_rng(3).normal(size=(3, 4))
+        params.positional[:] = 0.0
+        ids = np.asarray([2, 5, 3])
         perm = [2, 0, 1]
-        out, _ = encode(x, params)
-        out_perm, _ = encode(x[perm], params)
+        out = run_forward(params, ids, labels=2)["norm2"][0]
+        out_perm = run_forward(params, ids[perm], labels=2)["norm2"][0]
         assert np.allclose(out_perm, out[perm], atol=1e-10)
 
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from mtnorm import pipeline
+from mtnorm.legality import FormatRegistry
 from mtnorm.corpus import CorpusDistribution, LabeledSentence, generate_synthetic_corpus
 from mtnorm.extractor import extract_nsw
 from mtnorm.corpus import extract_window
 from mtnorm.neural import classify
+from mtnorm.rules import parse_rules
 from mtnorm.pipeline import (
     ROUTE_FALLBACK,
     ROUTE_NEURAL,
@@ -20,16 +22,16 @@ from mtnorm.pipeline import (
     split_sentences,
     write_traces,
 )
-from mtnorm.rules import normalize_rule_based
 
 DIST = CorpusDistribution.default()
 
 
 class TestRuleBaselineSentence:
-    def test_mixed_time_and_score(self, ruleset):
-        out, traces = normalize_rule_based(ruleset, "比赛10:30开始，比分是30-10")
+    def test_mixed_time_and_score(self, rules_system):
+        out, traces = normalize("比赛10:30开始，比分是30-10", rules_system)
         assert out == "比赛十点三十分开始，比分是三十比十"
-        assert [t.route for t in traces] == [ROUTE_PRIORITY, ROUTE_PRIORITY]
+        # neither surface is on the priority list, so both take the fallback
+        assert [t.route for t in traces] == [ROUTE_FALLBACK, ROUTE_FALLBACK]
 
 
 class TestNormalize:
@@ -140,6 +142,21 @@ class TestNormalize:
         assert ROUTE_NEURAL in routes
 
 
+class TestFormatOverride:
+    def test_widened_format_holds_at_render_time(self, rules_system, tmp_path):
+        path = tmp_path / "formats.txt"
+        path.write_text(r"B_Time: (?:[01]?\d|2[0-4]):[0-5]\d" + "\n", encoding="utf-8")
+        rules = parse_rules("rule: clock\n" r"nsw: \d{1,2}:\d{2}" "\nlabel: B_Time\n")
+        system = replace(rules_system, rules=rules, formats=FormatRegistry.from_file(str(path)))
+        out, traces = normalize("晚上24:00关门", system)
+        assert out == "晚上二十四点关门"
+        assert traces[0].route == ROUTE_FALLBACK
+        # the default registry rejects 24:00, so the span stays verbatim there
+        out, traces = normalize("晚上24:00关门", replace(system, formats=rules_system.formats))
+        assert out == "晚上24:00关门"
+        assert traces[0].route == ROUTE_UNMATCHED
+
+
 class TestRoutingStats:
     def test_all_priority(self, tiny_system):
         stats = routing_stats(["请拨打911", "快打110报警"], tiny_system)
@@ -201,3 +218,7 @@ class TestSystemValidation:
                 vocab=tiny_system.vocab,
                 formats=tiny_system.formats,
             )
+
+    def test_partial_classifier_rejected(self, tiny_system):
+        with pytest.raises(ValueError, match="all set or all None"):
+            replace(tiny_system, config=None)

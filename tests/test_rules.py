@@ -6,7 +6,8 @@ from oracles import brute_force_best_rule
 
 from mtnorm.corpus import NSWSpan
 from mtnorm.extractor import extract_nsw
-from mtnorm.rules import RuleError, match_nsw, normalize_rule_based, parse_rules
+from mtnorm.pipeline import normalize
+from mtnorm.rules import RuleError, match_nsw, parse_rules
 
 
 def make_rule_text(specs):
@@ -167,32 +168,34 @@ class TestAgainstBruteForce:
 
 
 class TestNormalizeRuleBased:
-    def test_percent_sentence(self, ruleset):
-        out, traces = normalize_rule_based(ruleset, "只有10%的学生")
+    """The rules-only system through ``pipeline.normalize``."""
+
+    def test_percent_sentence(self, rules_system):
+        out, traces = normalize("只有10%的学生", rules_system)
         assert out == "只有百分之十的学生"
         assert traces[0].label is not None
 
-    def test_identity_without_nsw(self, ruleset):
-        out, traces = normalize_rule_based(ruleset, "大家好才是真的好")
+    def test_identity_without_nsw(self, rules_system):
+        out, traces = normalize("大家好才是真的好", rules_system)
         assert out == "大家好才是真的好"
         assert traces == []
 
-    def test_currency_rule(self, ruleset):
-        out, _ = normalize_rule_based(ruleset, "这支笔卖$20")
+    def test_currency_rule(self, rules_system):
+        out, _ = normalize("这支笔卖$20", rules_system)
         assert out == "这支笔卖二十美元"
 
-    def test_unmatched_left_verbatim(self, ruleset):
-        out, traces = normalize_rule_based(ruleset, "温度是25.3左右")
+    def test_unmatched_left_verbatim(self, rules_system):
+        out, traces = normalize("温度是25.3左右", rules_system)
         assert "25.3" in out
         assert traces[0].route == "unmatched"
         assert traces[0].sfw is None
 
-    def test_context_preserved_exactly(self, ruleset):
+    def test_context_preserved_exactly(self, rules_system):
         from mtnorm.corpus import CorpusDistribution, generate_synthetic_corpus
 
         for sentence in generate_synthetic_corpus(CorpusDistribution.default(), 100, seed=21):
             text = sentence.text
-            out, traces = normalize_rule_based(ruleset, text)
+            out, traces = normalize(text, rules_system)
             spans = extract_nsw(text)
             rebuilt = []
             cursor = 0
@@ -203,6 +206,6 @@ class TestNormalizeRuleBased:
             rebuilt.append(text[cursor:])
             assert "".join(rebuilt) == out
 
-    def test_deterministic(self, ruleset):
+    def test_deterministic(self, rules_system):
         text = "比赛10:30开始，比分是30-10"
-        assert normalize_rule_based(ruleset, text) == normalize_rule_based(ruleset, text)
+        assert normalize(text, rules_system) == normalize(text, rules_system)
