@@ -57,6 +57,12 @@ def load_params(path: str) -> tuple[EncoderParams, ClassifierConfig, Vocabulary]
             pad_id=int(raw_vocab["pad_id"]),
             unk_id=int(raw_vocab["unk_id"]),
         )
+        if vocab.pad_id != config.pad_id:
+            # attention would mask the wrong keys without any other error
+            raise CheckpointError(
+                f"{path}: vocabulary pad_id {vocab.pad_id} disagrees with config.pad_id "
+                f"{config.pad_id}"
+            )
         field_names = EncoderParams.__dataclass_fields__
         tensors = {}
         for name in field_names:

@@ -6,6 +6,14 @@ residual + layer norm, position-wise feed-forward, residual + layer norm.
 The NSW positions are mean-pooled and projected to label logits; the
 softmax is masked to the format-legal labels.
 
+Only the NSW query rows are computed. With a single block, a position's
+output depends on the rest of the window only through the keys and
+values, and only NSW positions reach the pooled logits, so queries,
+attention, feed-forward and both layer norms run on those rows while
+keys and values still cover every position. This is the full block's
+result, not an approximation; the tests compare it with a full-window
+reference.
+
 Everything is float64 numpy with a hand-written backward pass; the
 training gradients are checked against central finite differences in the
 test suite, so forward and backward must stay in lockstep.
@@ -197,9 +205,10 @@ def masked_softmax(logits: np.ndarray, legal: np.ndarray) -> np.ndarray:
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
     mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)  # the arithmetic of x.var()
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    norm = (x - mu) * inv
+    norm = centered * inv
     return norm * scale + shift, norm, inv
 
 
@@ -220,19 +229,40 @@ def forward_batch(
     legal_mask: np.ndarray,
     pad_id: int,
 ) -> tuple[np.ndarray, dict]:
-    """Run the encoder over a batch of windows; returns (probs, cache)."""
+    """Run the encoder over a batch of windows; returns (probs, cache).
+
+    Only the NSW query rows are computed. Each window's NSW positions are
+    gathered into a ``(B, M)`` row index, M being the largest NSW count in
+    the batch; a window with fewer NSW takes non-NSW positions as padded
+    rows, which ``valid`` zeroes out of the pooling. Keys and values cover
+    the whole window. The result equals the full-window block up to
+    summation order: with one layer, a row's output depends on the other
+    positions only through the keys and values, and only NSW rows reach
+    the pooled logits.
+    """
     ids = np.asarray(ids, dtype=np.int64)
-    nsw = np.asarray(nsw_mask, dtype=np.float64)
+    nsw = np.asarray(nsw_mask, dtype=bool)
     legal = np.asarray(legal_mask, dtype=bool)
     scale = 1.0 / np.sqrt(params.attn_q.shape[-1])
 
+    counts = nsw.sum(axis=1)
+    if np.any(counts == 0):
+        raise ValueError("every window must mark at least one NSW position")
+    m = int(counts.max())
+    # A stable sort puts each window's NSW positions first, in order; the
+    # rest of the first M are distinct non-NSW positions.
+    rows = np.argsort(~nsw, axis=1, kind="stable")[:, :m]
+    valid = np.arange(m)[None, :] < counts[:, None]
+    batch_idx = np.arange(ids.shape[0])[:, None]
+
     x0 = params.embedding[ids] + params.positional[None, :, :]
+    xq = x0[batch_idx, rows]
     pad_keys = ids == pad_id
 
     # (B,1,W,D) @ (1,H,D,K) -> (B,H,W,K); broadcast matmuls keep this on BLAS,
     # and the softmax runs in place to avoid large temporaries.
     x0h = x0[:, None, :, :]
-    q = x0h @ params.attn_q[None]
+    q = xq[:, None, :, :] @ params.attn_q[None]
     k = x0h @ params.attn_k[None]
     v = x0h @ params.attn_v[None]
     scores = q @ k.swapaxes(-1, -2)
@@ -244,10 +274,10 @@ def forward_batch(
     attn = scores
 
     ctx = attn @ v
-    b, h, w, hd = ctx.shape
-    concat = ctx.transpose(0, 2, 1, 3).reshape(b, w, h * hd)
+    b, h, _, hd = ctx.shape
+    concat = ctx.transpose(0, 2, 1, 3).reshape(b, m, h * hd)
     merged = concat @ params.attn_out
-    res1 = x0 + merged
+    res1 = xq + merged
     norm1, n1_hat, n1_inv = _layer_norm(res1, params.ln1_scale, params.ln1_shift)
 
     ff_pre = norm1 @ params.ff_w1 + params.ff_b1
@@ -256,16 +286,13 @@ def forward_batch(
     res2 = norm1 + ff_out
     norm2, n2_hat, n2_inv = _layer_norm(res2, params.ln2_scale, params.ln2_shift)
 
-    counts = nsw.sum(axis=1)
-    if np.any(counts == 0):
-        raise ValueError("every window must mark at least one NSW position")
-    pooled = (norm2 * nsw[:, :, None]).sum(axis=1) / counts[:, None]
+    pooled = (norm2 * valid[:, :, None]).sum(axis=1) / counts[:, None]
     logits = pooled @ params.cls_w + params.cls_b
     probs = masked_softmax(logits, legal)
 
     cache = {
-        "ids": ids, "nsw": nsw, "legal": legal, "counts": counts, "scale": scale,
-        "x0": x0, "q": q, "k": k, "v": v, "attn": attn, "concat": concat,
+        "ids": ids, "rows": rows, "valid": valid, "counts": counts, "scale": scale,
+        "x0": x0, "xq": xq, "q": q, "k": k, "v": v, "attn": attn, "concat": concat,
         "n1_hat": n1_hat, "n1_inv": n1_inv, "norm1": norm1,
         "ff_pre": ff_pre, "ff_act": ff_act,
         "n2_hat": n2_hat, "n2_inv": n2_inv, "norm2": norm2,
@@ -275,8 +302,14 @@ def forward_batch(
 
 
 def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every tensor, given dloss/dlogits."""
-    ids, nsw, counts = cache["ids"], cache["nsw"], cache["counts"]
+    """Gradients of a scalar loss w.r.t. every tensor, given dloss/dlogits.
+
+    Follows the forward's row restriction: query-side gradients exist on
+    the NSW rows only (padded rows get exactly zero), key and value
+    gradients cover every position, and the rows' input gradients are
+    scattered back to their window positions.
+    """
+    ids, rows, valid, counts = cache["ids"], cache["rows"], cache["valid"], cache["counts"]
     scale = cache["scale"]
 
     grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
@@ -285,18 +318,18 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
     grads["cls_b"] = dlogits.sum(axis=0)
     dpooled = dlogits @ params.cls_w.T
 
-    dnorm2 = dpooled[:, None, :] * (nsw / counts[:, None])[:, :, None]
+    dnorm2 = dpooled[:, None, :] * (valid / counts[:, None])[:, :, None]
     dres2, grads["ln2_scale"], grads["ln2_shift"] = _layer_norm_backward(
         dnorm2, cache["n2_hat"], cache["n2_inv"], params.ln2_scale
     )
 
-    b, w, d = dres2.shape
+    b, m, d = dres2.shape
     dff_out = dres2
-    grads["ff_w2"] = cache["ff_act"].reshape(b * w, -1).T @ dff_out.reshape(b * w, d)
+    grads["ff_w2"] = cache["ff_act"].reshape(b * m, -1).T @ dff_out.reshape(b * m, d)
     grads["ff_b2"] = dff_out.sum(axis=(0, 1))
     dff_act = dff_out @ params.ff_w2.T
     dff_pre = dff_act * (cache["ff_pre"] > 0.0)
-    grads["ff_w1"] = cache["norm1"].reshape(b * w, d).T @ dff_pre.reshape(b * w, -1)
+    grads["ff_w1"] = cache["norm1"].reshape(b * m, d).T @ dff_pre.reshape(b * m, -1)
     grads["ff_b1"] = dff_pre.sum(axis=(0, 1))
     dnorm1 = dres2 + dff_pre @ params.ff_w1.T
 
@@ -304,12 +337,12 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
         dnorm1, cache["n1_hat"], cache["n1_inv"], params.ln1_scale
     )
 
-    dx0 = dres1.copy()
+    dxq = dres1.copy()
     dmerged = dres1
-    grads["attn_out"] = cache["concat"].reshape(b * w, d).T @ dmerged.reshape(b * w, d)
+    grads["attn_out"] = cache["concat"].reshape(b * m, d).T @ dmerged.reshape(b * m, d)
     dconcat = dmerged @ params.attn_out.T
     h = params.attn_q.shape[0]
-    dctx = dconcat.reshape(b, w, h, d // h).transpose(0, 2, 1, 3)
+    dctx = dconcat.reshape(b, m, h, d // h).transpose(0, 2, 1, 3)
 
     attn, v, q, k = cache["attn"], cache["v"], cache["q"], cache["k"]
     dattn = dctx @ v.swapaxes(-1, -2)
@@ -323,16 +356,19 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
     dq = dscores @ k
     dk = dscores.swapaxes(-1, -2) @ q
 
-    # Fold batch and window into one axis for the projection gradients.
-    x0flat = cache["x0"].reshape(b * w, d)
-    for name, dhead, weight in (
-        ("attn_q", dq, params.attn_q),
-        ("attn_k", dk, params.attn_k),
-        ("attn_v", dv, params.attn_v),
+    # Fold batch and rows (or positions) into one axis for the projection gradients.
+    dx0 = np.zeros_like(cache["x0"])
+    for name, dhead, weight, x, dx in (
+        ("attn_q", dq, params.attn_q, cache["xq"], dxq),
+        ("attn_k", dk, params.attn_k, cache["x0"], dx0),
+        ("attn_v", dv, params.attn_v, cache["x0"], dx0),
     ):
-        dflat = dhead.transpose(1, 0, 2, 3).reshape(h, b * w, -1)
-        grads[name] = x0flat.T[None] @ dflat
-        dx0 += (dflat @ weight.swapaxes(-1, -2)).sum(axis=0).reshape(b, w, d)
+        n = x.shape[1]
+        dflat = dhead.transpose(1, 0, 2, 3).reshape(h, b * n, -1)
+        grads[name] = x.reshape(b * n, d).T[None] @ dflat
+        dx += (dflat @ weight.swapaxes(-1, -2)).sum(axis=0).reshape(b, n, d)
+    # Rows of one window are distinct positions, so plain fancy-index += is exact.
+    dx0[np.arange(b)[:, None], rows] += dxq
 
     np.add.at(grads["embedding"], ids, dx0)
     grads["positional"] = dx0.sum(axis=0)

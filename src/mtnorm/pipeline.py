@@ -1,13 +1,15 @@
 """End-to-end hybrid normalization.
 
-Per sentence: extract NSW spans, classify every span against the original
-text first (replacements would shift the context other spans depend on),
-then splice the spoken forms right-to-left so earlier indices stay valid.
-Routing per span: priority surfaces go straight to the rules; everything
-else is classified under the legality mask and rendered, with rule
-fallback on any failure; a span nothing can handle stays verbatim. A
-system without a classifier is the rules-only baseline: every
-non-priority span takes the fallback route.
+Per sentence: extract NSW spans, route each one, classify the
+classifier-routed spans against the original text (replacements would
+shift the context other spans depend on), then splice the spoken forms
+right-to-left so earlier indices stay valid. Routing per span: priority
+surfaces go straight to the rules, and so does a span with no legal
+label; every other span's window joins the sentence's one classifier
+forward pass, and its argmax label is rendered, with rule fallback (the
+probabilities kept in the trace) if rendering fails; a span nothing can
+handle stays verbatim. A system without a classifier is the rules-only
+baseline: every non-priority span takes the fallback route.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import legality, reader
 from .corpus import LabeledSentence, NSWSpan, extract_window
 from .extractor import PriorityList, extract_nsw, priority_check
 from .labels import DEFAULT_REGISTRY, LabelRegistry
-from .neural import ClassifierConfig, EncoderParams, Vocabulary, classify
+from .neural import ClassifierConfig, EncoderParams, Vocabulary, forward_batch
 from .rules import RuleSet, match_nsw
 
 ROUTE_PRIORITY = "priority_rule"
@@ -95,31 +97,51 @@ def _rule_route(sys: HybridSystem, text: str, span: NSWSpan, surface: str, route
     return NormalizationTrace(span, ROUTE_UNMATCHED, None, None, probs)
 
 
-def _normalize_span(sys: HybridSystem, text: str, sentence: LabeledSentence, span: NSWSpan):
-    surface = text[span.start : span.end]
-    if priority_check(surface, sys.priority):
-        return _rule_route(sys, text, span, surface, ROUTE_PRIORITY)
+def _classifier_mask(sys: HybridSystem, surface: str) -> list[bool] | None:
+    """Legal labels the classifier chooses among; ``None`` leaves the span to the rules."""
     if sys.params is None:
-        return _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
-
-    legal = sys.formats.legal_labels(surface)
+        return None
     if not sys.config.use_mask:
-        legal = [True] * len(sys.formats)
-    probs = None
-    try:
-        window = extract_window(sentence, span, sys.config.window)
-        probs, label = classify(window, sys.vocab, sys.params, sys.config, legal)
-        sfw = reader.render(surface, label, sys.formats).text
-    except ValueError:
-        return _rule_route(sys, text, span, surface, ROUTE_FALLBACK, probs)
-    return NormalizationTrace(span, ROUTE_NEURAL, label, sfw, probs)
+        return [True] * len(sys.formats)
+    legal = sys.formats.legal_labels(surface)
+    return legal if any(legal) else None
 
 
 def normalize(text: str, sys: HybridSystem) -> tuple[str, list[NormalizationTrace]]:
     """Normalize one sentence; returns the output text and per-NSW traces."""
     spans = extract_nsw(text)
-    sentence = LabeledSentence(text, ())
-    traces = [_normalize_span(sys, text, sentence, span) for span in spans]
+    traces: list[NormalizationTrace | None] = [None] * len(spans)
+    pending = []  # (index, surface, legal mask) of the spans the classifier decides
+    for i, span in enumerate(spans):
+        surface = text[span.start : span.end]
+        if priority_check(surface, sys.priority):
+            traces[i] = _rule_route(sys, text, span, surface, ROUTE_PRIORITY)
+            continue
+        legal = _classifier_mask(sys, surface)
+        if legal is None:
+            traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
+        else:
+            pending.append((i, surface, legal))
+
+    if pending:
+        sentence = LabeledSentence(text, ())
+        windows = [extract_window(sentence, spans[i], sys.config.window) for i, _, _ in pending]
+        probs, _ = forward_batch(
+            sys.params,
+            [sys.vocab.window_ids(window) for window in windows],
+            [window.nsw_mask for window in windows],
+            [legal for _, _, legal in pending],
+            sys.config.pad_id,
+        )
+        for (i, surface, _), p in zip(pending, probs):
+            label = int(np.argmax(p))
+            try:
+                sfw = reader.render(surface, label, sys.formats).text
+            except ValueError:
+                traces[i] = _rule_route(sys, text, spans[i], surface, ROUTE_FALLBACK, p)
+                continue
+            traces[i] = NormalizationTrace(spans[i], ROUTE_NEURAL, label, sfw, p)
+
     out = text
     for trace in reversed(traces):
         if trace.sfw is not None:

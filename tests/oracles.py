@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 _DIGITS = {"零": 0, "一": 1, "二": 2, "三": 3, "四": 4, "五": 5, "六": 6, "七": 7,
            "八": 8, "九": 9, "两": 2}
 _SMALL_UNITS = {"十": 10, "百": 100, "千": 1000}
@@ -97,3 +99,45 @@ def confusion_matrix_metrics(pairs, n_labels):
         per_label[lab] = (precision, recall, f1)
     accuracy = sum(matrix[i][i] for i in range(n_labels)) / len(pairs)
     return per_label, accuracy, matrix
+
+
+def _reference_layer_norm(x, scale, shift, eps=1e-5):
+    out = np.empty_like(x)
+    for i, row in enumerate(x):
+        centered = row - row.mean()
+        out[i] = centered / np.sqrt((centered**2).mean() + eps) * scale + shift
+    return out
+
+
+def reference_forward(tensors, ids, nsw_mask, legal_mask, pad_id):
+    """Full-window encoder block, one window and one head at a time.
+
+    ``tensors`` maps parameter names to arrays. Every query position is
+    computed, attention normalizes over the non-pad keys only (each window
+    needs one), the NSW rows' outputs are averaged, and the label softmax
+    runs over the legal labels only. Returns (B, L) probabilities.
+    """
+    t = tensors
+    out = []
+    for row_ids, row_nsw, row_legal in zip(ids, nsw_mask, legal_mask):
+        x = t["embedding"][np.asarray(row_ids)] + t["positional"]
+        keys = [j for j, token in enumerate(row_ids) if token != pad_id]
+        heads = []
+        for wq, wk, wv in zip(t["attn_q"], t["attn_k"], t["attn_v"]):
+            q, k, v = x @ wq, x[keys] @ wk, x[keys] @ wv
+            scores = q @ k.T / np.sqrt(wq.shape[1])
+            weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+            weights /= weights.sum(axis=1, keepdims=True)
+            heads.append(weights @ v)
+        h = _reference_layer_norm(
+            x + np.concatenate(heads, axis=1) @ t["attn_out"], t["ln1_scale"], t["ln1_shift"]
+        )
+        ff = np.maximum(h @ t["ff_w1"] + t["ff_b1"], 0.0) @ t["ff_w2"] + t["ff_b2"]
+        h = _reference_layer_norm(h + ff, t["ln2_scale"], t["ln2_shift"])
+        logits = h[np.asarray(row_nsw, dtype=bool)].mean(axis=0) @ t["cls_w"] + t["cls_b"]
+        legal = np.flatnonzero(row_legal)
+        e = np.exp(logits[legal] - logits[legal].max())
+        probs = np.zeros(len(logits))
+        probs[legal] = e / e.sum()
+        out.append(probs)
+    return np.asarray(out)

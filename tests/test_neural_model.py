@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import reference_forward
 
 from mtnorm.corpus import ContextWindow, LabeledSentence, NSWSpan, PAD_CHAR, extract_window
 from mtnorm.neural import (
@@ -108,7 +109,8 @@ class TestEncoderBlock:
         pad = np.asarray([False] * 5 + [True] * 3)
         ids[pad] = vocab.pad_id
         attn = run_forward(params, ids, ~pad)["attn"]
-        assert attn.shape == (1, 2, 8, 8)
+        # only the 5 NSW query rows are computed; keys cover the whole window
+        assert attn.shape == (1, 2, 5, 8)
         assert np.allclose(attn.sum(axis=-1), 1.0)
         assert np.all(attn[..., pad] == 0.0)
 
@@ -122,6 +124,72 @@ class TestEncoderBlock:
         out = run_forward(params, ids, labels=2)["norm2"][0]
         out_perm = run_forward(params, ids[perm], labels=2)["norm2"][0]
         assert np.allclose(out_perm, out[perm], atol=1e-10)
+
+
+def oracle_setup(window=12, dim=16, heads=2, labels=5, vocab_size=20, seed=7):
+    """Random parameters at a larger scale than init, so probabilities spread."""
+    config = ClassifierConfig(
+        window=window, heads=heads, model_dim=dim, ff_dim=2 * dim, label_count=labels, seed=seed
+    )
+    rng = np.random.default_rng(seed)
+    params = init_params(config, vocab_size, rng)
+    for tensor in params.tensors().values():
+        tensor[...] = rng.normal(scale=0.7, size=tensor.shape)
+    return config, params, rng
+
+
+def ragged_windows(rng, counts, window=12, vocab_size=20, pad_id=1):
+    """One window per NSW count, with random pad keys around the NSW."""
+    ids = rng.integers(2, vocab_size, size=(len(counts), window))
+    nsw = np.zeros((len(counts), window), dtype=bool)
+    for row, count in enumerate(counts):
+        start = int(rng.integers(0, window - count + 1))
+        nsw[row, start : start + count] = True
+        if count < window:
+            pads = rng.random(window) < 0.3
+            pads[start : start + count] = False
+            ids[row, pads] = pad_id
+    legal = rng.random((len(counts), 5)) < 0.6
+    legal[np.arange(len(counts)), rng.integers(0, 5, size=len(counts))] = True
+    return ids, nsw, legal
+
+
+class TestForwardOracle:
+    """forward_batch computes NSW query rows only; the oracle computes every row."""
+
+    def test_matches_full_window_reference(self):
+        config, params, rng = oracle_setup()
+        for _ in range(20):
+            ids, nsw, legal = ragged_windows(rng, [1, 2, 5, 12, 3, 1])
+            probs, _ = forward_batch(params, ids, nsw, legal, config.pad_id)
+            want = reference_forward(params.tensors(), ids, nsw, legal, config.pad_id)
+            assert np.abs(probs - want).max() <= 1e-12
+            assert np.array_equal(probs.argmax(axis=1), want.argmax(axis=1))
+
+    def test_nsw_longer_than_window(self):
+        config, params, _ = oracle_setup()
+        vocab = Vocabulary({ch: i + 2 for i, ch in enumerate("0123456789总额元")})
+        text = "总额1234567890123456元"
+        sentence = LabeledSentence(text, (NSWSpan(2, 18),))
+        window = extract_window(sentence, sentence.spans[0], config.window)
+        assert all(window.nsw_mask)
+        ids = np.asarray([vocab.window_ids(window)])
+        legal = np.ones((1, 5), dtype=bool)
+        probs, _ = forward_batch(params, ids, [window.nsw_mask], legal, config.pad_id)
+        want = reference_forward(params.tensors(), ids, [window.nsw_mask], legal, config.pad_id)
+        assert np.abs(probs - want).max() <= 1e-12
+        assert probs.argmax() == want.argmax()
+
+    def test_mixed_batch_equals_one_by_one(self):
+        config, params, rng = oracle_setup()
+        ids, nsw, legal = ragged_windows(rng, [1, 2, 5, 12, 1, 7, 2])
+        batched, _ = forward_batch(params, ids, nsw, legal, config.pad_id)
+        for row in range(len(ids)):
+            single, _ = forward_batch(
+                params, ids[row : row + 1], nsw[row : row + 1], legal[row : row + 1], config.pad_id
+            )
+            assert np.abs(single[0] - batched[row]).max() <= 1e-12
+            assert single[0].argmax() == batched[row].argmax()
 
 
 class TestClassify:
@@ -205,6 +273,14 @@ class TestCheckpoint:
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
+            load_params(path)
+
+    def test_pad_id_mismatch_rejected(self, tmp_path):
+        config, vocab, params = small_setup()
+        vocab = Vocabulary(vocab.char_to_id, pad_id=0, unk_id=1)  # config.pad_id is 1
+        path = str(tmp_path / "model.npz")
+        save_params(path, params, config, vocab)
+        with pytest.raises(CheckpointError, match="pad_id"):
             load_params(path)
 
     def test_not_a_checkpoint(self, tmp_path):

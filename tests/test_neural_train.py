@@ -143,6 +143,21 @@ class TestGradients:
         config, params, batch = small_batch()
         assert gradient_check(params, batch, config, coords_per_tensor=6) <= 1e-3
 
+    def test_gradient_check_ragged_nsw_rows(self):
+        # NSW counts 1, 2, 3, 9 and the full window: every short window has
+        # padded query rows, and the 9-row one covers a pad position
+        config, params, _ = small_batch()
+        rng = np.random.default_rng(9)
+        ids = rng.integers(2, 20, size=(5, 10))
+        ids[:4, -2:] = config.pad_id
+        nsw = np.zeros((5, 10), dtype=bool)
+        for row, (start, count) in enumerate(((4, 1), (0, 2), (6, 3), (0, 9), (0, 10))):
+            nsw[row, start : start + count] = True
+        legal = np.ones((5, 4), dtype=bool)
+        legal[1, :2] = False
+        batch = TrainingBatch(ids, nsw, legal, np.asarray([1, 2, 0, 3, 2]))
+        assert gradient_check(params, batch, config, coords_per_tensor=8) <= 1e-3
+
     def test_first_order_taylor(self):
         config, params, batch = small_batch()
         loss0, grads = batch_loss_and_grads(params, batch, config)

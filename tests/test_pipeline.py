@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from mtnorm import pipeline
 from mtnorm.legality import FormatRegistry
 from mtnorm.corpus import CorpusDistribution, LabeledSentence, generate_synthetic_corpus
-from mtnorm.extractor import extract_nsw
+from mtnorm.extractor import extract_nsw, priority_check
 from mtnorm.corpus import extract_window
 from mtnorm.neural import classify
 from mtnorm.rules import parse_rules
@@ -140,6 +141,61 @@ class TestNormalize:
                     surface = sentence.text[trace.span.start:trace.span.end]
                     assert system.formats.verify(surface, trace.label)
         assert ROUTE_NEURAL in routes
+
+
+class TestSentenceBatching:
+    """One forward pass per sentence decides the same as per-span classify."""
+
+    @staticmethod
+    def classifier_spans(text, system):
+        return [
+            span for span in extract_nsw(text)
+            if not priority_check(text[span.start:span.end], system.priority)
+            and any(system.formats.legal_labels(text[span.start:span.end]))
+        ]
+
+    def test_one_forward_pass_per_sentence(self, tiny_system, monkeypatch):
+        batches = []
+        real_forward = pipeline.forward_batch
+
+        def counting_forward(params, ids, *rest):
+            batches.append(len(ids))
+            return real_forward(params, ids, *rest)
+
+        monkeypatch.setattr(pipeline, "forward_batch", counting_forward)
+        sentences = [s.text for s in generate_synthetic_corpus(DIST, 1000, seed=38)]
+        rng = random.Random(38)
+        lines = []
+        while len(lines) < 200:
+            lines.append("，".join(rng.sample(sentences, rng.randint(2, 8))))
+        mixed = "遇到危险请拨打911，会议定于上午10:30开始，总额1,000,000,000,000元"
+        lines.append(mixed)
+
+        for text in lines:
+            before = len(batches)
+            _, traces = normalize(text, tiny_system)
+            expected = self.classifier_spans(text, tiny_system)
+            assert batches[before:] == ([len(expected)] if expected else [])
+            classified = [t for t in traces if t.probabilities is not None]
+            assert [t.span for t in classified] == expected
+            sentence = LabeledSentence(text, ())
+            for trace in classified:
+                surface = text[trace.span.start:trace.span.end]
+                window = extract_window(sentence, trace.span, tiny_system.config.window)
+                legal = tiny_system.formats.legal_labels(surface)
+                probs, label = classify(
+                    window, tiny_system.vocab, tiny_system.params, tiny_system.config, legal
+                )
+                assert np.allclose(trace.probabilities, probs, rtol=0.0, atol=1e-12)
+                if trace.route == ROUTE_NEURAL:
+                    assert trace.label == label
+
+        _, traces = normalize(mixed, tiny_system)
+        assert [t.route for t in traces] == [ROUTE_PRIORITY, ROUTE_NEURAL, ROUTE_UNMATCHED]
+        # the classifier decides the huge number, its reader refuses it, and
+        # the rule fallback fails the same way: verbatim, probabilities kept
+        assert traces[2].sfw is None and traces[2].label is None
+        assert traces[2].probabilities is not None
 
 
 class TestFormatOverride:
