@@ -356,7 +356,9 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
     dq = dscores @ k
     dk = dscores.swapaxes(-1, -2) @ q
 
-    # Fold batch and rows (or positions) into one axis for the projection gradients.
+    # Fold batch and rows (or positions) into one axis and the heads into
+    # the other, so each projection gradient is one (B*N, D) x (D, H*K)
+    # product; per-head products would build an (H, B*N, D) temporary.
     dx0 = np.zeros_like(cache["x0"])
     for name, dhead, weight, x, dx in (
         ("attn_q", dq, params.attn_q, cache["xq"], dxq),
@@ -364,9 +366,11 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
         ("attn_v", dv, params.attn_v, cache["x0"], dx0),
     ):
         n = x.shape[1]
-        dflat = dhead.transpose(1, 0, 2, 3).reshape(h, b * n, -1)
-        grads[name] = x.reshape(b * n, d).T[None] @ dflat
-        dx += (dflat @ weight.swapaxes(-1, -2)).sum(axis=0).reshape(b, n, d)
+        dcat = dhead.transpose(0, 2, 1, 3).reshape(b * n, -1)
+        grads[name] = np.ascontiguousarray(
+            (x.reshape(b * n, d).T @ dcat).reshape(d, h, -1).transpose(1, 0, 2)
+        )
+        dx += (dcat @ weight.transpose(1, 0, 2).reshape(d, -1).T).reshape(b, n, d)
     # Rows of one window are distinct positions, so plain fancy-index += is exact.
     dx0[np.arange(b)[:, None], rows] += dxq
 

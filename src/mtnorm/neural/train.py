@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +33,34 @@ class TrainResult:
     params: EncoderParams
     vocab: Vocabulary
     history: list[dict] = field(default_factory=list)
+
+
+# glibc mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Let glibc keep the memory a training step frees for the next step.
+
+    A step allocates and frees some 12 MB of float64 temporaries. Under
+    glibc's adaptive thresholds, arrays over about 1.5 MB are mmapped and
+    the rest of the freed heap top is trimmed, so every step took fresh
+    zero-filled pages from the kernel again: about 2900 page faults and a
+    quarter of the step's time, a cost that grows with the host's load.
+    Fixed thresholds (32 MB, the adaptive limit, and twice that for the
+    trim) keep those pages mapped. Process-wide and once; a no-op on
+    other C libraries.
+    """
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+        libc = ctypes.CDLL(None)
+    except (ValueError, OSError):
+        return
+    libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 class AdamState:
@@ -106,6 +137,7 @@ def train(
     elif vocab.pad_id != config.pad_id:
         raise ValueError("vocabulary pad_id disagrees with config.pad_id")
 
+    _keep_freed_heap()
     rng = np.random.default_rng(config.seed)
     params = init_params(config, vocab.size, rng)
     if config.pretrained_vectors:

@@ -1,4 +1,6 @@
+import os
 import random
+import resource
 
 import numpy as np
 import pytest
@@ -87,6 +89,22 @@ class TestTraining:
         corpus = [LabeledSentence("共100人", (NSWSpan(1, 4, 7),))]
         with pytest.raises(ValueError, match="label_count"):
             train(corpus, toy_config())
+
+    @pytest.mark.skipif(
+        not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"),
+        reason="the freed-memory thresholds are set on glibc only",
+    )
+    def test_later_epochs_take_no_fresh_pages(self):
+        """Steps reuse the memory earlier steps freed instead of faulting in new pages."""
+        config = toy_config(window=30, heads=8, model_dim=64, ff_dim=128, batch_size=64, epochs=4)
+        faults = []
+
+        def epoch_done(_msg):
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+        train(separable_corpus(256), config, log=epoch_done)
+        # Each of these 8 steps churns about 6 MB, some 1500 pages if returned to the OS.
+        assert faults[-1] - faults[1] < 100
 
     def test_nan_loss_aborts_with_diagnostics(self, tmp_path):
         path = tmp_path / "vectors.txt"
