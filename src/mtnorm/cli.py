@@ -107,7 +107,7 @@ def cmd_normalize(args) -> int:
         return 2
     system = _build_system(args, None if args.rules_only else args.model)
     texts = [args.text] if args.text is not None else _read_lines(args.infile)
-    results = [pipeline.normalize(text, system) for text in texts]
+    results = pipeline.normalize_many(texts, system)
     _write_lines(args.out, [out for out, _ in results])
     if args.trace:
         traced = [(text, traces) for text, (_, traces) in zip(texts, results)]

@@ -140,12 +140,13 @@ def evaluate_golden(records: list[dict], sys: pipeline.HybridSystem) -> GoldenRe
     """
     labels = sys.formats.labels
     rules_sys = replace(sys, params=None, config=None, vocab=None)
+    texts = [record["input"] for record in records]
     hybrid_pairs, rule_pairs = [], []
     hybrid_span_pairs, rule_span_pairs = [], []
-    for record in records:
-        text, reference = record["input"], record["reference"]
-        hybrid_out, hybrid_traces = pipeline.normalize(text, sys)
-        rules_out, rule_traces = pipeline.normalize(text, rules_sys)
+    for record, (hybrid_out, hybrid_traces), (rules_out, rule_traces) in zip(
+        records, pipeline.normalize_many(texts, sys), pipeline.normalize_many(texts, rules_sys)
+    ):
+        reference = record["reference"]
         hybrid_pairs.append((hybrid_out, reference))
         rule_pairs.append((rules_out, reference))
         gold_by_span = {

@@ -14,6 +14,7 @@ from .model import (
     init_params,
     load_char_vectors,
     masked_softmax,
+    predict_probs,
 )
 from .train import (
     AdamState,
@@ -48,6 +49,7 @@ __all__ = [
     "make_training_batch",
     "masked_softmax",
     "predict_batch",
+    "predict_probs",
     "save_params",
     "train",
 ]

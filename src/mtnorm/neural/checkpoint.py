@@ -70,12 +70,9 @@ def load_params(path: str) -> tuple[EncoderParams, ClassifierConfig, Vocabulary]
                 raise CheckpointError(f"{path}: missing tensor {name}")
             tensors[name] = archive[name]
     params = EncoderParams(**tensors)
-    expected = params.expected_shapes(config, vocab.size)
-    for name, tensor in params.tensors().items():
-        if tensor.shape != expected[name]:
-            raise CheckpointError(
-                f"{path}: tensor {name} has shape {tensor.shape}, "
-                f"config requires {expected[name]}"
-            )
+    try:
+        params.check_shapes(config, vocab.size)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     params.check_finite()
     return params, config, vocab

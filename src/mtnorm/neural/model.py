@@ -106,6 +106,14 @@ class EncoderParams:
             if not np.all(np.isfinite(tensor)):
                 raise ValueError(f"non-finite values in parameter {name}")
 
+    def check_shapes(self, config: ClassifierConfig, vocab_size: int) -> None:
+        expected = self.expected_shapes(config, vocab_size)
+        for name, tensor in self.tensors().items():
+            if tensor.shape != expected[name]:
+                raise ValueError(
+                    f"tensor {name} has shape {tensor.shape}, config requires {expected[name]}"
+                )
+
     def expected_shapes(self, config: ClassifierConfig, vocab_size: int) -> dict[str, tuple]:
         d, h, f, w, l = (
             config.model_dim,
@@ -445,8 +453,43 @@ def batch_loss_and_grads(
 
 
 # --------------------------------------------------------------------------
-# Single-window conveniences
+# Inference
 # --------------------------------------------------------------------------
+
+PREDICT_CHUNK = 16
+
+
+def predict_probs(
+    params: EncoderParams,
+    ids,
+    nsw_mask,
+    legal_mask,
+    pad_id: int,
+) -> np.ndarray:
+    """Label probabilities for any number of windows, in input order.
+
+    ``forward_batch`` pads every window to the batch's largest NSW count,
+    and a large batch's arrays outgrow the CPU cache. So windows are
+    stable-sorted by NSW count and run in chunks of at most
+    ``PREDICT_CHUNK``: each chunk holds windows of near-equal NSW count,
+    which leaves little padding. Each window's result does not depend on
+    the others in its chunk. Up to one chunk runs directly, unsorted.
+    """
+    n = len(ids)
+    if n == 0:
+        return np.zeros((0, params.cls_b.shape[0]))
+    if n <= PREDICT_CHUNK:
+        return forward_batch(params, ids, nsw_mask, legal_mask, pad_id)[0]
+    ids = np.asarray(ids, dtype=np.int64)
+    nsw = np.asarray(nsw_mask, dtype=bool)
+    legal = np.asarray(legal_mask, dtype=bool)
+    order = np.argsort(nsw.sum(axis=1), kind="stable")
+    probs = np.empty((n, params.cls_b.shape[0]))
+    for start in range(0, n, PREDICT_CHUNK):
+        chunk = order[start : start + PREDICT_CHUNK]
+        probs[chunk] = forward_batch(params, ids[chunk], nsw[chunk], legal[chunk], pad_id)[0]
+    return probs
+
 
 def classify(
     window: ContextWindow,

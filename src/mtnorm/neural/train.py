@@ -17,9 +17,9 @@ from .model import (
     EncoderParams,
     TrainingBatch,
     batch_loss_and_grads,
-    forward_batch,
     init_params,
     load_char_vectors,
+    predict_probs,
 )
 from .vocab import Vocabulary, build_vocab
 
@@ -171,12 +171,6 @@ def train(
 def predict_batch(
     params: EncoderParams, data: TrainingBatch, config: ClassifierConfig
 ) -> np.ndarray:
-    """Argmax labels for a prepared batch (chunked to bound memory)."""
-    out = []
-    for start in range(0, len(data), 512):
-        chunk = data.take(np.arange(start, min(start + 512, len(data))))
-        probs, _ = forward_batch(
-            params, chunk.ids, chunk.nsw_masks, chunk.legal_masks, config.pad_id
-        )
-        out.append(probs.argmax(axis=1))
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+    """Argmax labels for a prepared batch."""
+    probs = predict_probs(params, data.ids, data.nsw_masks, data.legal_masks, config.pad_id)
+    return probs.argmax(axis=1)

@@ -5,11 +5,20 @@ classifier-routed spans against the original text (replacements would
 shift the context other spans depend on), then splice the spoken forms
 right-to-left so earlier indices stay valid. Routing per span: priority
 surfaces go straight to the rules, and so does a span with no legal
-label; every other span's window joins the sentence's one classifier
-forward pass, and its argmax label is rendered, with rule fallback (the
-probabilities kept in the trace) if rendering fails; a span nothing can
-handle stays verbatim. A system without a classifier is the rules-only
-baseline: every non-priority span takes the fallback route.
+label; every other span's window goes to the classifier, and its argmax
+label is rendered, with rule fallback (the probabilities kept in the
+trace) if rendering fails; a span nothing can handle stays verbatim. A
+system without a classifier is the rules-only baseline: every
+non-priority span takes the fallback route.
+
+The classifier decides each span from its own window, so nothing ties a
+forward pass to one sentence: ``normalize_many`` routes every span of
+every input first and classifies all the classifier-routed windows
+together, and ``normalize`` is its one-sentence case. The windows run
+in chunks of at most 16, sorted by NSW count (``predict_probs``): the
+forward pass pads each window to its chunk's largest NSW count, so
+sorting leaves little padding, and small chunks keep the arrays in
+cache.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from . import legality, reader
 from .corpus import LabeledSentence, NSWSpan, extract_window
 from .extractor import PriorityList, extract_nsw, priority_check
 from .labels import DEFAULT_REGISTRY, LabelRegistry
-from .neural import ClassifierConfig, EncoderParams, Vocabulary, forward_batch
+from .neural import ClassifierConfig, EncoderParams, Vocabulary, predict_probs
 from .rules import RuleSet, match_nsw
 
 ROUTE_PRIORITY = "priority_rule"
@@ -82,8 +91,13 @@ class HybridSystem:
         classifier = (self.params, self.config, self.vocab)
         if None in classifier and any(part is not None for part in classifier):
             raise ValueError("params, config and vocab must be all set or all None")
-        if self.config is not None and self.config.label_count != len(self.formats):
+        if self.config is None:
+            return
+        if self.config.label_count != len(self.formats):
             raise ValueError("classifier label count and label registry disagree")
+        if self.vocab.pad_id != self.config.pad_id:
+            raise ValueError("vocabulary pad_id disagrees with config.pad_id")
+        self.params.check_shapes(self.config, self.vocab.size)
 
 
 def _rule_route(sys: HybridSystem, text: str, span: NSWSpan, surface: str, route: str, probs=None):
@@ -107,46 +121,64 @@ def _classifier_mask(sys: HybridSystem, surface: str) -> list[bool] | None:
     return legal if any(legal) else None
 
 
-def normalize(text: str, sys: HybridSystem) -> tuple[str, list[NormalizationTrace]]:
-    """Normalize one sentence; returns the output text and per-NSW traces."""
-    spans = extract_nsw(text)
-    traces: list[NormalizationTrace | None] = [None] * len(spans)
-    pending = []  # (index, surface, legal mask) of the spans the classifier decides
-    for i, span in enumerate(spans):
-        surface = text[span.start : span.end]
-        if priority_check(surface, sys.priority):
-            traces[i] = _rule_route(sys, text, span, surface, ROUTE_PRIORITY)
-            continue
-        legal = _classifier_mask(sys, surface)
-        if legal is None:
-            traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
-        else:
-            pending.append((i, surface, legal))
+def normalize_many(
+    texts: list[str], sys: HybridSystem
+) -> list[tuple[str, list[NormalizationTrace]]]:
+    """Normalize many sentences; returns (output text, per-NSW traces) per input."""
+    traced = []  # (text, traces) per input; classifier-routed traces are filled in below
+    pending = []  # (traces, index, text, span, surface, legal mask) for the classifier
+    windows = []
+    for text in texts:
+        spans = extract_nsw(text)
+        traces: list[NormalizationTrace | None] = [None] * len(spans)
+        sentence = None
+        for i, span in enumerate(spans):
+            surface = text[span.start : span.end]
+            if priority_check(surface, sys.priority):
+                traces[i] = _rule_route(sys, text, span, surface, ROUTE_PRIORITY)
+                continue
+            legal = _classifier_mask(sys, surface)
+            if legal is None:
+                traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
+                continue
+            if sentence is None:
+                sentence = LabeledSentence(text, ())
+            windows.append(extract_window(sentence, span, sys.config.window))
+            pending.append((traces, i, text, span, surface, legal))
+        traced.append((text, traces))
 
     if pending:
-        sentence = LabeledSentence(text, ())
-        windows = [extract_window(sentence, spans[i], sys.config.window) for i, _, _ in pending]
-        probs, _ = forward_batch(
+        probs = predict_probs(
             sys.params,
             [sys.vocab.window_ids(window) for window in windows],
             [window.nsw_mask for window in windows],
-            [legal for _, _, legal in pending],
+            [legal for *_, legal in pending],
             sys.config.pad_id,
         )
-        for (i, surface, _), p in zip(pending, probs):
+        for (traces, i, text, span, surface, _), p in zip(pending, probs):
             label = int(np.argmax(p))
             try:
                 sfw = reader.render(surface, label, sys.formats).text
             except ValueError:
-                traces[i] = _rule_route(sys, text, spans[i], surface, ROUTE_FALLBACK, p)
+                traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK, p)
                 continue
-            traces[i] = NormalizationTrace(spans[i], ROUTE_NEURAL, label, sfw, p)
+            traces[i] = NormalizationTrace(span, ROUTE_NEURAL, label, sfw, p)
 
+    return [(_splice(text, traces), traces) for text, traces in traced]
+
+
+def normalize(text: str, sys: HybridSystem) -> tuple[str, list[NormalizationTrace]]:
+    """Normalize one sentence; returns the output text and per-NSW traces."""
+    return normalize_many([text], sys)[0]
+
+
+def _splice(text: str, traces: list[NormalizationTrace]) -> str:
+    """Replace spans right-to-left so earlier indices stay valid."""
     out = text
     for trace in reversed(traces):
         if trace.sfw is not None:
             out = out[: trace.span.start] + trace.sfw + out[trace.span.end :]
-    return out, traces
+    return out
 
 
 def routing_stats(corpus, sys: HybridSystem) -> tuple[float, float, float]:
@@ -157,9 +189,9 @@ def routing_stats(corpus, sys: HybridSystem) -> tuple[float, float, float]:
     neural-routed spans that failed verification and flowed back.
     """
     priority = neural = fallback = 0
-    for item in corpus:
-        text = item if isinstance(item, str) else item.text
-        for trace in normalize(text, sys)[1]:
+    texts = [item if isinstance(item, str) else item.text for item in corpus]
+    for text, (_, traces) in zip(texts, normalize_many(texts, sys)):
+        for trace in traces:
             if priority_check(text[trace.span.start : trace.span.end], sys.priority):
                 priority += 1
             else:

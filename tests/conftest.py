@@ -2,6 +2,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # oracles.py importable as a module
@@ -10,7 +11,7 @@ from mtnorm import corpus as cm
 from mtnorm import legality, pipeline
 from mtnorm.extractor import load_priority_list
 from mtnorm.labels import DEFAULT_REGISTRY
-from mtnorm.neural import ClassifierConfig, train
+from mtnorm.neural import ClassifierConfig, model, train
 from mtnorm.rules import compile_rules
 
 
@@ -76,3 +77,17 @@ def tiny_system(ruleset, priority_list, formats, tiny_config):
         vocab=result.vocab,
         formats=formats,
     )
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """Per ``forward_batch`` call, the NSW count of each window it ran."""
+    calls = []
+    real_forward = model.forward_batch
+
+    def counting_forward(params, ids, nsw, *rest):
+        calls.append(np.asarray(nsw, dtype=bool).sum(axis=1).tolist())
+        return real_forward(params, ids, nsw, *rest)
+
+    monkeypatch.setattr(model, "forward_batch", counting_forward)
+    return calls

@@ -14,6 +14,8 @@ from mtnorm.neural import (
     load_char_vectors,
     load_params,
     masked_softmax,
+    model,
+    predict_probs,
     save_params,
 )
 
@@ -190,6 +192,39 @@ class TestForwardOracle:
             )
             assert np.abs(single[0] - batched[row]).max() <= 1e-12
             assert single[0].argmax() == batched[row].argmax()
+
+
+class TestPredictProbs:
+    """Windows sorted by NSW count, in chunks, give each window's own result."""
+
+    def test_buckets_match_one_by_one(self, forward_calls):
+        config, params, rng = oracle_setup()
+        counts = rng.integers(1, 13, size=41).tolist()
+        ids, nsw, legal = ragged_windows(rng, counts)
+        probs = predict_probs(params, ids, nsw, legal, config.pad_id)
+        assert [len(c) for c in forward_calls] == [16, 16, 9]
+        seen = [count for call in forward_calls for count in call]
+        assert seen == sorted(counts)  # non-decreasing within and across calls
+        for row in range(len(ids)):
+            single, _ = model.forward_batch(
+                params, ids[row : row + 1], nsw[row : row + 1], legal[row : row + 1], config.pad_id
+            )
+            assert np.abs(single[0] - probs[row]).max() <= 1e-12
+            assert single[0].argmax() == probs[row].argmax()
+
+    def test_one_chunk_runs_directly_in_input_order(self, forward_calls):
+        config, params, rng = oracle_setup()
+        counts = [5, 1, 12, 2, 7, 1]
+        ids, nsw, legal = ragged_windows(rng, counts)
+        probs = predict_probs(params, ids, nsw, legal, config.pad_id)
+        assert forward_calls == [counts]
+        direct, _ = model.forward_batch(params, ids, nsw, legal, config.pad_id)
+        assert np.array_equal(probs, direct)
+
+    def test_no_windows(self, forward_calls):
+        config, params, _ = oracle_setup()
+        assert predict_probs(params, [], [], [], config.pad_id).shape == (0, 5)
+        assert forward_calls == []
 
 
 class TestClassify:

@@ -13,9 +13,11 @@ from mtnorm.neural import (
     batch_loss,
     batch_loss_and_grads,
     build_vocab,
+    forward_batch,
     gradient_check,
     init_params,
     make_training_batch,
+    predict_batch,
     train,
 )
 
@@ -222,3 +224,29 @@ class TestBatchAssembly:
         vocab = build_vocab(corpus, pad_id=0)
         with pytest.raises(ValueError, match="pad_id"):
             train(corpus, toy_config(pad_id=1), vocab=vocab)
+
+
+class TestPredictBatch:
+    def test_mixed_nsw_counts_match_windows_run_alone(self):
+        config = ClassifierConfig(window=12, heads=2, model_dim=16, ff_dim=32, label_count=5)
+        rng = np.random.default_rng(8)
+        params = init_params(config, vocab_size=20, rng=rng)
+        for tensor in params.tensors().values():
+            tensor[...] = rng.normal(scale=0.7, size=tensor.shape)
+        n = 50
+        ids = rng.integers(2, 20, size=(n, 12))
+        ids[:, :2] = config.pad_id
+        nsw = np.zeros((n, 12), dtype=bool)
+        for row, count in enumerate(rng.integers(1, 11, size=n)):
+            nsw[row, 2 : 2 + count] = True
+        legal = rng.random((n, 5)) < 0.6
+        legal[:, 0] = True
+        data = TrainingBatch(ids, nsw, legal, np.zeros(n, dtype=np.int64))
+        predicted = predict_batch(params, data, config)
+        alone = []
+        for i in range(n):
+            one = slice(i, i + 1)
+            probs, _ = forward_batch(params, ids[one], nsw[one], legal[one], config.pad_id)
+            alone.append(int(probs.argmax()))
+        assert predicted.tolist() == alone
+        assert len(set(predicted.tolist())) > 1

@@ -5,12 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mtnorm import pipeline
 from mtnorm.legality import FormatRegistry
 from mtnorm.corpus import CorpusDistribution, LabeledSentence, generate_synthetic_corpus
 from mtnorm.extractor import extract_nsw, priority_check
 from mtnorm.corpus import extract_window
-from mtnorm.neural import classify
+from mtnorm.neural import classify, model
 from mtnorm.rules import parse_rules
 from mtnorm.pipeline import (
     ROUTE_FALLBACK,
@@ -19,6 +18,7 @@ from mtnorm.pipeline import (
     ROUTE_UNMATCHED,
     HybridSystem,
     normalize,
+    normalize_many,
     routing_stats,
     split_sentences,
     write_traces,
@@ -144,7 +144,7 @@ class TestNormalize:
 
 
 class TestSentenceBatching:
-    """One forward pass per sentence decides the same as per-span classify."""
+    """A sentence's forward passes (one per 16 classifier spans) decide as per-span classify."""
 
     @staticmethod
     def classifier_spans(text, system):
@@ -156,18 +156,21 @@ class TestSentenceBatching:
 
     def test_one_forward_pass_per_sentence(self, tiny_system, monkeypatch):
         batches = []
-        real_forward = pipeline.forward_batch
+        real_forward = model.forward_batch
 
         def counting_forward(params, ids, *rest):
             batches.append(len(ids))
             return real_forward(params, ids, *rest)
 
-        monkeypatch.setattr(pipeline, "forward_batch", counting_forward)
+        monkeypatch.setattr(model, "forward_batch", counting_forward)
         sentences = [s.text for s in generate_synthetic_corpus(DIST, 1000, seed=38)]
         rng = random.Random(38)
         lines = []
         while len(lines) < 200:
             lines.append("，".join(rng.sample(sentences, rng.randint(2, 8))))
+        long_line = "，".join(sentences[:40])
+        assert len(self.classifier_spans(long_line, tiny_system)) > 16
+        lines.append(long_line)
         mixed = "遇到危险请拨打911，会议定于上午10:30开始，总额1,000,000,000,000元"
         lines.append(mixed)
 
@@ -175,7 +178,8 @@ class TestSentenceBatching:
             before = len(batches)
             _, traces = normalize(text, tiny_system)
             expected = self.classifier_spans(text, tiny_system)
-            assert batches[before:] == ([len(expected)] if expected else [])
+            chunks = range(0, len(expected), 16)
+            assert batches[before:] == [min(16, len(expected) - k) for k in chunks]
             classified = [t for t in traces if t.probabilities is not None]
             assert [t.span for t in classified] == expected
             sentence = LabeledSentence(text, ())
@@ -196,6 +200,49 @@ class TestSentenceBatching:
         # the rule fallback fails the same way: verbatim, probabilities kept
         assert traces[2].sfw is None and traces[2].label is None
         assert traces[2].probabilities is not None
+
+
+class TestNormalizeMany:
+    """Classifying a whole input at once decides as each sentence alone does."""
+
+    MIXED = "遇到危险请拨打911，会议定于上午10:30开始，总额1,000,000,000,000元"
+
+    @staticmethod
+    def dense_lines(seed=39, n=200):
+        sentences = [s.text for s in generate_synthetic_corpus(DIST, 1000, seed=seed)]
+        rng = random.Random(seed)
+        return ["，".join(rng.sample(sentences, rng.randint(2, 8))) for _ in range(n)]
+
+    def test_equals_one_sentence_at_a_time(self, tiny_system, forward_calls):
+        texts = self.dense_lines() + ["大家好才是真的好", self.MIXED]
+        many = normalize_many(texts, tiny_system)
+        windows = sum(len(call) for call in forward_calls)
+        assert len(forward_calls) == -(-windows // 16)
+        seen = [count for call in forward_calls for count in call]
+        assert seen == sorted(seen)  # NSW counts non-decreasing across the calls
+        assert len(many) == len(texts)
+        for text, (out, traces) in zip(texts, many):
+            alone_out, alone_traces = normalize(text, tiny_system)
+            assert out == alone_out
+            assert [(t.span, t.route, t.label, t.sfw) for t in traces] == [
+                (t.span, t.route, t.label, t.sfw) for t in alone_traces
+            ]
+            for got, want in zip(traces, alone_traces):
+                assert (got.probabilities is None) == (want.probabilities is None)
+                if want.probabilities is not None:
+                    assert np.allclose(got.probabilities, want.probabilities, rtol=0.0, atol=1e-12)
+        assert many[-2] == ("大家好才是真的好", [])
+        assert [t.route for t in many[-1][1]] == [ROUTE_PRIORITY, ROUTE_NEURAL, ROUTE_UNMATCHED]
+        assert many[-1][1][2].sfw is None and many[-1][1][2].probabilities is not None
+
+    def test_empty_input(self, tiny_system):
+        assert normalize_many([], tiny_system) == []
+
+    def test_rules_only_runs_no_forward_pass(self, rules_system, forward_calls):
+        texts = self.dense_lines(n=50)
+        many = normalize_many(texts, rules_system)
+        assert forward_calls == []
+        assert many == [normalize(text, rules_system) for text in texts]
 
 
 class TestFormatOverride:
@@ -278,3 +325,15 @@ class TestSystemValidation:
     def test_partial_classifier_rejected(self, tiny_system):
         with pytest.raises(ValueError, match="all set or all None"):
             replace(tiny_system, config=None)
+
+    def test_pad_id_mismatch_rejected(self, tiny_system):
+        bad = replace(tiny_system.config, pad_id=1 - tiny_system.config.pad_id)
+        with pytest.raises(ValueError, match="pad_id"):
+            replace(tiny_system, config=bad)
+
+    def test_wrong_tensor_shape_rejected(self, tiny_system):
+        params = tiny_system.params.copy()
+        params.embedding = params.embedding[:-1]  # a character id would index past it
+        with pytest.raises(ValueError, match="embedding"):
+            replace(tiny_system, params=params)
+
