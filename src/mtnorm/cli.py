@@ -13,7 +13,7 @@ from importlib import resources
 
 from . import corpus as corpus_mod
 from . import evaluate as eval_mod
-from . import legality, pipeline
+from . import pipeline
 from .extractor import extract_nsw, load_priority_list
 from .labels import DEFAULT_REGISTRY
 from .neural import ClassifierConfig, classify, load_params, save_params, train
@@ -69,23 +69,22 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    params, config, vocab = load_params(args.model)
-    formats = legality.default_formats()
+    system = _build_system(args, args.model)
+    labels = system.formats
     texts = [args.text] if args.text is not None else _read_lines(args.infile)
     for text in texts:
+        sentence = corpus_mod.LabeledSentence(text, ())
         for span in extract_nsw(text):
             surface = text[span.start : span.end]
-            legal = formats.legal_labels(surface)
-            if not any(legal):
+            legal = pipeline.classifier_mask(system, surface)
+            if legal is None:
                 print(f"{surface}\t<no legal label>")
                 continue
-            window = extract_window(corpus_mod.LabeledSentence(text, ()), span, config.window)
-            probs, label = classify(window, vocab, params, config, legal)
-            top = sorted(
-                ((float(p), lab.name) for p, lab in zip(probs, DEFAULT_REGISTRY)), reverse=True
-            )[:3]
+            window = extract_window(sentence, span, system.config.window)
+            probs, label = classify(window, system.vocab, system.params, system.config, legal)
+            top = sorted(((float(p), lab.name) for p, lab in zip(probs, labels)), reverse=True)[:3]
             ranked = "  ".join(f"{name}={p:.4f}" for p, name in top)
-            print(f"{surface}\t{DEFAULT_REGISTRY.by_id(label).name}\t{ranked}")
+            print(f"{surface}\t{labels.by_id(label).name}\t{ranked}")
     return 0
 
 
@@ -97,7 +96,7 @@ def _build_system(args, model: str | None) -> pipeline.HybridSystem:
         params=params,
         config=config,
         vocab=vocab,
-        formats=legality.default_formats(),
+        formats=DEFAULT_REGISTRY,
     )
 
 
@@ -111,7 +110,7 @@ def cmd_normalize(args) -> int:
     _write_lines(args.out, [out for out, _ in results])
     if args.trace:
         traced = [(text, traces) for text, (_, traces) in zip(texts, results)]
-        pipeline.write_traces(args.trace, traced, system.formats.labels)
+        pipeline.write_traces(args.trace, traced, system.formats)
     return 0
 
 
@@ -160,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--text")
     p.add_argument("--in", dest="infile", help="input file, one sentence per line")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, rules=None, priority=None)
 
     p = sub.add_parser("normalize", help="run the full pipeline (or rules only)")
     p.add_argument("--model")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -257,7 +258,7 @@ def generate_synthetic_corpus(
         templates = load_templates()
     names = [name for name, p in dist.proportions.items() if p > 0]
     weights = [dist.proportions[name] for name in names]
-    formats = {name: re.compile(labels.by_name(name).format_pattern) for name in names}
+    by_name = {name: labels.by_name(name) for name in names}
     for name in names:
         if name not in templates:
             raise CorpusError(f"label {name} has nonzero proportion but no templates")
@@ -268,13 +269,13 @@ def generate_synthetic_corpus(
         entry = templates[name]
         template = rng.choice(entry.templates)
         surface = _gen_surface(entry.nsw_spec, rng)
-        if formats[name].fullmatch(surface) is None:
+        if by_name[name].format.fullmatch(surface) is None:
             raise CorpusError(
                 f"generator {entry.nsw_spec!r} produced {surface!r}, illegal for {name}"
             )
         start = template.index("{NSW}")
         text = template.replace("{NSW}", surface)
-        span = NSWSpan(start, start + len(surface), labels.id_of(name))
+        span = NSWSpan(start, start + len(surface), by_name[name].id)
         corpus.append(LabeledSentence(text, (span,)))
     return corpus
 
@@ -293,6 +294,13 @@ def _jitter_digits(surface: str, pattern: re.Pattern, rng: random.Random) -> str
     return surface
 
 
+def rare_labels(corpus: list[LabeledSentence], threshold: float = 0.05) -> set[int]:
+    """Labels carried by fewer than ``threshold`` of the corpus's spans."""
+    counts = Counter(span.label for sentence in corpus for span in sentence.spans)
+    total = sum(counts.values())
+    return {lab for lab, c in counts.items() if c / total < threshold}
+
+
 def oversample_expand(
     corpus: list[LabeledSentence],
     strategies: set[str],
@@ -309,16 +317,7 @@ def oversample_expand(
     for strategy in strategies:
         if strategy not in OVERSAMPLE_STRATEGIES:
             raise CorpusError(f"unknown oversampling strategy: {strategy!r}")
-    counts: dict[int, int] = {}
-    for sentence in corpus:
-        for span in sentence.spans:
-            counts[span.label] = counts.get(span.label, 0) + 1
-    total = sum(counts.values())
-    if total == 0 or not strategies:
-        return list(corpus)
-    rare = {lab for lab, c in counts.items() if c / total < threshold}
-    formats = {lab.id: re.compile(lab.format_pattern) for lab in labels}
-
+    rare = rare_labels(corpus, threshold)
     rng = random.Random(seed)
     out = list(corpus)
     for sentence in corpus:
@@ -326,7 +325,7 @@ def oversample_expand(
             continue
         for strategy in sorted(strategies):
             for _ in range(factor):
-                augmented = _augment(sentence, strategy, rng, rare, formats)
+                augmented = _augment(sentence, strategy, rng, rare, labels)
                 if augmented is not None:
                     out.append(augmented)
     return out
@@ -337,7 +336,7 @@ def _augment(
     strategy: str,
     rng: random.Random,
     rare: set[int],
-    formats: dict[int, re.Pattern],
+    labels: LabelRegistry,
 ) -> LabeledSentence | None:
     if strategy == "duplicate":
         return sentence
@@ -361,9 +360,7 @@ def _augment(
         for span in sorted(sentence.spans, key=lambda s: s.start, reverse=True):
             if span.label not in rare:
                 continue
-            jittered = _jitter_digits(
-                sentence.surface(span), formats[span.label], rng
-            )
+            jittered = _jitter_digits(sentence.surface(span), labels.by_id(span.label).format, rng)
             text = text[: span.start] + jittered + text[span.end :]
         return LabeledSentence(text, sentence.spans)
     raise CorpusError(f"unknown oversampling strategy: {strategy!r}")

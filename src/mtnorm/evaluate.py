@@ -13,9 +13,8 @@ import random
 from dataclasses import dataclass, replace
 
 from . import pipeline, reader
-from .corpus import LabeledSentence, oversample_expand
+from .corpus import LabeledSentence, oversample_expand, rare_labels
 from .labels import DEFAULT_REGISTRY, LabelRegistry
-from .legality import FormatRegistry, default_formats
 from .neural import ClassifierConfig, make_training_batch, predict_batch, train
 
 
@@ -76,7 +75,7 @@ def split_corpus(
 # Golden sets: (input, reference) sentence pairs with gold spans
 # --------------------------------------------------------------------------
 
-def reference_sfw(sentence: LabeledSentence, formats: FormatRegistry = default_formats()) -> str:
+def reference_sfw(sentence: LabeledSentence, formats: LabelRegistry = DEFAULT_REGISTRY) -> str:
     """Reference output: every gold span rendered by its own label's reader."""
     out = sentence.text
     for span in sorted(sentence.spans, key=lambda s: s.start, reverse=True):
@@ -86,7 +85,7 @@ def reference_sfw(sentence: LabeledSentence, formats: FormatRegistry = default_f
 
 
 def build_golden(
-    corpus: list[LabeledSentence], formats: FormatRegistry = default_formats()
+    corpus: list[LabeledSentence], formats: LabelRegistry = DEFAULT_REGISTRY
 ) -> list[dict]:
     records = []
     for sentence in corpus:
@@ -95,7 +94,7 @@ def build_golden(
                 "input": sentence.text,
                 "reference": reference_sfw(sentence, formats),
                 "spans": [
-                    [s.start, s.end, formats.labels.by_id(s.label).name] for s in sentence.spans
+                    [s.start, s.end, formats.by_id(s.label).name] for s in sentence.spans
                 ],
             }
         )
@@ -138,7 +137,7 @@ def evaluate_golden(records: list[dict], sys: pipeline.HybridSystem) -> GoldenRe
 
     The baseline is the same system with the classifier removed.
     """
-    labels = sys.formats.labels
+    labels = sys.formats
     rules_sys = replace(sys, params=None, config=None, vocab=None)
     texts = [record["input"] for record in records]
     hybrid_pairs, rule_pairs = [], []
@@ -244,15 +243,6 @@ def load_grid(path: str) -> list[dict]:
     return grid
 
 
-def _rare_labels(corpus: list[LabeledSentence], threshold: float = 0.05) -> set[int]:
-    counts: dict[int, int] = {}
-    for sentence in corpus:
-        for span in sentence.spans:
-            counts[span.label] = counts.get(span.label, 0) + 1
-    total = sum(counts.values())
-    return {lab for lab, c in counts.items() if c / total < threshold}
-
-
 def macro_recall(predictions: list[tuple[int, int]], label_ids: set[int]) -> float:
     """Mean recall over the given labels (labels without gold samples skipped)."""
     recalls = []
@@ -275,7 +265,7 @@ def run_ablation(
     base = base_config or ClassifierConfig(label_count=len(labels))
     train_set, dev_set, test_set = split_corpus(corpus, seed)
     held_out = dev_set + test_set
-    rare = _rare_labels(corpus)
+    rare = rare_labels(corpus)
     rows = []
     for entry in grid:
         entry = dict(entry)
@@ -288,9 +278,11 @@ def run_ablation(
             config = replace(base, seed=seed, window=int(window), **entry)
             train_corpus = train_set
             if expand:
-                train_corpus = oversample_expand(train_set, set(("duplicate", "digit_jitter")), seed)
-            result = train(train_corpus, config, labels=labels)
-            batch = make_training_batch(held_out, result.vocab, config)
+                train_corpus = oversample_expand(
+                    train_set, set(("duplicate", "digit_jitter")), seed, labels=labels
+                )
+            result = train(train_corpus, config, formats=labels)
+            batch = make_training_batch(held_out, result.vocab, config, labels)
             predicted = predict_batch(result.params, batch, config)
             pairs = list(zip(batch.targets.tolist(), predicted.tolist()))
             _, accuracy = pattern_metrics(pairs, labels)

@@ -114,7 +114,9 @@ class EncoderParams:
                     f"tensor {name} has shape {tensor.shape}, config requires {expected[name]}"
                 )
 
-    def expected_shapes(self, config: ClassifierConfig, vocab_size: int) -> dict[str, tuple]:
+    @staticmethod
+    def expected_shapes(config: ClassifierConfig, vocab_size: int) -> dict[str, tuple]:
+        """Every tensor's shape, in field order."""
         d, h, f, w, l = (
             config.model_dim,
             config.heads,
@@ -149,33 +151,22 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def init_params(config: ClassifierConfig, vocab_size: int, rng: np.random.Generator) -> EncoderParams:
-    """Scaled-uniform initialization: Glorot for projections, U(-0.1, 0.1) tables."""
-    d, h, f, w, l = (
-        config.model_dim,
-        config.heads,
-        config.ff_dim,
-        config.window,
-        config.label_count,
-    )
-    k = config.head_dim
-    return EncoderParams(
-        embedding=rng.uniform(-0.1, 0.1, size=(vocab_size, d)),
-        positional=rng.uniform(-0.1, 0.1, size=(w, d)),
-        attn_q=_glorot(rng, (h, d, k)),
-        attn_k=_glorot(rng, (h, d, k)),
-        attn_v=_glorot(rng, (h, d, k)),
-        attn_out=_glorot(rng, (d, d)),
-        ff_w1=_glorot(rng, (d, f)),
-        ff_b1=np.zeros(f),
-        ff_w2=_glorot(rng, (f, d)),
-        ff_b2=np.zeros(d),
-        ln1_scale=np.ones(d),
-        ln1_shift=np.zeros(d),
-        ln2_scale=np.ones(d),
-        ln2_shift=np.zeros(d),
-        cls_w=_glorot(rng, (d, l)),
-        cls_b=np.zeros(l),
-    )
+    """Scaled-uniform initialization: Glorot for projections, U(-0.1, 0.1) tables.
+
+    Layer-norm scales start at 1, biases and shifts at 0. Tensors are drawn
+    in field order.
+    """
+    tensors = {}
+    for name, shape in EncoderParams.expected_shapes(config, vocab_size).items():
+        if name in ("embedding", "positional"):
+            tensors[name] = rng.uniform(-0.1, 0.1, size=shape)
+        elif name.endswith("_scale"):
+            tensors[name] = np.ones(shape)
+        elif len(shape) == 1:
+            tensors[name] = np.zeros(shape)
+        else:
+            tensors[name] = _glorot(rng, shape)
+    return EncoderParams(**tensors)
 
 
 def load_char_vectors(path: str, vocab: Vocabulary, dim: int, embedding: np.ndarray) -> int:

@@ -11,7 +11,6 @@ import numpy as np
 
 from ..corpus import LabeledSentence, extract_window
 from ..labels import DEFAULT_REGISTRY, LabelRegistry
-from ..legality import FormatRegistry, default_formats
 from .model import (
     ClassifierConfig,
     EncoderParams,
@@ -90,10 +89,9 @@ def make_training_batch(
     corpus: list[LabeledSentence],
     vocab: Vocabulary,
     config: ClassifierConfig,
-    formats: FormatRegistry | None = None,
+    formats: LabelRegistry = DEFAULT_REGISTRY,
 ) -> TrainingBatch:
     """One sample per labeled span: window ids, NSW mask, legality mask, target."""
-    formats = formats or default_formats()
     ids, nsw, legal, targets = [], [], [], []
     for sentence in corpus:
         for span in sentence.spans:
@@ -119,8 +117,7 @@ def train(
     corpus: list[LabeledSentence],
     config: ClassifierConfig,
     vocab: Vocabulary | None = None,
-    labels: LabelRegistry = DEFAULT_REGISTRY,
-    formats: FormatRegistry | None = None,
+    formats: LabelRegistry = DEFAULT_REGISTRY,
     log=None,
 ) -> TrainResult:
     """Train from scratch on the labeled corpus; fully seeded, no hidden state."""

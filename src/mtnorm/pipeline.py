@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import legality, reader
+from . import reader
 from .corpus import LabeledSentence, NSWSpan, extract_window
 from .extractor import PriorityList, extract_nsw, priority_check
 from .labels import DEFAULT_REGISTRY, LabelRegistry
@@ -74,7 +74,7 @@ class NormalizationTrace:
 
 @dataclass
 class HybridSystem:
-    """Everything inference needs; labels are ``formats.labels``.
+    """Everything inference needs; ``formats`` is the label registry.
 
     ``params``, ``config`` and ``vocab`` are all set or all ``None``; with
     none of them the system runs rules only.
@@ -85,7 +85,7 @@ class HybridSystem:
     params: EncoderParams | None
     config: ClassifierConfig | None
     vocab: Vocabulary | None
-    formats: legality.FormatRegistry
+    formats: LabelRegistry
 
     def __post_init__(self):
         classifier = (self.params, self.config, self.vocab)
@@ -111,7 +111,7 @@ def _rule_route(sys: HybridSystem, text: str, span: NSWSpan, surface: str, route
     return NormalizationTrace(span, ROUTE_UNMATCHED, None, None, probs)
 
 
-def _classifier_mask(sys: HybridSystem, surface: str) -> list[bool] | None:
+def classifier_mask(sys: HybridSystem, surface: str) -> list[bool] | None:
     """Legal labels the classifier chooses among; ``None`` leaves the span to the rules."""
     if sys.params is None:
         return None
@@ -137,7 +137,7 @@ def normalize_many(
             if priority_check(surface, sys.priority):
                 traces[i] = _rule_route(sys, text, span, surface, ROUTE_PRIORITY)
                 continue
-            legal = _classifier_mask(sys, surface)
+            legal = classifier_mask(sys, surface)
             if legal is None:
                 traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
                 continue

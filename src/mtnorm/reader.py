@@ -1,4 +1,4 @@
-"""NSW-to-SFW readers, one per pattern label.
+"""NSW-to-SFW readers; each pattern label in :mod:`mtnorm.labels` holds one.
 
 Numeral conventions pinned here (and frozen in the fixture table shipped
 under ``data/fixtures.tsv``):
@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
-from . import legality
+if TYPE_CHECKING:
+    from .labels import LabelRegistry
 
 DIGIT_CHARS = "零一二三四五六七八九"
 _GROUP_UNITS = ("", "十", "百", "千")
@@ -113,37 +114,37 @@ def _read_quantity(num: str) -> str:
     return read_decimal(num)
 
 
-def _render_read(surface: str) -> str:
+def render_read(surface: str) -> str:
     return read_number_positional(surface.replace(",", ""))
 
 
-def _render_spell(surface: str) -> str:
+def render_spell(surface: str) -> str:
     return spell_digits(surface)
 
 
-def _render_yao(surface: str) -> str:
+def render_yao(surface: str) -> str:
     return spell_digits(surface, use_yao=True)
 
 
-def _render_liang(surface: str) -> str:
+def render_liang(surface: str) -> str:
     return "两"
 
 
-def _render_percent(surface: str) -> str:
+def render_percent(surface: str) -> str:
     return "百分之" + read_decimal(surface[:-1])
 
 
-def _render_range(surface: str) -> str:
+def render_range(surface: str) -> str:
     lo, hi = _RANGE_SEP.split(surface, maxsplit=1)
     return read_decimal(lo) + "到" + read_decimal(hi)
 
 
-def _render_score(surface: str) -> str:
+def render_score(surface: str) -> str:
     a, b = re.split(r"[-:]", surface, maxsplit=1)
     return read_number_positional(a) + "比" + read_number_positional(b)
 
 
-def _render_time(surface: str) -> str:
+def render_time(surface: str) -> str:
     hour, minute = surface.split(":")
     h = int(hour)
     out = ("两" if h == 2 else read_number_positional(str(h))) + "点"
@@ -154,7 +155,7 @@ def _render_time(surface: str) -> str:
     return out + read_number_positional(minute) + "分"
 
 
-def _render_date(surface: str) -> str:
+def render_date(surface: str) -> str:
     year, month, day = surface.split("-")
     return (
         spell_digits(year)
@@ -166,7 +167,7 @@ def _render_date(surface: str) -> str:
     )
 
 
-def _render_per(surface: str) -> str:
+def render_per(surface: str) -> str:
     left, right = surface.split("/", 1)
     m = _PER_LEFT.fullmatch(left)
     if m is None:
@@ -174,40 +175,21 @@ def _render_per(surface: str) -> str:
     return "每" + right + _read_quantity(m.group("num")) + m.group("unit")
 
 
-def _render_dollar(surface: str) -> str:
+def render_dollar(surface: str) -> str:
     return read_decimal(surface[1:]) + "美元"
 
 
-RENDERERS: dict[str, Callable[[str], str]] = {
-    "A_Read_No_Zero": _render_read,
-    "A_Spell_Keep_Zero": _render_spell,
-    "A_One_Yao_Spell": _render_yao,
-    "A_Two_Liang": _render_liang,
-    "B_Percent": _render_percent,
-    "B_Range": _render_range,
-    "B_Score_Ratio": _render_score,
-    "B_Time": _render_time,
-    "B_Date_YMD": _render_date,
-    "B_Slash_Per": _render_per,
-    "B_Dollar": _render_dollar,
-}
-
-
-def render(
-    surface: str, label: int | str, formats: legality.FormatRegistry = legality.default_formats()
-) -> RenderedSFW:
+def render(surface: str, label: int | str, formats: LabelRegistry | None = None) -> RenderedSFW:
     """Render an NSW surface via the label's reader.
 
-    The surface is checked against ``formats``, the caller's registry, and
-    label names resolve through ``formats.labels``. A surface that registry
-    rejects, or that the reader cannot read, raises ``ValueError``.
+    The label resolves through ``formats``, the caller's label registry
+    (default: the shipped one), and the surface is checked against that
+    registry's format for it. A surface the registry rejects, or that the
+    reader cannot read, raises ``ValueError``.
     """
-    labels = formats.labels
-    lab = labels.by_name(label) if isinstance(label, str) else labels.by_id(label)
+    if formats is None:
+        from .labels import DEFAULT_REGISTRY as formats  # labels imports this module
+    lab = formats.by_name(label) if isinstance(label, str) else formats.by_id(label)
     if not formats.verify(surface, lab.id):
         raise ValueError(f"surface {surface!r} is not legal for label {lab.name}")
-    try:
-        renderer = RENDERERS[lab.name]
-    except KeyError:
-        raise ValueError(f"no reader registered for label {lab.name}") from None
-    return RenderedSFW(text=renderer(surface), source=surface, label=lab.id)
+    return RenderedSFW(text=lab.read(surface), source=surface, label=lab.id)

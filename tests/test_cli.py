@@ -7,8 +7,9 @@ import pytest
 
 from mtnorm import evaluate as ev
 from mtnorm.cli import main
-from mtnorm.corpus import CorpusDistribution, generate_synthetic_corpus
-from mtnorm.neural import load_params
+from mtnorm.corpus import CorpusDistribution, generate_synthetic_corpus, load_corpus
+from mtnorm.labels import DEFAULT_REGISTRY
+from mtnorm.neural import ClassifierConfig, build_vocab, init_params, load_params, save_params
 
 TINY_CONFIG = {
     "model_dim": 16, "heads": 2, "ff_dim": 32, "epochs": 2,
@@ -164,6 +165,34 @@ class TestClassify:
         assert main(["classify", "--model", str(workspace["model"]),
                      "--text", "温度是25.3左右"]) == 0
         assert "<no legal label>" in capsys.readouterr().out
+
+    def test_unmasked_checkpoint_matches_normalize(self, workspace, tmp_path, capsys):
+        # use_mask=False: every label is a candidate, as in normalize and training
+        config = ClassifierConfig(**{**TINY_CONFIG, "use_mask": False})
+        vocab = build_vocab(load_corpus(str(workspace["corpus"])), pad_id=config.pad_id)
+        model = tmp_path / "unmasked.npz"
+        save_params(str(model), init_params(config, vocab.size, np.random.default_rng(4)),
+                    config, vocab)
+        text = "上午10:30开始，时间10:30:45"
+        assert main(["classify", "--model", str(model), "--text", text]) == 0
+        printed = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        trace = tmp_path / "trace.jsonl"
+        assert main(["normalize", "--model", str(model), "--text", text,
+                     "--trace", str(trace)]) == 0
+        records = [json.loads(l) for l in trace.read_text("utf-8").splitlines()]
+        assert [row[0] for row in printed] == ["10:30", "10:30:45"]
+        assert len(records) == 2
+        names = [lab.name for lab in DEFAULT_REGISTRY]
+        for (surface, label, ranked), record in zip(printed, records):
+            assert text[record["start"] : record["end"]] == surface
+            probs = record["probabilities"]
+            assert probs is not None and min(probs) > 0
+            assert label == names[int(np.argmax(probs))]
+            top = sorted(zip(probs, names), reverse=True)[:3]
+            shown = [item.split("=") for item in ranked.split("  ")]
+            assert [name for name, _ in shown] == [name for _, name in top]
+            for (_, p_shown), (p_trace, _) in zip(shown, top):
+                assert abs(float(p_shown) - p_trace) < 1e-4
 
 
 class TestEvaluate:

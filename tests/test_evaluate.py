@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -6,7 +7,7 @@ from oracles import confusion_matrix_metrics
 
 from mtnorm import evaluate as ev
 from mtnorm.corpus import CorpusDistribution, generate_synthetic_corpus
-from mtnorm.labels import DEFAULT_REGISTRY
+from mtnorm.labels import DEFAULT_REGISTRY, LabelRegistry
 from mtnorm.neural import ClassifierConfig
 
 DIST = CorpusDistribution.default()
@@ -176,6 +177,25 @@ class TestAblation:
         assert rows[1].error is None
         table = ev.format_ablation_rows(rows)
         assert "failed" in table
+
+    def test_registry_reaches_training_and_held_out_masks(self, tmp_path, monkeypatch):
+        path = tmp_path / "formats.txt"
+        path.write_text(r"B_Time: (?:[01]?\d|2[0-4]):[0-5]\d" + "\n", encoding="utf-8")
+        labels = LabelRegistry.from_file(str(path))
+        seen = []
+        real = ev.make_training_batch
+
+        def spy(corpus, vocab, config, formats=DEFAULT_REGISTRY):
+            seen.append(formats)
+            return real(corpus, vocab, config, formats)
+
+        monkeypatch.setattr(ev, "make_training_batch", spy)
+        monkeypatch.setattr(sys.modules["mtnorm.neural.train"], "make_training_batch", spy)
+        corpus = generate_synthetic_corpus(DIST, 120, seed=48)
+        rows = ev.run_ablation([{"name": "only"}], corpus, seed=2, base_config=self.BASE,
+                               labels=labels)
+        assert rows[0].error is None
+        assert len(seen) == 2 and all(formats is labels for formats in seen)
 
     def test_default_grid_covers_spec_rows(self):
         names = {entry["name"] for entry in ev.ABLATION_GRID}
