@@ -16,8 +16,7 @@ from . import evaluate as eval_mod
 from . import pipeline
 from .extractor import extract_nsw, load_priority_list
 from .labels import DEFAULT_REGISTRY
-from .neural import ClassifierConfig, classify, load_params, save_params, train
-from .corpus import extract_window
+from .neural import ClassifierConfig, load_params, predict_probs, save_params, train
 from .rules import compile_rules
 
 
@@ -73,18 +72,23 @@ def cmd_classify(args) -> int:
     labels = system.formats
     texts = [args.text] if args.text is not None else _read_lines(args.infile)
     for text in texts:
-        sentence = corpus_mod.LabeledSentence(text, ())
-        for span in extract_nsw(text):
+        spans = extract_nsw(text)
+        legal = [pipeline.classifier_mask(system, text[s.start : s.end]) for s in spans]
+        routed = [i for i, mask in enumerate(legal) if mask is not None]
+        ids, nsw = system.vocab.windows(text, [spans[i] for i in routed], system.config.window)
+        rows = predict_probs(
+            system.params, ids, nsw, [legal[i] for i in routed], system.config.pad_id
+        )
+        classified = dict(zip(routed, rows))
+        for i, span in enumerate(spans):
             surface = text[span.start : span.end]
-            legal = pipeline.classifier_mask(system, surface)
-            if legal is None:
+            if i not in classified:
                 print(f"{surface}\t<no legal label>")
                 continue
-            window = extract_window(sentence, span, system.config.window)
-            probs, label = classify(window, system.vocab, system.params, system.config, legal)
+            probs = classified[i]
             top = sorted(((float(p), lab.name) for p, lab in zip(probs, labels)), reverse=True)[:3]
             ranked = "  ".join(f"{name}={p:.4f}" for p, name in top)
-            print(f"{surface}\t{labels.by_id(label).name}\t{ranked}")
+            print(f"{surface}\t{labels.by_id(int(probs.argmax())).name}\t{ranked}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Labeled-sentence data model, context windows, and corpus synthesis.
+"""Labeled-sentence data model, corpus IO, synthesis and oversampling.
 
 Corpus line format: one JSON object per line, UTF-8,
 ``{"text": "...", "spans": [[start, end, "LabelName"], ...]}`` with
@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from .labels import DEFAULT_REGISTRY, LabelRegistry
-
-PAD_CHAR = "\x00"
 
 OVERSAMPLE_STRATEGIES = ("duplicate", "pad_prefix", "digit_jitter", "window_shift")
 
@@ -58,43 +56,6 @@ class LabeledSentence:
 
     def surface(self, span: NSWSpan) -> str:
         return self.text[span.start : span.end]
-
-
-@dataclass(frozen=True)
-class ContextWindow:
-    """Fixed-width character window centered on an NSW."""
-
-    chars: str
-    nsw_mask: tuple[bool, ...]
-
-    def __post_init__(self):
-        if len(self.chars) != len(self.nsw_mask):
-            raise CorpusError("window chars and mask lengths differ")
-
-
-def extract_window(sentence: LabeledSentence, span: NSWSpan, width: int = 30) -> ContextWindow:
-    """Window of ``width`` chars centered on the span.
-
-    Context splits evenly with the extra character on the right; positions
-    outside the sentence read PAD_CHAR. An NSW longer than the window keeps
-    its first ``width`` characters and drops context entirely.
-    """
-    text = sentence.text
-    nsw_len = span.end - span.start
-    if nsw_len >= width:
-        chars = text[span.start : span.start + width]
-        return ContextWindow(chars, (True,) * width)
-    left = (width - nsw_len) // 2
-    first = span.start - left
-    chars = []
-    mask = []
-    for pos in range(first, first + width):
-        if 0 <= pos < len(text):
-            chars.append(text[pos])
-        else:
-            chars.append(PAD_CHAR)
-        mask.append(span.start <= pos < span.end)
-    return ContextWindow("".join(chars), tuple(mask))
 
 
 def validate_span_surface(surface: str) -> bool:

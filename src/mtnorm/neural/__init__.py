@@ -9,7 +9,6 @@ from .model import (
     TrainingBatch,
     batch_loss,
     batch_loss_and_grads,
-    classify,
     forward_batch,
     init_params,
     load_char_vectors,
@@ -38,7 +37,6 @@ __all__ = [
     "batch_loss",
     "batch_loss_and_grads",
     "build_vocab",
-    "classify",
     "focal_loss",
     "focal_loss_vec",
     "forward_batch",

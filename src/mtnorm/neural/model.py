@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..corpus import ContextWindow
 from .loss import focal_loss_grad, focal_loss_vec
 from .vocab import Vocabulary
 
@@ -481,20 +480,3 @@ def predict_probs(
         probs[chunk] = forward_batch(params, ids[chunk], nsw[chunk], legal[chunk], pad_id)[0]
     return probs
 
-
-def classify(
-    window: ContextWindow,
-    vocab: Vocabulary,
-    params: EncoderParams,
-    config: ClassifierConfig,
-    legal_mask,
-) -> tuple[np.ndarray, int]:
-    """Label probabilities and argmax for one window under the legality mask."""
-    legal = np.asarray(legal_mask, dtype=bool)
-    if not legal.any():
-        raise ValueError("no legal label for this NSW; route to the rule-based fallback")
-    ids = np.asarray([vocab.window_ids(window)])
-    nsw = np.asarray([window.nsw_mask])
-    probs, _ = forward_batch(params, ids, nsw, legal[None, :], config.pad_id)
-    probs = probs[0]
-    return probs, int(np.argmax(probs))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..corpus import LabeledSentence, extract_window
+from ..corpus import LabeledSentence
 from ..labels import DEFAULT_REGISTRY, LabelRegistry
 from .model import (
     ClassifierConfig,
@@ -92,22 +92,22 @@ def make_training_batch(
     formats: LabelRegistry = DEFAULT_REGISTRY,
 ) -> TrainingBatch:
     """One sample per labeled span: window ids, NSW mask, legality mask, target."""
-    ids, nsw, legal, targets = [], [], [], []
+    windows = [vocab.windows("", (), config.window)]  # (0, W) arrays if no span follows
+    legal, targets = [], []
     for sentence in corpus:
         for span in sentence.spans:
             if span.label is None:
                 raise ValueError(f"unlabeled span in training sentence: {sentence.text!r}")
-            window = extract_window(sentence, span, config.window)
-            ids.append(vocab.window_ids(window))
-            nsw.append(window.nsw_mask)
             if config.use_mask:
                 legal.append(formats.legal_labels(sentence.surface(span)))
             else:
                 legal.append([True] * config.label_count)
             targets.append(span.label)
+        windows.append(vocab.windows(sentence.text, sentence.spans, config.window))
+    ids, nsw = (np.concatenate(part) for part in zip(*windows))
     return TrainingBatch(
-        ids=np.asarray(ids, dtype=np.int64),
-        nsw_masks=np.asarray(nsw, dtype=bool),
+        ids=ids,
+        nsw_masks=nsw,
         legal_masks=np.asarray(legal, dtype=bool),
         targets=np.asarray(targets, dtype=np.int64),
     )
@@ -123,6 +123,8 @@ def train(
     """Train from scratch on the labeled corpus; fully seeded, no hidden state."""
     if not corpus:
         raise ValueError("training corpus is empty")
+    if not any(sentence.spans for sentence in corpus):
+        raise ValueError("training corpus has no NSW spans to learn from")
     for sentence in corpus:
         for span in sentence.spans:
             if span.label is not None and span.label >= config.label_count:

@@ -1,4 +1,4 @@
-"""Character vocabulary for the pattern classifier.
+"""Character vocabulary for the pattern classifier, and its window builder.
 
 Ids 0 and 1 are reserved; one of them is the padding code and the other
 catches unknown characters, so the pad-with-0 ablation only swaps which
@@ -8,9 +8,16 @@ embedding row absorbs padding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable
 
-from ..corpus import PAD_CHAR, ContextWindow, LabeledSentence
+import numpy as np
+
+from ..corpus import LabeledSentence, NSWSpan
+
+# The character that ``id_of`` reads as padding, wherever it occurs.
+PAD_CHAR = "\x00"
 
 
 @dataclass(frozen=True)
@@ -35,8 +42,29 @@ class Vocabulary:
             return self.pad_id
         return self.char_to_id.get(char, self.unk_id)
 
-    def window_ids(self, window: ContextWindow) -> list[int]:
-        return [self.id_of(ch) for ch in window.chars]
+    @cached_property
+    def _lookup(self) -> dict[str, int]:
+        """``id_of`` as one dict, for encoding whole texts."""
+        return {**self.char_to_id, PAD_CHAR: self.pad_id}
+
+    def windows(
+        self, text: str, spans: Iterable[NSWSpan], width: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Window ids and NSW masks, ``(len(spans), width)`` each, for spans of one text.
+
+        A window is centred on its span, with the extra context character
+        on the right; positions outside the text read ``pad_id``. An NSW
+        at least ``width`` long keeps its first ``width`` characters. The
+        text is encoded once and every window gathered from it by index.
+        """
+        pad = [self.pad_id] * width
+        codes = np.array(
+            pad + list(map(self._lookup.get, text, repeat(self.unk_id))) + pad, dtype=np.int64
+        )
+        bounds = np.array([(s.start, s.end) for s in spans], dtype=np.int64).reshape(-1, 2)
+        starts, ends = bounds[:, :1], bounds[:, 1:]
+        pos = starts - np.maximum(0, (width - (ends - starts)) // 2) + np.arange(width)  # text offsets
+        return codes[pos + width], (pos >= starts) & (pos < ends)
 
 
 def build_vocab(corpus: Iterable[LabeledSentence], pad_id: int = 1) -> Vocabulary:

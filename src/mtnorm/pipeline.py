@@ -2,7 +2,8 @@
 
 Per sentence: extract NSW spans, route each one, classify the
 classifier-routed spans against the original text (replacements would
-shift the context other spans depend on), then splice the spoken forms
+shift the context other spans depend on; ``Vocabulary.windows`` cuts
+their windows from the text in one call), then splice the spoken forms
 right-to-left so earlier indices stay valid. Routing per span: priority
 surfaces go straight to the rules, and so does a span with no legal
 label; every other span's window goes to the classifier, and its argmax
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reader
-from .corpus import LabeledSentence, NSWSpan, extract_window
+from .corpus import NSWSpan
 from .extractor import PriorityList, extract_nsw, priority_check
 from .labels import DEFAULT_REGISTRY, LabelRegistry
 from .neural import ClassifierConfig, EncoderParams, Vocabulary, predict_probs
@@ -127,11 +128,11 @@ def normalize_many(
     """Normalize many sentences; returns (output text, per-NSW traces) per input."""
     traced = []  # (text, traces) per input; classifier-routed traces are filled in below
     pending = []  # (traces, index, text, span, surface, legal mask) for the classifier
-    windows = []
+    windows = []  # (ids, NSW masks) of the classifier-routed spans, per input
     for text in texts:
         spans = extract_nsw(text)
         traces: list[NormalizationTrace | None] = [None] * len(spans)
-        sentence = None
+        routed = []
         for i, span in enumerate(spans):
             surface = text[span.start : span.end]
             if priority_check(surface, sys.priority):
@@ -141,19 +142,16 @@ def normalize_many(
             if legal is None:
                 traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
                 continue
-            if sentence is None:
-                sentence = LabeledSentence(text, ())
-            windows.append(extract_window(sentence, span, sys.config.window))
+            routed.append(span)
             pending.append((traces, i, text, span, surface, legal))
+        if routed:
+            windows.append(sys.vocab.windows(text, routed, sys.config.window))
         traced.append((text, traces))
 
     if pending:
+        ids, nsw = (np.concatenate(part) for part in zip(*windows))
         probs = predict_probs(
-            sys.params,
-            [sys.vocab.window_ids(window) for window in windows],
-            [window.nsw_mask for window in windows],
-            [legal for *_, legal in pending],
-            sys.config.pad_id,
+            sys.params, ids, nsw, [legal for *_, legal in pending], sys.config.pad_id
         )
         for (traces, i, text, span, surface, _), p in zip(pending, probs):
             label = int(np.argmax(p))

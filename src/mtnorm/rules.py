@@ -22,7 +22,6 @@ class RuleError(ValueError):
 @dataclass(frozen=True)
 class Rule:
     name: str
-    group: str
     priority: int
     pre_pattern: re.Pattern
     nsw_pattern: re.Pattern
@@ -59,7 +58,7 @@ class RuleSet:
         return iter(self.rules)
 
 
-_RULE_FIELDS = {"group", "priority", "context_len", "pre", "nsw", "post", "label"}
+_RULE_FIELDS = {"priority", "context_len", "pre", "nsw", "post", "label"}
 
 
 def parse_rules(text: str, labels: LabelRegistry = DEFAULT_REGISTRY, source: str = "<rules>") -> RuleSet:
@@ -98,7 +97,6 @@ def parse_rules(text: str, labels: LabelRegistry = DEFAULT_REGISTRY, source: str
             rules.append(
                 Rule(
                     name=name,
-                    group=fields.get("group", ""),
                     priority=int(fields.get("priority", "0")),
                     pre_pattern=re.compile(fields.get("pre", "")),
                     nsw_pattern=re.compile(nsw),

@@ -35,6 +35,23 @@ def parse_han_number(text: str) -> int:
     return total + section + current
 
 
+def reference_window(text, start, end, width):
+    """Window chars and NSW mask for the span, one character at a time.
+
+    Context splits evenly with the extra character on the right; positions
+    outside the text read ``"\\x00"``. An NSW longer than the window keeps
+    its first ``width`` characters and drops context entirely.
+    """
+    if end - start >= width:
+        return text[start : start + width], (True,) * width
+    first = start - (width - (end - start)) // 2
+    chars, mask = [], []
+    for pos in range(first, first + width):
+        chars.append(text[pos] if 0 <= pos < len(text) else "\x00")
+        mask.append(start <= pos < end)
+    return "".join(chars), tuple(mask)
+
+
 def brute_force_best_rule(rule_specs, text, start, end):
     """All-candidates rule selection: max (context_len, priority), min name.
 

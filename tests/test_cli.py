@@ -71,6 +71,12 @@ class TestTrain:
         for name, tensor in a.tensors().items():
             assert np.array_equal(b.tensors()[name], tensor)
 
+    def test_corpus_without_spans_fails_with_cause(self, tmp_path, capsys):
+        corpus = tmp_path / "plain.jsonl"
+        corpus.write_text('{"text": "今天天气好", "spans": []}\n', encoding="utf-8")
+        assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "x.npz")]) == 1
+        assert "mtnorm train: training corpus has no NSW spans" in capsys.readouterr().err
+
     def test_missing_corpus_fails(self, workspace, capsys):
         assert main(["train", "--corpus", "/nonexistent.jsonl",
                      "--out", str(workspace["root"] / "x.npz")]) == 1

@@ -1,5 +1,6 @@
 import random
 from collections import Counter, defaultdict
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,8 +10,6 @@ from mtnorm.corpus import (
     CorpusError,
     LabeledSentence,
     NSWSpan,
-    PAD_CHAR,
-    extract_window,
     generate_synthetic_corpus,
     load_corpus,
     load_templates,
@@ -19,6 +18,8 @@ from mtnorm.corpus import (
 )
 from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.legality import default_formats
+from mtnorm.neural import build_vocab
+from mtnorm.neural.vocab import PAD_CHAR
 
 DIST = CorpusDistribution.default()
 
@@ -72,37 +73,47 @@ class TestLineFormat:
             save_corpus([sentence], str(tmp_path / "x.jsonl"))
 
 
+def decoded_window(sentence, span, width):
+    """``Vocabulary.windows`` for one span, its ids read back as characters."""
+    vocab = build_vocab([sentence])
+    ids, nsw = vocab.windows(sentence.text, [span], width)
+    chars = {i: ch for ch, i in vocab.char_to_id.items()} | {vocab.pad_id: PAD_CHAR}
+    return SimpleNamespace(
+        chars="".join(chars[i] for i in ids[0]), nsw_mask=tuple(bool(b) for b in nsw[0])
+    )
+
+
 class TestExtractWindow:
     def test_exact_fit(self):
         sentence = LabeledSentence("abc123def", (NSWSpan(3, 6, 0),))
-        window = extract_window(sentence, sentence.spans[0], width=9)
+        window = decoded_window(sentence, sentence.spans[0], width=9)
         assert window.chars == "abc123def"
         assert window.nsw_mask == (False,) * 3 + (True,) * 3 + (False,) * 3
 
     def test_short_sentence_pads_both_sides(self):
         # left pad count = floor((W - len) / 2) computed over the full string
         sentence = LabeledSentence("123", (NSWSpan(0, 3, 0),))
-        window = extract_window(sentence, sentence.spans[0], width=9)
+        window = decoded_window(sentence, sentence.spans[0], width=9)
         assert window.chars == PAD_CHAR * 3 + "123" + PAD_CHAR * 3
         assert sum(window.nsw_mask) == 3
 
     def test_interior_window_no_padding(self):
         text = "甲" * 48 + "1234" + "乙" * 48
         sentence = LabeledSentence(text, (NSWSpan(48, 52, 0),))
-        window = extract_window(sentence, sentence.spans[0], width=30)
+        window = decoded_window(sentence, sentence.spans[0], width=30)
         assert len(window.chars) == 30
         assert PAD_CHAR not in window.chars
         assert "1234" in window.chars
 
     def test_right_bias_on_odd_context(self):
         sentence = LabeledSentence("ab12cdef", (NSWSpan(2, 4, 0),))
-        window = extract_window(sentence, sentence.spans[0], width=7)
+        window = decoded_window(sentence, sentence.spans[0], width=7)
         # 5 context positions: 2 left, 3 right
         assert window.chars == "ab12cde"
 
     def test_nsw_longer_than_window_keeps_head(self):
         sentence = LabeledSentence("x123456789y", (NSWSpan(1, 10, 0),))
-        window = extract_window(sentence, sentence.spans[0], width=4)
+        window = decoded_window(sentence, sentence.spans[0], width=4)
         assert window.chars == "1234"
         assert window.nsw_mask == (True,) * 4
 
@@ -115,7 +126,7 @@ class TestExtractWindow:
             text = "汉" * start + "5" * (end - start) + "字" * (n - end)
             sentence = LabeledSentence(text, (NSWSpan(start, end, 0),))
             width = rng.randint(1, 40)
-            window = extract_window(sentence, sentence.spans[0], width)
+            window = decoded_window(sentence, sentence.spans[0], width)
             assert len(window.chars) == width
             assert len(window.nsw_mask) == width
 

@@ -1,14 +1,22 @@
+import random
+
 import numpy as np
 import pytest
-from oracles import reference_forward
 
-from mtnorm.corpus import ContextWindow, LabeledSentence, NSWSpan, PAD_CHAR, extract_window
+from oracles import reference_forward, reference_window
+
+from mtnorm.corpus import (
+    CorpusDistribution,
+    LabeledSentence,
+    NSWSpan,
+    generate_synthetic_corpus,
+)
+from mtnorm.extractor import extract_nsw
 from mtnorm.neural import (
     CheckpointError,
     ClassifierConfig,
     Vocabulary,
     build_vocab,
-    classify,
     forward_batch,
     init_params,
     load_char_vectors,
@@ -18,6 +26,7 @@ from mtnorm.neural import (
     predict_probs,
     save_params,
 )
+from mtnorm.neural.vocab import PAD_CHAR
 
 
 def small_setup(window=8, dim=16, heads=2, labels=5, vocab_chars="零一二三456789时分比"):
@@ -69,6 +78,98 @@ class TestVocabulary:
         assert vocab.unk_id == 1
 
 
+def reference_windows(vocab, text, spans, width):
+    """``reference_window`` per span, each character through ``id_of``."""
+    ids, nsw = [], []
+    for span in spans:
+        chars, mask = reference_window(text, span.start, span.end, width)
+        ids.append([vocab.id_of(ch) for ch in chars])
+        nsw.append(mask)
+    shape = (-1, width)
+    return np.asarray(ids, dtype=np.int64).reshape(shape), np.asarray(nsw, dtype=bool).reshape(shape)
+
+
+def dense_lines(sentences, n, seed):
+    """Lines of 2-8 sentences joined by '，' and ended by '。', spans shifted along."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(n):
+        text, spans = "", []
+        for s in rng.sample(sentences, rng.randint(2, 8)):
+            spans += [NSWSpan(sp.start + len(text), sp.end + len(text), sp.label) for sp in s.spans]
+            text += s.text + "，"
+        lines.append(LabeledSentence(text[:-1] + "。", tuple(spans)))
+    return lines
+
+
+class TestWindows:
+    """``Vocabulary.windows`` against the one-character-at-a-time oracle."""
+
+    WIDTHS = (1, 5, 12, 30)
+
+    def check(self, vocab, text, spans, width):
+        ids, nsw = vocab.windows(text, spans, width)
+        want_ids, want_nsw = reference_windows(vocab, text, spans, width)
+        assert ids.dtype == np.int64 and nsw.dtype == bool
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(nsw, want_nsw)
+
+    def test_generated_sentences(self):
+        corpus = generate_synthetic_corpus(CorpusDistribution.default(), 400, seed=21)
+        vocab = build_vocab(corpus[:100])  # later sentences hold unknown characters
+        for width in self.WIDTHS:
+            for sentence in corpus:
+                self.check(vocab, sentence.text, sentence.spans, width)
+
+    def test_dense_lines(self):
+        corpus = generate_synthetic_corpus(CorpusDistribution.default(), 400, seed=22)
+        for pad_id in (1, 0):
+            vocab = build_vocab(corpus[:200], pad_id=pad_id)
+            for line in dense_lines(corpus, 60, seed=pad_id):
+                for width in self.WIDTHS:
+                    self.check(vocab, line.text, line.spans, width)
+                    self.check(vocab, line.text, extract_nsw(line.text), width)
+
+    def test_spans_at_text_edges(self):
+        vocab = build_vocab([LabeledSentence("共12人在3", ())])
+        spans = [NSWSpan(0, 2), NSWSpan(5, 6)]
+        for width in self.WIDTHS:
+            self.check(vocab, "12人在3", [NSWSpan(0, 2), NSWSpan(4, 5)], width)
+            self.check(vocab, "共12人在3", spans, width)
+        ids, nsw = vocab.windows("12", [NSWSpan(0, 2)], 6)
+        pad = [vocab.pad_id] * 2
+        assert ids.tolist() == [pad + [vocab.id_of("1"), vocab.id_of("2")] + pad]
+        assert nsw.tolist() == [[False, False, True, True, False, False]]
+
+    def test_nsw_at_least_window_long_keeps_head(self):
+        vocab = build_vocab([LabeledSentence("总额1234567890元", ())])
+        text = "总额1234567890元"
+        for width in (1, 5, 10):
+            ids, nsw = vocab.windows(text, [NSWSpan(2, 12)], width)
+            assert ids.tolist() == [[vocab.id_of(ch) for ch in "1234567890"[:width]]]
+            assert nsw.all()
+            self.check(vocab, text, [NSWSpan(2, 12), NSWSpan(12, 13)], width)
+
+    @pytest.mark.parametrize("pad_id", [1, 0])
+    def test_literal_pad_char_reads_pad_id(self, pad_id):
+        vocab = build_vocab([LabeledSentence("共100人", ())], pad_id=pad_id)
+        text = "共\x00100人"
+        ids, nsw = vocab.windows(text, [NSWSpan(2, 5)], 5)
+        assert ids.tolist() == [[vocab.id_of(ch) for ch in "\x00100人"]]
+        assert ids[0, 0] == vocab.pad_id == pad_id
+        assert nsw.tolist() == [[False, True, True, True, False]]
+        for width in self.WIDTHS:
+            self.check(vocab, text, [NSWSpan(2, 5)], width)
+
+    def test_no_spans(self):
+        vocab = build_vocab([LabeledSentence("今天好", ())])
+        for width in self.WIDTHS:
+            for text in ("", "今天好"):
+                ids, nsw = vocab.windows(text, [], width)
+                assert ids.shape == nsw.shape == (0, width)
+                assert ids.dtype == np.int64 and nsw.dtype == bool
+
+
 def run_forward(params, ids, nsw=None, pad_id=1, labels=5):
     """forward_batch over window id rows; every position is NSW unless given."""
     ids = np.atleast_2d(ids)
@@ -81,18 +182,17 @@ def run_forward(params, ids, nsw=None, pad_id=1, labels=5):
 class TestEmbedding:
     def test_all_pad_window(self):
         config, vocab, params = small_setup()
-        window = ContextWindow(PAD_CHAR * 8, (True,) * 8)
-        cache = run_forward(params, vocab.window_ids(window), window.nsw_mask)
+        ids, nsw = vocab.windows(PAD_CHAR * 8, [NSWSpan(0, 8)], 8)
+        cache = run_forward(params, ids, nsw)
         expected = params.embedding[vocab.pad_id][None, :] + params.positional[:8]
         assert np.allclose(cache["x0"][0], expected)
 
     def test_locality(self):
         config, vocab, params = small_setup()
-        w1 = ContextWindow("一二三四五678", (False,) * 4 + (True,) * 4)
-        w2 = ContextWindow("一二三四五978", (False,) * 4 + (True,) * 4)
-        cache = run_forward(
-            params, [vocab.window_ids(w1), vocab.window_ids(w2)], [w1.nsw_mask, w2.nsw_mask]
-        )
+        # a span as wide as the window: the window is the text itself
+        w1 = vocab.windows("一二三四五678", [NSWSpan(0, 8)], 8)
+        w2 = vocab.windows("一二三四五978", [NSWSpan(0, 8)], 8)
+        cache = run_forward(params, *(np.concatenate(part) for part in zip(w1, w2)))
         diff = np.abs(cache["x0"][0] - cache["x0"][1]).sum(axis=1)
         assert diff[5] > 0
         assert np.all(diff[np.arange(8) != 5] == 0)
@@ -173,12 +273,11 @@ class TestForwardOracle:
         vocab = Vocabulary({ch: i + 2 for i, ch in enumerate("0123456789总额元")})
         text = "总额1234567890123456元"
         sentence = LabeledSentence(text, (NSWSpan(2, 18),))
-        window = extract_window(sentence, sentence.spans[0], config.window)
-        assert all(window.nsw_mask)
-        ids = np.asarray([vocab.window_ids(window)])
+        ids, nsw = vocab.windows(text, sentence.spans, config.window)
+        assert all(nsw[0])
         legal = np.ones((1, 5), dtype=bool)
-        probs, _ = forward_batch(params, ids, [window.nsw_mask], legal, config.pad_id)
-        want = reference_forward(params.tensors(), ids, [window.nsw_mask], legal, config.pad_id)
+        probs, _ = forward_batch(params, ids, nsw, legal, config.pad_id)
+        want = reference_forward(params.tensors(), ids, nsw, legal, config.pad_id)
         assert np.abs(probs - want).max() <= 1e-12
         assert probs.argmax() == want.argmax()
 
@@ -227,37 +326,42 @@ class TestPredictProbs:
         assert forward_calls == []
 
 
+def classify(text, span, vocab, params, config, legal_mask):
+    """One span's label probabilities and argmax, through ``predict_probs``."""
+    ids, nsw = vocab.windows(text, [span], config.window)
+    probs = predict_probs(params, ids, nsw, [legal_mask], config.pad_id)[0]
+    return probs, int(np.argmax(probs))
+
+
 class TestClassify:
+    TEXT, SPAN = "一二34五六七八", NSWSpan(2, 4)
+
     def test_single_legal_forced(self):
         config, vocab, params = small_setup()
-        window = ContextWindow("一二34五六七八", (False, False, True, True, False, False, False, False))
         legal = [False, False, True, False, False]
-        probs, label = classify(window, vocab, params, config, legal)
+        probs, label = classify(self.TEXT, self.SPAN, vocab, params, config, legal)
         assert label == 2
         assert probs[2] == 1.0
 
     def test_distribution_sums_to_one(self):
         config, vocab, params = small_setup()
-        window = ContextWindow("一二34五六七八", (False, False, True, True, False, False, False, False))
-        probs, _ = classify(window, vocab, params, config, [True] * 5)
+        probs, _ = classify(self.TEXT, self.SPAN, vocab, params, config, [True] * 5)
         assert abs(probs.sum() - 1.0) <= 1e-9
 
     def test_masking_out_argmax_changes_argmax(self):
         config, vocab, params = small_setup()
-        window = ContextWindow("一二34五六七八", (False, False, True, True, False, False, False, False))
         legal = [True] * 5
-        probs, label = classify(window, vocab, params, config, legal)
+        probs, label = classify(self.TEXT, self.SPAN, vocab, params, config, legal)
         reduced = list(legal)
         reduced[label] = False
-        probs2, label2 = classify(window, vocab, params, config, reduced)
+        probs2, label2 = classify(self.TEXT, self.SPAN, vocab, params, config, reduced)
         assert label2 != label
         assert probs2[label] == 0.0
 
     def test_empty_mask_raises(self):
         config, vocab, params = small_setup()
-        window = ContextWindow("一二34五六七八", (False,) * 2 + (True,) * 2 + (False,) * 4)
         with pytest.raises(ValueError):
-            classify(window, vocab, params, config, [False] * 5)
+            classify(self.TEXT, self.SPAN, vocab, params, config, [False] * 5)
 
     def test_changes_outside_window_are_invisible(self):
         config, vocab, params = small_setup(window=6)
@@ -266,10 +370,8 @@ class TestClassify:
         for tail in ("", "后缀"):
             s1 = LabeledSentence(far_a + "今天56点了" + tail, (NSWSpan(32, 34),))
             s2 = LabeledSentence(far_b + "今天56点了" + tail, (NSWSpan(32, 34),))
-            w1 = extract_window(s1, s1.spans[0], 6)
-            w2 = extract_window(s2, s2.spans[0], 6)
-            p1, l1 = classify(w1, vocab, params, config, [True] * 5)
-            p2, l2 = classify(w2, vocab, params, config, [True] * 5)
+            p1, l1 = classify(s1.text, s1.spans[0], vocab, params, config, [True] * 5)
+            p2, l2 = classify(s2.text, s2.spans[0], vocab, params, config, [True] * 5)
             assert l1 == l2
             assert np.allclose(p1, p2)
 

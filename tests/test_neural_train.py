@@ -4,6 +4,7 @@ import resource
 
 import numpy as np
 import pytest
+from oracles import reference_window
 
 from mtnorm.corpus import LabeledSentence, NSWSpan
 from mtnorm.neural import (
@@ -86,6 +87,10 @@ class TestTraining:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train([], toy_config())
+
+    def test_corpus_without_spans_rejected(self):
+        with pytest.raises(ValueError, match="no NSW spans"):
+            train([LabeledSentence("今天天气好", ())], ClassifierConfig(epochs=1))
 
     def test_label_outside_config_rejected(self):
         corpus = [LabeledSentence("共100人", (NSWSpan(1, 4, 7),))]
@@ -211,6 +216,31 @@ class TestBatchAssembly:
         assert batch.ids.shape == (20, config.window)
         assert batch.legal_masks.shape == (20, 11)
         assert batch.nsw_masks.sum(axis=1).min() == 4
+
+    def test_windows_follow_corpus_and_span_order(self):
+        corpus = [
+            LabeledSentence("甲方12与乙方345", (NSWSpan(2, 4, 0), NSWSpan(7, 10, 1))),
+            LabeledSentence("无", ()),
+            LabeledSentence("6号", (NSWSpan(0, 1, 1),)),
+        ]
+        config = toy_config(window=5)
+        vocab = build_vocab(corpus, pad_id=config.pad_id)
+        batch = make_training_batch(corpus, vocab, config)
+        want = [
+            reference_window(s.text, span.start, span.end, 5) for s in corpus for span in s.spans
+        ]
+        assert batch.ids.tolist() == [[vocab.id_of(ch) for ch in chars] for chars, _ in want]
+        assert batch.nsw_masks.tolist() == [list(mask) for _, mask in want]
+        assert batch.targets.tolist() == [0, 1, 1]
+
+    def test_no_spans_gives_empty_windows(self):
+        corpus = [LabeledSentence("今天天气好", ())]
+        config = toy_config()
+        vocab = build_vocab(corpus, pad_id=config.pad_id)
+        for data in (corpus, []):
+            batch = make_training_batch(data, vocab, config)
+            assert len(batch) == 0
+            assert batch.ids.shape == batch.nsw_masks.shape == (0, config.window)
 
     def test_unlabeled_span_rejected(self):
         corpus = [LabeledSentence("共100人", (NSWSpan(1, 4, None),))]

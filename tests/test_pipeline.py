@@ -4,12 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import reference_window
 
 from mtnorm.legality import FormatRegistry
 from mtnorm.corpus import CorpusDistribution, LabeledSentence, generate_synthetic_corpus
 from mtnorm.extractor import extract_nsw, priority_check
-from mtnorm.corpus import extract_window
-from mtnorm.neural import classify, model
+from mtnorm.neural import model
 from mtnorm.rules import parse_rules
 from mtnorm.pipeline import (
     ROUTE_FALLBACK,
@@ -25,6 +25,14 @@ from mtnorm.pipeline import (
 )
 
 DIST = CorpusDistribution.default()
+
+
+def classify_alone(system, text, span, legal):
+    """One span classified on its own: the oracle's window, one forward pass."""
+    chars, mask = reference_window(text, span.start, span.end, system.config.window)
+    ids = [[system.vocab.id_of(ch) for ch in chars]]
+    probs = model.predict_probs(system.params, ids, [mask], [legal], system.config.pad_id)[0]
+    return probs, int(np.argmax(probs))
 
 
 class TestRuleBaselineSentence:
@@ -58,11 +66,8 @@ class TestNormalize:
                 continue
             span = trace.span
             surface = text[span.start:span.end]
-            window = extract_window(LabeledSentence(text, ()), span, tiny_system.config.window)
             legal = tiny_system.formats.legal_labels(surface)
-            probs, label = classify(
-                window, tiny_system.vocab, tiny_system.params, tiny_system.config, legal
-            )
+            probs, label = classify_alone(tiny_system, text, span, legal)
             assert label == trace.label
             assert np.allclose(probs, trace.probabilities)
 
@@ -144,7 +149,7 @@ class TestNormalize:
 
 
 class TestSentenceBatching:
-    """A sentence's forward passes (one per 16 classifier spans) decide as per-span classify."""
+    """A sentence's forward passes (one per 16 classifier spans) decide as each span alone."""
 
     @staticmethod
     def classifier_spans(text, system):
@@ -182,14 +187,10 @@ class TestSentenceBatching:
             assert batches[before:] == [min(16, len(expected) - k) for k in chunks]
             classified = [t for t in traces if t.probabilities is not None]
             assert [t.span for t in classified] == expected
-            sentence = LabeledSentence(text, ())
             for trace in classified:
                 surface = text[trace.span.start:trace.span.end]
-                window = extract_window(sentence, trace.span, tiny_system.config.window)
                 legal = tiny_system.formats.legal_labels(surface)
-                probs, label = classify(
-                    window, tiny_system.vocab, tiny_system.params, tiny_system.config, legal
-                )
+                probs, label = classify_alone(tiny_system, text, trace.span, legal)
                 assert np.allclose(trace.probabilities, probs, rtol=0.0, atol=1e-12)
                 if trace.route == ROUTE_NEURAL:
                     assert trace.label == label

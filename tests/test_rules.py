@@ -45,6 +45,12 @@ class TestCompile:
         with pytest.raises(RuleError, match="B_Hour"):
             parse_rules(text)
 
+    def test_unknown_field_rejected(self):
+        # "group" was parsed but never read, and is no longer a rule field
+        text = "rule: r1\ngroup: phone\nnsw: \\d+\nlabel: A_Read_No_Zero\n"
+        with pytest.raises(RuleError, match=":2: unknown field 'group'"):
+            parse_rules(text)
+
     def test_duplicate_name_rejected(self):
         text = "rule: r1\nnsw: \\d+\nlabel: A_Read_No_Zero\n\nrule: r1\nnsw: \\d\nlabel: A_Read_No_Zero\n"
         with pytest.raises(RuleError, match="duplicate"):
