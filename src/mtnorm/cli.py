@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from importlib import resources
 
 from . import corpus as corpus_mod
 from . import evaluate as eval_mod
 from . import pipeline
-from .extractor import extract_nsw, load_priority_list
+from .extractor import PriorityList, load_priority_list
 from .labels import DEFAULT_REGISTRY
-from .neural import ClassifierConfig, load_params, predict_probs, save_params, train
+from .neural import ClassifierConfig, load_params, save_params, train
 from .rules import compile_rules
 
 
@@ -51,7 +52,7 @@ def cmd_gen_corpus(args) -> int:
     corpus_mod.save_corpus(generated, args.out)
     print(f"wrote {len(generated)} sentences to {args.out}")
     if args.golden_out:
-        eval_mod.save_golden(eval_mod.build_golden(generated), args.golden_out)
+        eval_mod.save_records(eval_mod.build_golden(generated), args.golden_out)
         print(f"wrote golden pairs to {args.golden_out}")
     return 0
 
@@ -68,24 +69,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    system = _build_system(args, args.model)
+    # With no priority surfaces every span with a legal label is classified, 911 too.
+    system = replace(_build_system(args, args.model), priority=PriorityList())
     labels = system.formats
     texts = [args.text] if args.text is not None else _read_lines(args.infile)
-    for text in texts:
-        spans = extract_nsw(text)
-        legal = [pipeline.classifier_mask(system, text[s.start : s.end]) for s in spans]
-        routed = [i for i, mask in enumerate(legal) if mask is not None]
-        ids, nsw = system.vocab.windows(text, [spans[i] for i in routed], system.config.window)
-        rows = predict_probs(
-            system.params, ids, nsw, [legal[i] for i in routed], system.config.pad_id
-        )
-        classified = dict(zip(routed, rows))
-        for i, span in enumerate(spans):
-            surface = text[span.start : span.end]
-            if i not in classified:
+    for text, (_, traces) in zip(texts, pipeline.normalize_many(texts, system)):
+        for trace in traces:
+            surface = text[trace.span.start : trace.span.end]
+            probs = trace.probabilities
+            if probs is None:
                 print(f"{surface}\t<no legal label>")
                 continue
-            probs = classified[i]
             top = sorted(((float(p), lab.name) for p, lab in zip(probs, labels)), reverse=True)[:3]
             ranked = "  ".join(f"{name}={p:.4f}" for p, name in top)
             print(f"{surface}\t{labels.by_id(int(probs.argmax())).name}\t{ranked}")

@@ -101,12 +101,6 @@ def build_golden(
     return records
 
 
-def save_golden(records: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
 def load_golden(path: str) -> list[dict]:
     records = []
     with open(path, encoding="utf-8") as fh:

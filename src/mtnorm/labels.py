@@ -22,7 +22,7 @@ MAX_LABELS = 36
 # a bare digit string is format-legal for several labels and only context
 # can pick one, which is what the classifier is for.
 _NUM = r"\d{1,12}"
-_NUM_COMMA = r"\d{1,3}(?:,\d{3})+"
+_NUM_COMMA = r"\d{1,3}(?:,\d{3}){1,3}"  # the positional reader stops at 10^12
 _DEC = r"\d{1,12}(?:\.\d{1,6})?"
 _HAN = r"[一-鿿]"
 

@@ -112,7 +112,7 @@ def _rule_route(sys: HybridSystem, text: str, span: NSWSpan, surface: str, route
     return NormalizationTrace(span, ROUTE_UNMATCHED, None, None, probs)
 
 
-def classifier_mask(sys: HybridSystem, surface: str) -> list[bool] | None:
+def _classifier_mask(sys: HybridSystem, surface: str) -> list[bool] | None:
     """Legal labels the classifier chooses among; ``None`` leaves the span to the rules."""
     if sys.params is None:
         return None
@@ -138,7 +138,7 @@ def normalize_many(
             if priority_check(surface, sys.priority):
                 traces[i] = _rule_route(sys, text, span, surface, ROUTE_PRIORITY)
                 continue
-            legal = classifier_mask(sys, surface)
+            legal = _classifier_mask(sys, surface)
             if legal is None:
                 traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
                 continue
@@ -182,24 +182,19 @@ def _splice(text: str, traces: list[NormalizationTrace]) -> str:
 def routing_stats(corpus, sys: HybridSystem) -> tuple[float, float, float]:
     """(priority, neural, fallback) fractions over all extracted spans.
 
-    ``corpus`` is a list of sentences (labeled or raw strings). Priority
-    and neural partition the spans; fallback is the sub-fraction of
-    neural-routed spans that failed verification and flowed back.
+    ``corpus`` is a list of sentences (labeled or raw strings). Read from
+    the trace routes: priority (``priority_rule``) and neural (the rest)
+    partition the spans; fallback is the sub-fraction of the rest that the
+    classifier did not render.
     """
-    priority = neural = fallback = 0
     texts = [item if isinstance(item, str) else item.text for item in corpus]
-    for text, (_, traces) in zip(texts, normalize_many(texts, sys)):
-        for trace in traces:
-            if priority_check(text[trace.span.start : trace.span.end], sys.priority):
-                priority += 1
-            else:
-                neural += 1
-                if trace.route != ROUTE_NEURAL:
-                    fallback += 1
-    total = priority + neural
-    if total == 0:
+    routes = [trace.route for _, traces in normalize_many(texts, sys) for trace in traces]
+    if not routes:
         return 0.0, 0.0, 0.0
-    return priority / total, neural / total, fallback / neural if neural else 0.0
+    priority = routes.count(ROUTE_PRIORITY)
+    neural = len(routes) - priority
+    fallback = neural - routes.count(ROUTE_NEURAL)
+    return priority / len(routes), neural / len(routes), fallback / neural if neural else 0.0
 
 
 def write_traces(path: str, traced: list[tuple[str, list[NormalizationTrace]]],

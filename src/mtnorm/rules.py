@@ -4,12 +4,16 @@ Matching walks rules by declared context length, longest first, so more
 specific context always beats higher priority at a shorter length;
 priority breaks ties within a length, rule name breaks exact ties. The
 order is derived from the rule fields, never from file position.
+
+A rule's NSW shape defaults to its label's format in the label registry
+that resolves its ``label:``, so rules, classifier mask and readers share
+one surface domain; an explicit ``nsw:`` narrows it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import LabeledSentence, NSWSpan
 from .labels import DEFAULT_REGISTRY, LabelRegistry
@@ -90,16 +94,13 @@ def parse_rules(text: str, labels: LabelRegistry = DEFAULT_REGISTRY, source: str
         label_name = fields.get("label", "")
         if label_name not in labels:
             raise RuleError(f"{source}:{lineno}: rule {name}: unknown label {label_name!r}")
-        nsw = fields.get("nsw", "")
-        if not nsw:
-            raise RuleError(f"{source}:{lineno}: rule {name}: nsw pattern is required")
         try:
             rules.append(
                 Rule(
                     name=name,
                     priority=int(fields.get("priority", "0")),
                     pre_pattern=re.compile(fields.get("pre", "")),
-                    nsw_pattern=re.compile(nsw),
+                    nsw_pattern=re.compile(fields.get("nsw") or labels.by_name(label_name).format),
                     post_pattern=re.compile(fields.get("post", "")),
                     context_len=int(fields.get("context_len", "0")),
                     label=labels.id_of(label_name),

@@ -76,6 +76,26 @@ def brute_force_best_rule(rule_specs, text, start, end):
     return min(candidates, key=lambda s: (-s["context_len"], -s["priority"], s["name"]))
 
 
+def boundary_surfaces():
+    """NSW surfaces at and just past the edges of the numeric formats.
+
+    Bare and comma-grouped integers below and past 10^12, a 12-digit integer
+    with a 6-digit fraction, each also as a percent, a dollar amount, a
+    range and a per-unit quantity, plus clock, score and date extremes. A
+    label's format decides which of them are its surfaces.
+    """
+    numbers = ["0", "2", "9" * 12, "1" + "0" * 12, "9" * 12 + ".999999", "0.000001"]
+    for groups in range(1, 6):
+        numbers += ["1" + ",000" * groups, "999" + ",999" * groups]
+    surfaces = list(numbers)
+    for n in numbers:
+        surfaces += [n + "%", "$" + n, n + "人/组", n + "件/天"]
+        surfaces += [n + sep + m for sep in "-~—" for m in ("0", n, "9" * 12 + ".999999")]
+    surfaces += ["0:00", "00:00", "23:59", "24:00", "999:999", "0-0", "999-999"]
+    surfaces += ["0000-1-1", "9999-12-31", "2020-02-30"]
+    return surfaces
+
+
 _NSW_SYMBOLS = set(".:-~—/%,$")
 
 

@@ -167,6 +167,16 @@ class TestClassify:
         assert out.startswith("10%\t")
         assert "B_Percent" in out
 
+    def test_priority_surface_classified(self, workspace, capsys):
+        # classify shows the classifier's view of every span, priority surfaces too
+        assert main(["classify", "--model", str(workspace["model"]),
+                     "--text", "请拨打911"]) == 0
+        surface, label, ranked = capsys.readouterr().out.rstrip("\n").split("\t")
+        assert surface == "911" and label in DEFAULT_REGISTRY
+        shown = [item.split("=") for item in ranked.split("  ")]
+        assert len(shown) == 3 and shown[0][0] == label
+        assert [float(p) for _, p in shown] == sorted((float(p) for _, p in shown), reverse=True)
+
     def test_no_legal_label_reported(self, workspace, capsys):
         assert main(["classify", "--model", str(workspace["model"]),
                      "--text", "温度是25.3左右"]) == 0

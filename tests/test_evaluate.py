@@ -124,7 +124,7 @@ class TestGolden:
         corpus = generate_synthetic_corpus(DIST, 30, seed=42)
         records = ev.build_golden(corpus)
         path = tmp_path / "golden.jsonl"
-        ev.save_golden(records, str(path))
+        ev.save_records(records, str(path))
         assert ev.load_golden(str(path)) == records
 
     def test_reference_has_no_nsw(self):

@@ -3,6 +3,8 @@ from importlib import resources
 
 import pytest
 
+from oracles import boundary_surfaces
+
 from mtnorm.corpus import _gen_surface, load_templates
 from mtnorm.labels import DEFAULT_REGISTRY, LabelRegistry
 from mtnorm.reader import render
@@ -66,3 +68,17 @@ class TestRuleFormatAgreement:
                     checked += 1
                     assert DEFAULT_REGISTRY.verify(surface, rule.label), (rule.name, surface)
         assert checked > 1000
+
+
+class TestReaderDomain:
+    def test_format_surfaces_render(self):
+        """Any surface a shipped label's format accepts, its reader renders."""
+        rng = random.Random(17)
+        surfaces = set(boundary_surfaces())
+        for entry in load_templates().values():
+            surfaces.update(_gen_surface(entry.nsw_spec, rng) for _ in range(300))
+        for lab in DEFAULT_REGISTRY:
+            accepted = sorted(s for s in surfaces if lab.format.fullmatch(s))
+            assert accepted, lab.name
+            for surface in accepted:
+                assert render(surface, lab.id).source == surface

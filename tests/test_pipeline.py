@@ -9,6 +9,7 @@ from oracles import reference_window
 from mtnorm.legality import FormatRegistry
 from mtnorm.corpus import CorpusDistribution, LabeledSentence, generate_synthetic_corpus
 from mtnorm.extractor import extract_nsw, priority_check
+from mtnorm.labels import LabelRegistry
 from mtnorm.neural import model
 from mtnorm.rules import parse_rules
 from mtnorm.pipeline import (
@@ -197,10 +198,10 @@ class TestSentenceBatching:
 
         _, traces = normalize(mixed, tiny_system)
         assert [t.route for t in traces] == [ROUTE_PRIORITY, ROUTE_NEURAL, ROUTE_UNMATCHED]
-        # the classifier decides the huge number, its reader refuses it, and
-        # the rule fallback fails the same way: verbatim, probabilities kept
+        # 10^12 is past every label's format, so no label is legal and the
+        # classifier never sees the span: verbatim, no probabilities
         assert traces[2].sfw is None and traces[2].label is None
-        assert traces[2].probabilities is not None
+        assert traces[2].probabilities is None
 
 
 class TestNormalizeMany:
@@ -234,7 +235,20 @@ class TestNormalizeMany:
                     assert np.allclose(got.probabilities, want.probabilities, rtol=0.0, atol=1e-12)
         assert many[-2] == ("大家好才是真的好", [])
         assert [t.route for t in many[-1][1]] == [ROUTE_PRIORITY, ROUTE_NEURAL, ROUTE_UNMATCHED]
-        assert many[-1][1][2].sfw is None and many[-1][1][2].probabilities is not None
+        assert many[-1][1][2].sfw is None and many[-1][1][2].probabilities is None
+
+    def test_reader_refusal_keeps_probabilities(self, tiny_system, tmp_path):
+        # a format wider than its reader: the classifier picks the only legal
+        # label, the reader refuses 10^12, the rules find nothing either
+        path = tmp_path / "formats.txt"
+        path.write_text(r"A_Read_No_Zero: \d{1,3}(?:,\d{3})+|\d{1,12}" "\n", encoding="utf-8")
+        system = replace(tiny_system, formats=LabelRegistry.from_file(str(path)))
+        for out, traces in normalize_many([self.MIXED, self.MIXED], system):
+            assert out.endswith("总额1,000,000,000,000元")
+            assert [t.route for t in traces] == [ROUTE_PRIORITY, ROUTE_NEURAL, ROUTE_UNMATCHED]
+            assert traces[2].sfw is None and traces[2].label is None
+            probs = traces[2].probabilities
+            assert probs is not None and int(np.argmax(probs)) == system.formats.id_of("A_Read_No_Zero")
 
     def test_empty_input(self, tiny_system):
         assert normalize_many([], tiny_system) == []

@@ -6,6 +6,7 @@ from oracles import brute_force_best_rule
 
 from mtnorm.corpus import NSWSpan
 from mtnorm.extractor import extract_nsw
+from mtnorm.labels import DEFAULT_REGISTRY, LabelRegistry
 from mtnorm.pipeline import normalize
 from mtnorm.rules import RuleError, match_nsw, parse_rules
 
@@ -61,10 +62,22 @@ class TestCompile:
         with pytest.raises(RuleError, match="broken"):
             parse_rules(text)
 
-    def test_missing_nsw_rejected(self):
-        text = "rule: r1\nlabel: A_Read_No_Zero\n"
-        with pytest.raises(RuleError, match="nsw"):
-            parse_rules(text)
+    def test_missing_nsw_takes_label_format(self, fixture_rows):
+        surfaces = {surface for surface, _, _ in fixture_rows}
+        surfaces |= {"1,000,000,000,000", "24:00", "25.3", "10:30:45", "$1,000", "3"}
+        for lab in DEFAULT_REGISTRY:
+            rs = parse_rules(f"rule: r1\nlabel: {lab.name}\n")
+            matched = {s for s in surfaces if match_nsw(rs, s, NSWSpan(0, len(s)))}
+            assert matched == {s for s in surfaces if lab.format.fullmatch(s)}, lab.name
+            assert matched, lab.name
+
+    def test_missing_nsw_takes_overridden_format(self, tmp_path):
+        path = tmp_path / "formats.txt"
+        path.write_text(r"B_Time: (?:[01]?\d|2[0-4]):[0-5]\d" "\n", encoding="utf-8")
+        text = "rule: clock\nlabel: B_Time\n"
+        widened = parse_rules(text, labels=LabelRegistry.from_file(str(path)))
+        assert match_nsw(widened, "晚上24:00关门", NSWSpan(2, 7)) is not None
+        assert match_nsw(parse_rules(text), "晚上24:00关门", NSWSpan(2, 7)) is None
 
 
 class TestMatch:
