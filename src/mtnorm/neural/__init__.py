@@ -1,11 +1,11 @@
 """Attention-based NSW pattern classifier: model, loss, training, IO."""
 
 from .checkpoint import CheckpointError, load_params, save_params
-from .gradcheck import gradient_check
 from .loss import focal_loss, focal_loss_vec
 from .model import (
     ClassifierConfig,
     EncoderParams,
+    FrozenEncoder,
     TrainingBatch,
     batch_loss,
     batch_loss_and_grads,
@@ -30,6 +30,7 @@ __all__ = [
     "CheckpointError",
     "ClassifierConfig",
     "EncoderParams",
+    "FrozenEncoder",
     "TrainingBatch",
     "TrainingDiverged",
     "TrainResult",
@@ -40,7 +41,6 @@ __all__ = [
     "focal_loss",
     "focal_loss_vec",
     "forward_batch",
-    "gradient_check",
     "init_params",
     "load_char_vectors",
     "load_params",

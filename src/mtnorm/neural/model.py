@@ -14,9 +14,12 @@ keys and values still cover every position. This is the full block's
 result, not an approximation; the tests compare it with a full-window
 reference.
 
-Everything is float64 numpy with a hand-written backward pass; the
+Training is float64 numpy with a hand-written backward pass; the
 training gradients are checked against central finite differences in the
-test suite, so forward and backward must stay in lockstep.
+test suite, so forward and backward must stay in lockstep. Inference runs
+the same ``forward_batch`` on a ``FrozenEncoder``: float32, with the query,
+key and value projections precomputed per character and per position, so
+the forward pass gathers table rows where training multiplies matrices.
 """
 
 from __future__ import annotations
@@ -185,6 +188,93 @@ def load_char_vectors(path: str, vocab: Vocabulary, dim: int, embedding: np.ndar
     return loaded
 
 
+# Tensors after the attention scores that the frozen form keeps as float32.
+_TAIL = (
+    "attn_out", "ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln1_scale", "ln1_shift",
+    "ln2_scale", "ln2_shift",
+)
+
+
+@dataclass
+class FrozenEncoder:
+    """The inference form of fixed ``EncoderParams``: float32, projections as tables.
+
+    With the weights fixed, ``(E[ids] + P) @ W = (E @ W)[ids] + P @ W``, so
+    the query, key and value projections become per-character (V, .) and
+    per-position (W, .) tables whose rows ``forward_batch`` gathers and adds.
+    The query side packs the embedding with the query projection, already
+    scaled by 1/sqrt(K), because the NSW rows need both (the residual and
+    the queries); the key side packs the key and value projections.
+    ``key_bias`` is ``ATTN_NEG`` at ``pad_id`` and 0 elsewhere. The tail
+    tensors are float32 copies under their ``EncoderParams`` names, except
+    the classifier head, which stays float64: a one-window chunk's logits
+    come from a BLAS gemv, a larger chunk's from gemm, and only in float64
+    do the two agree to 1e-12, so a window's probabilities do not depend
+    on its chunk. Training and backward stay on float64 ``EncoderParams``.
+    """
+
+    query_chars: np.ndarray      # (V, D + H*K): embedding | scaled query projection
+    query_positions: np.ndarray  # (W, D + H*K)
+    kv_chars: np.ndarray         # (V, 2*H*K): key | value projection
+    kv_positions: np.ndarray     # (W, 2*H*K)
+    key_bias: np.ndarray         # (V,)
+    pad_id: int
+    heads: int
+    attn_out: np.ndarray
+    ff_w1: np.ndarray
+    ff_b1: np.ndarray
+    ff_w2: np.ndarray
+    ff_b2: np.ndarray
+    ln1_scale: np.ndarray
+    ln1_shift: np.ndarray
+    ln2_scale: np.ndarray
+    ln2_shift: np.ndarray
+    cls_w: np.ndarray
+    cls_b: np.ndarray
+
+    @classmethod
+    def freeze(cls, params: EncoderParams, pad_id: int) -> "FrozenEncoder":
+        h, d, k = params.attn_q.shape
+
+        def heads_to_columns(weight):  # (H, D, K) -> (D, H*K), head-major columns
+            return weight.transpose(1, 0, 2).reshape(d, h * k)
+
+        query = heads_to_columns(params.attn_q) / np.sqrt(k)
+        kv = np.concatenate([heads_to_columns(params.attn_k), heads_to_columns(params.attn_v)], axis=1)
+
+        def tables(x):  # x: embedding or positional
+            return np.concatenate([x, x @ query], axis=1), x @ kv
+
+        query_chars, kv_chars = tables(params.embedding)
+        query_positions, kv_positions = tables(params.positional)
+        key_bias = np.zeros(params.embedding.shape[0])
+        key_bias[pad_id] = ATTN_NEG
+
+        def f32(a):
+            return np.ascontiguousarray(a, dtype=np.float32)
+
+        return cls(
+            f32(query_chars), f32(query_positions), f32(kv_chars), f32(kv_positions),
+            f32(key_bias), pad_id, h, **{name: f32(getattr(params, name)) for name in _TAIL},
+            cls_w=params.cls_w.copy(), cls_b=params.cls_b.copy(),
+        )
+
+    def project(self, ids: np.ndarray, rows: np.ndarray, pad_id: int):
+        """NSW-row inputs and per-head Q, K, V from table rows; plus the key bias."""
+        if pad_id != self.pad_id:
+            raise ValueError(f"encoder was frozen with pad_id {self.pad_id}, not {pad_id}")
+        b, w = ids.shape
+        m = rows.shape[1]
+        d = self.attn_out.shape[0]
+        k = d // self.heads
+        x = self.query_chars[ids[np.arange(b)[:, None], rows]] + self.query_positions[rows]
+        kv = self.kv_chars[ids] + self.kv_positions
+        xq = x[..., :d]
+        q = x[..., d:].reshape(b, m, self.heads, k).transpose(0, 2, 1, 3)
+        kv = kv.reshape(b, w, 2, self.heads, k).transpose(2, 0, 3, 1, 4)
+        return xq, q, kv[0], kv[1], self.key_bias[ids]
+
+
 # --------------------------------------------------------------------------
 # Forward
 # --------------------------------------------------------------------------
@@ -221,7 +311,7 @@ def _layer_norm_backward(dout, norm, inv, scale):
 
 
 def forward_batch(
-    params: EncoderParams,
+    params: EncoderParams | FrozenEncoder,
     ids: np.ndarray,
     nsw_mask: np.ndarray,
     legal_mask: np.ndarray,
@@ -237,35 +327,50 @@ def forward_batch(
     summation order: with one layer, a row's output depends on the other
     positions only through the keys and values, and only NSW rows reach
     the pooled logits.
+
+    ``params`` is float64 ``EncoderParams`` (training; the cache feeds
+    ``backward_batch``) or a ``FrozenEncoder`` (inference, float32), which
+    gathers Q, K and V from its tables instead of projecting; from the
+    attention scores on, both run the same code.
     """
     ids = np.asarray(ids, dtype=np.int64)
     nsw = np.asarray(nsw_mask, dtype=bool)
     legal = np.asarray(legal_mask, dtype=bool)
-    scale = 1.0 / np.sqrt(params.attn_q.shape[-1])
 
     counts = nsw.sum(axis=1)
     if np.any(counts == 0):
         raise ValueError("every window must mark at least one NSW position")
     m = int(counts.max())
+    frozen = isinstance(params, FrozenEncoder)
+    if frozen:
+        # A one-row product runs as BLAS gemv, which rounds differently from
+        # gemm in float32; with two rows or more every window's result is
+        # independent of the chunk it runs in.
+        m = max(m, min(2, ids.shape[1]))
     # A stable sort puts each window's NSW positions first, in order; the
     # rest of the first M are distinct non-NSW positions.
     rows = np.argsort(~nsw, axis=1, kind="stable")[:, :m]
     valid = np.arange(m)[None, :] < counts[:, None]
-    batch_idx = np.arange(ids.shape[0])[:, None]
 
-    x0 = params.embedding[ids] + params.positional[None, :, :]
-    xq = x0[batch_idx, rows]
-    pad_keys = ids == pad_id
+    if frozen:
+        scale = x0 = None  # the query tables carry the scale
+        xq, q, k, v, key_bias = params.project(ids, rows, pad_id)
+    else:
+        scale = 1.0 / np.sqrt(params.attn_q.shape[-1])
+        x0 = params.embedding[ids] + params.positional[None, :, :]
+        xq = x0[np.arange(ids.shape[0])[:, None], rows]
+        key_bias = np.where(ids == pad_id, ATTN_NEG, 0.0)
+        # (B,1,W,D) @ (1,H,D,K) -> (B,H,W,K); broadcast matmuls keep this on BLAS.
+        x0h = x0[:, None, :, :]
+        q = xq[:, None, :, :] @ params.attn_q[None]
+        k = x0h @ params.attn_k[None]
+        v = x0h @ params.attn_v[None]
 
-    # (B,1,W,D) @ (1,H,D,K) -> (B,H,W,K); broadcast matmuls keep this on BLAS,
-    # and the softmax runs in place to avoid large temporaries.
-    x0h = x0[:, None, :, :]
-    q = xq[:, None, :, :] @ params.attn_q[None]
-    k = x0h @ params.attn_k[None]
-    v = x0h @ params.attn_v[None]
+    # The softmax runs in place to avoid large temporaries.
     scores = q @ k.swapaxes(-1, -2)
-    np.multiply(scores, scale, out=scores)
-    scores += np.where(pad_keys, ATTN_NEG, 0.0)[:, None, None, :]
+    if scale is not None:
+        np.multiply(scores, scale, out=scores)
+    scores += key_bias[:, None, None, :]
     np.subtract(scores, scores.max(axis=-1, keepdims=True), out=scores)
     np.exp(scores, out=scores)
     np.divide(scores, scores.sum(axis=-1, keepdims=True), out=scores)
@@ -284,7 +389,7 @@ def forward_batch(
     res2 = norm1 + ff_out
     norm2, n2_hat, n2_inv = _layer_norm(res2, params.ln2_scale, params.ln2_shift)
 
-    pooled = (norm2 * valid[:, :, None]).sum(axis=1) / counts[:, None]
+    pooled = (norm2 * valid[:, :, None]).sum(axis=1) / counts[:, None].astype(norm2.dtype)
     logits = pooled @ params.cls_w + params.cls_b
     probs = masked_softmax(logits, legal)
 
@@ -450,7 +555,7 @@ PREDICT_CHUNK = 16
 
 
 def predict_probs(
-    params: EncoderParams,
+    params: EncoderParams | FrozenEncoder,
     ids,
     nsw_mask,
     legal_mask,

@@ -14,6 +14,7 @@ from ..labels import DEFAULT_REGISTRY, LabelRegistry
 from .model import (
     ClassifierConfig,
     EncoderParams,
+    FrozenEncoder,
     TrainingBatch,
     batch_loss_and_grads,
     init_params,
@@ -170,6 +171,7 @@ def train(
 def predict_batch(
     params: EncoderParams, data: TrainingBatch, config: ClassifierConfig
 ) -> np.ndarray:
-    """Argmax labels for a prepared batch."""
-    probs = predict_probs(params, data.ids, data.nsw_masks, data.legal_masks, config.pad_id)
+    """Argmax labels for a prepared batch, from the frozen (float32) encoder."""
+    encoder = FrozenEncoder.freeze(params, config.pad_id)
+    probs = predict_probs(encoder, data.ids, data.nsw_masks, data.legal_masks, config.pad_id)
     return probs.argmax(axis=1)

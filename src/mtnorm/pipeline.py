@@ -19,14 +19,15 @@ together, and ``normalize`` is its one-sentence case. The windows run
 in chunks of at most 16, sorted by NSW count (``predict_probs``): the
 forward pass pads each window to its chunk's largest NSW count, so
 sorting leaves little padding, and small chunks keep the arrays in
-cache.
+cache. They run on the system's ``encoder``, the float32 inference form
+of its parameters, frozen once when the system is built.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from . import reader
 from .corpus import NSWSpan
 from .extractor import PriorityList, extract_nsw, priority_check
 from .labels import DEFAULT_REGISTRY, LabelRegistry
-from .neural import ClassifierConfig, EncoderParams, Vocabulary, predict_probs
+from .neural import ClassifierConfig, EncoderParams, FrozenEncoder, Vocabulary, predict_probs
 from .rules import RuleSet, match_nsw
 
 ROUTE_PRIORITY = "priority_rule"
@@ -78,7 +79,9 @@ class HybridSystem:
     """Everything inference needs; ``formats`` is the label registry.
 
     ``params``, ``config`` and ``vocab`` are all set or all ``None``; with
-    none of them the system runs rules only.
+    none of them the system runs rules only. ``encoder`` is ``params``
+    frozen for inference once, at construction: the classifier runs on it,
+    and ``params`` stays the float64 object given.
     """
 
     rules: RuleSet
@@ -87,6 +90,7 @@ class HybridSystem:
     config: ClassifierConfig | None
     vocab: Vocabulary | None
     formats: LabelRegistry
+    encoder: FrozenEncoder | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         classifier = (self.params, self.config, self.vocab)
@@ -99,6 +103,7 @@ class HybridSystem:
         if self.vocab.pad_id != self.config.pad_id:
             raise ValueError("vocabulary pad_id disagrees with config.pad_id")
         self.params.check_shapes(self.config, self.vocab.size)
+        self.encoder = FrozenEncoder.freeze(self.params, self.config.pad_id)
 
 
 def _rule_route(sys: HybridSystem, text: str, span: NSWSpan, surface: str, route: str, probs=None):
@@ -151,7 +156,7 @@ def normalize_many(
     if pending:
         ids, nsw = (np.concatenate(part) for part in zip(*windows))
         probs = predict_probs(
-            sys.params, ids, nsw, [legal for *_, legal in pending], sys.config.pad_id
+            sys.encoder, ids, nsw, [legal for *_, legal in pending], sys.config.pad_id
         )
         for (traces, i, text, span, surface, _), p in zip(pending, probs):
             label = int(np.argmax(p))
@@ -183,18 +188,20 @@ def routing_stats(corpus, sys: HybridSystem) -> tuple[float, float, float]:
     """(priority, neural, fallback) fractions over all extracted spans.
 
     ``corpus`` is a list of sentences (labeled or raw strings). Read from
-    the trace routes: priority (``priority_rule``) and neural (the rest)
-    partition the spans; fallback is the sub-fraction of the rest that the
-    classifier did not render.
+    the traces: priority is the ``priority_rule`` share and neural the
+    share the classifier scored (the traces with probabilities); fallback
+    is the sub-fraction of the scored spans that the classifier did not
+    render. Spans with no legal label, and every non-priority span of a
+    system without a classifier, are in neither.
     """
     texts = [item if isinstance(item, str) else item.text for item in corpus]
-    routes = [trace.route for _, traces in normalize_many(texts, sys) for trace in traces]
-    if not routes:
+    traces = [trace for _, traced in normalize_many(texts, sys) for trace in traced]
+    if not traces:
         return 0.0, 0.0, 0.0
-    priority = routes.count(ROUTE_PRIORITY)
-    neural = len(routes) - priority
-    fallback = neural - routes.count(ROUTE_NEURAL)
-    return priority / len(routes), neural / len(routes), fallback / neural if neural else 0.0
+    priority = sum(trace.route == ROUTE_PRIORITY for trace in traces)
+    neural = sum(trace.probabilities is not None for trace in traces)
+    fallback = neural - sum(trace.route == ROUTE_NEURAL for trace in traces)
+    return priority / len(traces), neural / len(traces), fallback / neural if neural else 0.0
 
 
 def write_traces(path: str, traced: list[tuple[str, list[NormalizationTrace]]],

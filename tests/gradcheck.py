@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ClassifierConfig, EncoderParams, TrainingBatch, batch_loss, batch_loss_and_grads
+from mtnorm.neural.model import (
+    ClassifierConfig,
+    EncoderParams,
+    TrainingBatch,
+    batch_loss,
+    batch_loss_and_grads,
+)
 
 
 def gradient_check(

@@ -11,6 +11,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
+from gradcheck import gradient_check
 from oracles import brute_force_best_rule, parse_han_number
 
 from mtnorm import evaluate as ev
@@ -22,7 +23,6 @@ from mtnorm.neural import (
     ClassifierConfig,
     TrainingBatch,
     focal_loss,
-    gradient_check,
     init_params,
     make_training_batch,
     masked_softmax,

@@ -15,6 +15,7 @@ from mtnorm.extractor import extract_nsw
 from mtnorm.neural import (
     CheckpointError,
     ClassifierConfig,
+    FrozenEncoder,
     Vocabulary,
     build_vocab,
     forward_batch,
@@ -324,6 +325,65 @@ class TestPredictProbs:
         config, params, _ = oracle_setup()
         assert predict_probs(params, [], [], [], config.pad_id).shape == (0, 5)
         assert forward_calls == []
+
+
+class TestFrozenForward:
+    """The float32 table-gather encoder against the float64 full-window oracle."""
+
+    TOLERANCE = 1e-6  # float32 rounding, well under any label margin the tests meet
+
+    def test_matches_full_window_reference(self):
+        config, params, rng = oracle_setup()
+        encoder = FrozenEncoder.freeze(params, config.pad_id)
+        worst = 0.0
+        for _ in range(20):
+            ids, nsw, legal = ragged_windows(rng, [1, 2, 5, config.window, 3, 1])
+            assert (ids == config.pad_id).any()
+            probs, _ = forward_batch(encoder, ids, nsw, legal, config.pad_id)
+            want = reference_forward(params.tensors(), ids, nsw, legal, config.pad_id)
+            assert np.array_equal(probs.argmax(axis=1), want.argmax(axis=1))
+            worst = max(worst, np.abs(probs - want).max())
+        assert worst <= self.TOLERANCE
+
+    def test_nsw_longer_than_window(self):
+        config, params, _ = oracle_setup()
+        encoder = FrozenEncoder.freeze(params, config.pad_id)
+        vocab = Vocabulary({ch: i + 2 for i, ch in enumerate("0123456789总额元")})
+        text = "总额1234567890123456元"
+        ids, nsw = vocab.windows(text, [NSWSpan(2, 18)], config.window)
+        legal = np.ones((1, 5), dtype=bool)
+        probs, _ = forward_batch(encoder, ids, nsw, legal, config.pad_id)
+        want = reference_forward(params.tensors(), ids, nsw, legal, config.pad_id)
+        assert np.abs(probs - want).max() <= self.TOLERANCE
+        assert probs.argmax() == want.argmax()
+
+    def test_chunk_equals_one_by_one(self):
+        # one-NSW windows alone and a one-window chunk take other BLAS paths
+        config, params, rng = oracle_setup()
+        encoder = FrozenEncoder.freeze(params, config.pad_id)
+        for counts in ([1, 1, 1], [1, 2, 5, 12, 1, 7, 2]):
+            ids, nsw, legal = ragged_windows(rng, counts)
+            batched = predict_probs(encoder, ids, nsw, legal, config.pad_id)
+            for row in range(len(ids)):
+                one = slice(row, row + 1)
+                single = predict_probs(encoder, ids[one], nsw[one], legal[one], config.pad_id)
+                assert np.abs(single[0] - batched[row]).max() <= 1e-12
+
+    def test_training_params_untouched(self):
+        config, params, _ = oracle_setup()
+        before = params.copy()
+        encoder = FrozenEncoder.freeze(params, config.pad_id)
+        assert encoder.kv_chars.dtype == np.float32
+        for name, tensor in params.tensors().items():
+            assert tensor.dtype == np.float64
+            assert np.array_equal(tensor, before.tensors()[name])
+
+    def test_other_pad_id_rejected(self):
+        config, params, rng = oracle_setup()
+        encoder = FrozenEncoder.freeze(params, config.pad_id)
+        ids, nsw, legal = ragged_windows(rng, [2])
+        with pytest.raises(ValueError, match="pad_id"):
+            forward_batch(encoder, ids, nsw, legal, config.pad_id + 1)
 
 
 def classify(text, span, vocab, params, config, legal_mask):

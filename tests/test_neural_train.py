@@ -4,6 +4,7 @@ import resource
 
 import numpy as np
 import pytest
+from gradcheck import gradient_check
 from oracles import reference_window
 
 from mtnorm.corpus import LabeledSentence, NSWSpan
@@ -15,7 +16,6 @@ from mtnorm.neural import (
     batch_loss_and_grads,
     build_vocab,
     forward_batch,
-    gradient_check,
     init_params,
     make_training_batch,
     predict_batch,

@@ -32,7 +32,7 @@ def classify_alone(system, text, span, legal):
     """One span classified on its own: the oracle's window, one forward pass."""
     chars, mask = reference_window(text, span.start, span.end, system.config.window)
     ids = [[system.vocab.id_of(ch) for ch in chars]]
-    probs = model.predict_probs(system.params, ids, [mask], [legal], system.config.pad_id)[0]
+    probs = model.predict_probs(system.encoder, ids, [mask], [legal], system.config.pad_id)[0]
     return probs, int(np.argmax(probs))
 
 
@@ -298,6 +298,11 @@ class TestRoutingStats:
 
     def test_empty(self, tiny_system):
         assert routing_stats(["没有数字"], tiny_system) == (0.0, 0.0, 0.0)
+
+    def test_rules_only_scores_nothing(self, rules_system):
+        # without a classifier no span is neural, whatever its route
+        stats = routing_stats(["温度是25.3左右", "只有10%的学生", "请拨打911"], rules_system)
+        assert stats == (pytest.approx(1 / 3), 0.0, 0.0)
 
 
 class TestTraceOutput:
