@@ -267,8 +267,10 @@ class FrozenEncoder:
         m = rows.shape[1]
         d = self.attn_out.shape[0]
         k = d // self.heads
-        x = self.query_chars[ids[np.arange(b)[:, None], rows]] + self.query_positions[rows]
-        kv = self.kv_chars[ids] + self.kv_positions
+        x = self.query_chars[ids[np.arange(b)[:, None], rows]]
+        x += self.query_positions[rows]
+        kv = self.kv_chars[ids]
+        kv += self.kv_positions
         xq = x[..., :d]
         q = x[..., d:].reshape(b, m, self.heads, k).transpose(0, 2, 1, 3)
         kv = kv.reshape(b, w, 2, self.heads, k).transpose(2, 0, 3, 1, 4)
@@ -291,10 +293,24 @@ def masked_softmax(logits: np.ndarray, legal: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)`` by halving the last axis.
+
+    Exact, and several times faster than numpy's max reduction on rows as
+    short as a window. With an odd length the two halves share an element.
+    """
+    while x.shape[-1] > 1:
+        half = (x.shape[-1] + 1) // 2
+        x = np.maximum(x[..., :half], x[..., -half:])
+    return x
+
+
 def _layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
+    # sum / d is the arithmetic of mean(), without its Python-level overhead
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
     centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)  # the arithmetic of x.var()
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d  # the arithmetic of x.var()
     inv = 1.0 / np.sqrt(var + LN_EPS)
     norm = centered * inv
     return norm * scale + shift, norm, inv
@@ -371,7 +387,7 @@ def forward_batch(
     if scale is not None:
         np.multiply(scores, scale, out=scores)
     scores += key_bias[:, None, None, :]
-    np.subtract(scores, scores.max(axis=-1, keepdims=True), out=scores)
+    np.subtract(scores, _row_max(scores), out=scores)
     np.exp(scores, out=scores)
     np.divide(scores, scores.sum(axis=-1, keepdims=True), out=scores)
     attn = scores

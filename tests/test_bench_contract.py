@@ -71,31 +71,32 @@ def test_keyword_construction():
 
 
 def test_float64_params_accepted(tmp_path):
-    # workloads.py passes the float64 EncoderParams that train/load_params
-    # return to predict_batch and HybridSystem
+    # workloads.py passes the float64 EncoderParams that train and
+    # load_params return to predict_batch and HybridSystem
     import numpy as np
 
     from mtnorm import legality, neural, pipeline
     from mtnorm.corpus import CorpusDistribution, generate_synthetic_corpus
+    from mtnorm.extractor import load_priority_list
+    from mtnorm.labels import DEFAULT_REGISTRY
+    from mtnorm.rules import compile_rules
 
+    data = resources.files("mtnorm").joinpath("data")
     corpus = generate_synthetic_corpus(CorpusDistribution.default(), 40, seed=1)
     config = neural.ClassifierConfig(
-        model_dim=16, heads=2, ff_dim=32, label_count=11, epochs=1, seed=0
+        model_dim=16, heads=2, ff_dim=32, label_count=len(DEFAULT_REGISTRY), epochs=1
     )
     result = neural.train(corpus, config)
     path = str(tmp_path / "m.npz")
     neural.save_params(path, result.params, config, result.vocab)
-    for params, vocab in ((result.params, result.vocab), neural.load_params(path)[::2]):
+    loaded, _, loaded_vocab = neural.load_params(path)
+    for params, vocab in ((result.params, result.vocab), (loaded, loaded_vocab)):
         assert all(t.dtype == np.float64 for t in params.tensors().values())
         batch = neural.make_training_batch(corpus, vocab, config)
         assert neural.predict_batch(params, batch, config).shape == (len(batch),)
         system = pipeline.HybridSystem(
-            rules=resolve("mtnorm.rules", "compile_rules")(
-                str(resources.files("mtnorm").joinpath("data/rules.txt"))
-            ),
-            priority=resolve("mtnorm.extractor", "load_priority_list")(
-                str(resources.files("mtnorm").joinpath("data/priority.txt"))
-            ),
+            rules=compile_rules(str(data.joinpath("rules.txt"))),
+            priority=load_priority_list(str(data.joinpath("priority.txt"))),
             params=params,
             config=config,
             vocab=vocab,
