@@ -327,6 +327,14 @@ class TestPredictProbs:
         assert forward_calls == []
 
 
+def test_row_max_equals_max_reduction():
+    # softmax is shift-invariant, so the forward tests cannot see a wrong shift
+    rng = np.random.default_rng(3)
+    for width in range(1, 34):
+        x = rng.normal(size=(3, 4, width)).astype(np.float32)
+        assert np.array_equal(model._row_max(x), x.max(axis=-1, keepdims=True))
+
+
 class TestFrozenForward:
     """The float32 table-gather encoder against the float64 full-window oracle."""
 
