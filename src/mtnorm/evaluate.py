@@ -79,7 +79,7 @@ def reference_sfw(sentence: LabeledSentence, formats: LabelRegistry = DEFAULT_RE
     """Reference output: every gold span rendered by its own label's reader."""
     out = sentence.text
     for span in sorted(sentence.spans, key=lambda s: s.start, reverse=True):
-        sfw = reader.render(sentence.surface(span), span.label, formats).text
+        sfw = reader.render(sentence.surface(span), span.label, formats)
         out = out[: span.start] + sfw + out[span.end :]
     return out
 

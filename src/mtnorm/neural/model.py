@@ -14,12 +14,14 @@ keys and values still cover every position. This is the full block's
 result, not an approximation; the tests compare it with a full-window
 reference.
 
-Training is float64 numpy with a hand-written backward pass; the
-training gradients are checked against central finite differences in the
-test suite, so forward and backward must stay in lockstep. Inference runs
-the same ``forward_batch`` on a ``FrozenEncoder``: float32, with the query,
-key and value projections precomputed per character and per position, so
-the forward pass gathers table rows where training multiplies matrices.
+The query, key and value projections are linear in the embeddings, so
+``forward_batch`` never multiplies a window by them: it gathers rows of
+per-character and per-position tables (``FrozenEncoder``). Training
+freezes its float64 parameters into float64 tables on every forward and
+backpropagates to the parameters with a hand-written backward pass, whose
+gradients the test suite checks against central finite differences, so
+forward and backward must stay in lockstep. Inference runs the same
+``forward_batch`` on tables frozen once, in float32.
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ def load_char_vectors(path: str, vocab: Vocabulary, dim: int, embedding: np.ndar
     return loaded
 
 
-# Tensors after the attention scores that the frozen form keeps as float32.
+# Tensors after the attention scores that the frozen form keeps in its dtype.
 _TAIL = (
     "attn_out", "ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln1_scale", "ln1_shift",
     "ln2_scale", "ln2_shift",
@@ -197,7 +199,7 @@ _TAIL = (
 
 @dataclass
 class FrozenEncoder:
-    """The inference form of fixed ``EncoderParams``: float32, projections as tables.
+    """``EncoderParams`` with the projections as tables, the form ``forward_batch`` runs.
 
     With the weights fixed, ``(E[ids] + P) @ W = (E @ W)[ids] + P @ W``, so
     the query, key and value projections become per-character (V, .) and
@@ -206,11 +208,12 @@ class FrozenEncoder:
     scaled by 1/sqrt(K), because the NSW rows need both (the residual and
     the queries); the key side packs the key and value projections.
     ``key_bias`` is ``ATTN_NEG`` at ``pad_id`` and 0 elsewhere. The tail
-    tensors are float32 copies under their ``EncoderParams`` names, except
-    the classifier head, which stays float64: a one-window chunk's logits
-    come from a BLAS gemv, a larger chunk's from gemm, and only in float64
-    do the two agree to 1e-12, so a window's probabilities do not depend
-    on its chunk. Training and backward stay on float64 ``EncoderParams``.
+    tensors are kept under their ``EncoderParams`` names in ``dtype``:
+    float32 for inference, float64 for training, where they are the
+    parameters themselves. The classifier head always stays float64: a
+    one-window chunk's logits come from a BLAS gemv, a larger chunk's from
+    gemm, and only in float64 do the two agree to 1e-12, so a window's
+    probabilities do not depend on its chunk.
     """
 
     query_chars: np.ndarray      # (V, D + H*K): embedding | scaled query projection
@@ -233,7 +236,7 @@ class FrozenEncoder:
     cls_b: np.ndarray
 
     @classmethod
-    def freeze(cls, params: EncoderParams, pad_id: int) -> "FrozenEncoder":
+    def freeze(cls, params: EncoderParams, pad_id: int, dtype=np.float32) -> "FrozenEncoder":
         h, d, k = params.attn_q.shape
 
         def heads_to_columns(weight):  # (H, D, K) -> (D, H*K), head-major columns
@@ -250,12 +253,12 @@ class FrozenEncoder:
         key_bias = np.zeros(params.embedding.shape[0])
         key_bias[pad_id] = ATTN_NEG
 
-        def f32(a):
-            return np.ascontiguousarray(a, dtype=np.float32)
+        def cast(a):
+            return np.ascontiguousarray(a, dtype=dtype)
 
         return cls(
-            f32(query_chars), f32(query_positions), f32(kv_chars), f32(kv_positions),
-            f32(key_bias), pad_id, h, **{name: f32(getattr(params, name)) for name in _TAIL},
+            cast(query_chars), cast(query_positions), cast(kv_chars), cast(kv_positions),
+            cast(key_bias), pad_id, h, **{name: cast(getattr(params, name)) for name in _TAIL},
             cls_w=params.cls_w.copy(), cls_b=params.cls_b.copy(),
         )
 
@@ -337,18 +340,21 @@ def forward_batch(
 
     Only the NSW query rows are computed. Each window's NSW positions are
     gathered into a ``(B, M)`` row index, M being the largest NSW count in
-    the batch; a window with fewer NSW takes non-NSW positions as padded
-    rows, which ``valid`` zeroes out of the pooling. Keys and values cover
-    the whole window. The result equals the full-window block up to
-    summation order: with one layer, a row's output depends on the other
-    positions only through the keys and values, and only NSW rows reach
-    the pooled logits.
+    the batch (at least 2); a window with fewer NSW takes non-NSW positions
+    as padded rows, which ``valid`` zeroes out of the pooling. Keys and
+    values cover the whole window. The result equals the full-window block
+    up to summation order: with one layer, a row's output depends on the
+    other positions only through the keys and values, and only NSW rows
+    reach the pooled logits.
 
-    ``params`` is float64 ``EncoderParams`` (training; the cache feeds
-    ``backward_batch``) or a ``FrozenEncoder`` (inference, float32), which
-    gathers Q, K and V from its tables instead of projecting; from the
-    attention scores on, both run the same code.
+    The rows' inputs and Q, K, V are gathered from a ``FrozenEncoder``'s
+    tables. Float64 ``EncoderParams`` (training) are frozen into float64
+    tables on entry, afresh on every call because optimizer steps and
+    finite-difference probes change them in place, and the cache feeds
+    ``backward_batch``; inference passes a float32 ``FrozenEncoder``.
     """
+    if isinstance(params, EncoderParams):
+        params = FrozenEncoder.freeze(params, pad_id, np.float64)
     ids = np.asarray(ids, dtype=np.int64)
     nsw = np.asarray(nsw_mask, dtype=bool)
     legal = np.asarray(legal_mask, dtype=bool)
@@ -356,36 +362,19 @@ def forward_batch(
     counts = nsw.sum(axis=1)
     if np.any(counts == 0):
         raise ValueError("every window must mark at least one NSW position")
-    m = int(counts.max())
-    frozen = isinstance(params, FrozenEncoder)
-    if frozen:
-        # A one-row product runs as BLAS gemv, which rounds differently from
-        # gemm in float32; with two rows or more every window's result is
-        # independent of the chunk it runs in.
-        m = max(m, min(2, ids.shape[1]))
+    # A one-row product runs as BLAS gemv, which rounds differently from
+    # gemm in float32; with two rows or more every window's result is
+    # independent of the chunk it runs in. Padded rows leave the pooling,
+    # so in training they get exactly zero gradient.
+    m = max(int(counts.max()), min(2, ids.shape[1]))
     # A stable sort puts each window's NSW positions first, in order; the
     # rest of the first M are distinct non-NSW positions.
     rows = np.argsort(~nsw, axis=1, kind="stable")[:, :m]
     valid = np.arange(m)[None, :] < counts[:, None]
-
-    if frozen:
-        scale = x0 = None  # the query tables carry the scale
-        xq, q, k, v, key_bias = params.project(ids, rows, pad_id)
-    else:
-        scale = 1.0 / np.sqrt(params.attn_q.shape[-1])
-        x0 = params.embedding[ids] + params.positional[None, :, :]
-        xq = x0[np.arange(ids.shape[0])[:, None], rows]
-        key_bias = np.where(ids == pad_id, ATTN_NEG, 0.0)
-        # (B,1,W,D) @ (1,H,D,K) -> (B,H,W,K); broadcast matmuls keep this on BLAS.
-        x0h = x0[:, None, :, :]
-        q = xq[:, None, :, :] @ params.attn_q[None]
-        k = x0h @ params.attn_k[None]
-        v = x0h @ params.attn_v[None]
+    xq, q, k, v, key_bias = params.project(ids, rows, pad_id)
 
     # The softmax runs in place to avoid large temporaries.
     scores = q @ k.swapaxes(-1, -2)
-    if scale is not None:
-        np.multiply(scores, scale, out=scores)
     scores += key_bias[:, None, None, :]
     np.subtract(scores, _row_max(scores), out=scores)
     np.exp(scores, out=scores)
@@ -410,8 +399,8 @@ def forward_batch(
     probs = masked_softmax(logits, legal)
 
     cache = {
-        "ids": ids, "rows": rows, "valid": valid, "counts": counts, "scale": scale,
-        "x0": x0, "xq": xq, "q": q, "k": k, "v": v, "attn": attn, "concat": concat,
+        "ids": ids, "rows": rows, "valid": valid, "counts": counts,
+        "xq": xq, "q": q, "k": k, "v": v, "attn": attn, "concat": concat,
         "n1_hat": n1_hat, "n1_inv": n1_inv, "norm1": norm1,
         "ff_pre": ff_pre, "ff_act": ff_act,
         "n2_hat": n2_hat, "n2_inv": n2_inv, "norm2": norm2,
@@ -426,10 +415,12 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
     Follows the forward's row restriction: query-side gradients exist on
     the NSW rows only (padded rows get exactly zero), key and value
     gradients cover every position, and the rows' input gradients are
-    scattered back to their window positions.
+    scattered back to their window positions. The forward's queries come
+    pre-scaled from the tables; the gradients are with respect to
+    ``params``, so the scale is folded into ``dq``, and the window inputs
+    the key and value projections saw are rebuilt from ``params``.
     """
     ids, rows, valid, counts = cache["ids"], cache["rows"], cache["valid"], cache["counts"]
-    scale = cache["scale"]
 
     grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
 
@@ -466,23 +457,24 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
     attn, v, q, k = cache["attn"], cache["v"], cache["q"], cache["k"]
     dattn = dctx @ v.swapaxes(-1, -2)
     dv = attn.swapaxes(-1, -2) @ dctx
-    # Softmax backward in place: dscores = attn * (dattn - rowdot), scale folded in.
+    # Softmax backward in place: dscores = attn * (dattn - rowdot).
     rowdot = np.einsum("bhij,bhij->bhi", dattn, attn)[:, :, :, None]
     np.subtract(dattn, rowdot, out=dattn)
     np.multiply(dattn, attn, out=dattn)
-    np.multiply(dattn, scale, out=dattn)
     dscores = dattn
     dq = dscores @ k
+    dq *= 1.0 / np.sqrt(k.shape[-1])
     dk = dscores.swapaxes(-1, -2) @ q
 
     # Fold batch and rows (or positions) into one axis and the heads into
     # the other, so each projection gradient is one (B*N, D) x (D, H*K)
     # product; per-head products would build an (H, B*N, D) temporary.
-    dx0 = np.zeros_like(cache["x0"])
+    x0 = params.embedding[ids] + params.positional
+    dx0 = np.zeros_like(x0)
     for name, dhead, weight, x, dx in (
         ("attn_q", dq, params.attn_q, cache["xq"], dxq),
-        ("attn_k", dk, params.attn_k, cache["x0"], dx0),
-        ("attn_v", dv, params.attn_v, cache["x0"], dx0),
+        ("attn_k", dk, params.attn_k, x0, dx0),
+        ("attn_v", dv, params.attn_v, x0, dx0),
     ):
         n = x.shape[1]
         dcat = dhead.transpose(0, 2, 1, 3).reshape(b * n, -1)

@@ -117,7 +117,6 @@ def make_training_batch(
 def train(
     corpus: list[LabeledSentence],
     config: ClassifierConfig,
-    vocab: Vocabulary | None = None,
     formats: LabelRegistry = DEFAULT_REGISTRY,
     log=None,
 ) -> TrainResult:
@@ -132,11 +131,7 @@ def train(
                 raise ValueError(
                     f"span label {span.label} outside configured label_count {config.label_count}"
                 )
-    if vocab is None:
-        vocab = build_vocab(corpus, pad_id=config.pad_id)
-    elif vocab.pad_id != config.pad_id:
-        raise ValueError("vocabulary pad_id disagrees with config.pad_id")
-
+    vocab = build_vocab(corpus, pad_id=config.pad_id)
     _keep_freed_heap()
     rng = np.random.default_rng(config.seed)
     params = init_params(config, vocab.size, rng)

@@ -78,7 +78,9 @@ class NormalizationTrace:
 class HybridSystem:
     """Everything inference needs; ``formats`` is the label registry.
 
-    ``params``, ``config`` and ``vocab`` are all set or all ``None``; with
+    ``rules`` must be compiled against ``formats`` itself, so that rules,
+    classifier mask and readers share one surface domain. ``params``,
+    ``config`` and ``vocab`` are all set or all ``None``; with
     none of them the system runs rules only. ``encoder`` is ``params``
     frozen for inference once, at construction: the classifier runs on it,
     and ``params`` stays the float64 object given.
@@ -93,6 +95,8 @@ class HybridSystem:
     encoder: FrozenEncoder | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        if self.rules.labels is not self.formats:
+            raise ValueError("rules were compiled against another label registry than formats")
         classifier = (self.params, self.config, self.vocab)
         if None in classifier and any(part is not None for part in classifier):
             raise ValueError("params, config and vocab must be all set or all None")
@@ -110,7 +114,7 @@ def _rule_route(sys: HybridSystem, text: str, span: NSWSpan, surface: str, route
     match = match_nsw(sys.rules, text, span)
     if match is not None:
         try:
-            sfw = reader.render(surface, match.label, sys.formats).text
+            sfw = reader.render(surface, match.label, sys.formats)
             return NormalizationTrace(span, route, match.label, sfw, probs)
         except ValueError:
             pass
@@ -161,7 +165,7 @@ def normalize_many(
         for (traces, i, text, span, surface, _), p in zip(pending, probs):
             label = int(np.argmax(p))
             try:
-                sfw = reader.render(surface, label, sys.formats).text
+                sfw = reader.render(surface, label, sys.formats)
             except ValueError:
                 traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK, p)
                 continue

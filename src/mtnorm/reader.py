@@ -16,7 +16,6 @@ under ``data/fixtures.tsv``):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -92,15 +91,6 @@ def read_decimal(number: str, use_liang: bool = False) -> str:
             raise ValueError(f"dangling decimal point: {number!r}")
         out += "点" + spell_digits(fraction)
     return out
-
-
-@dataclass(frozen=True)
-class RenderedSFW:
-    """A spoken-form rendering of one NSW surface."""
-
-    text: str
-    source: str
-    label: int
 
 
 _RANGE_SEP = re.compile(r"[-~—]")
@@ -179,8 +169,8 @@ def render_dollar(surface: str) -> str:
     return read_decimal(surface[1:]) + "美元"
 
 
-def render(surface: str, label: int | str, formats: LabelRegistry | None = None) -> RenderedSFW:
-    """Render an NSW surface via the label's reader.
+def render(surface: str, label: int | str, formats: LabelRegistry | None = None) -> str:
+    """The spoken form of an NSW surface, from the label's reader.
 
     The label resolves through ``formats``, the caller's label registry
     (default: the shipped one), and the surface is checked against that
@@ -192,4 +182,4 @@ def render(surface: str, label: int | str, formats: LabelRegistry | None = None)
     lab = formats.by_name(label) if isinstance(label, str) else formats.by_id(label)
     if not formats.verify(surface, lab.id):
         raise ValueError(f"surface {surface!r} is not legal for label {lab.name}")
-    return RenderedSFW(text=lab.read(surface), source=surface, label=lab.id)
+    return lab.read(surface)

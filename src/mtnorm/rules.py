@@ -46,14 +46,19 @@ class RuleMatch:
 
 
 class RuleSet:
-    """Rules indexed in match order; immutable after construction."""
+    """Rules indexed in match order; immutable after construction.
 
-    def __init__(self, rules: list[Rule]):
+    ``labels`` is the registry the rules' labels and default NSW shapes
+    were resolved through.
+    """
+
+    def __init__(self, rules: list[Rule], labels: LabelRegistry):
         names = [r.name for r in rules]
         if len(set(names)) != len(names):
             dupe = next(n for n in names if names.count(n) > 1)
             raise RuleError(f"duplicate rule name: {dupe}")
         self.rules: tuple[Rule, ...] = tuple(sorted(rules, key=Rule.sort_key))
+        self.labels = labels
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -112,7 +117,7 @@ def parse_rules(text: str, labels: LabelRegistry = DEFAULT_REGISTRY, source: str
             raise RuleError(f"{source}:{lineno}: rule {name}: {exc}") from exc
         if rules[-1].context_len < 0:
             raise RuleError(f"{source}:{lineno}: rule {name}: context_len must be >= 0")
-    return RuleSet(rules)
+    return RuleSet(rules, labels)
 
 
 def compile_rules(path: str, labels: LabelRegistry = DEFAULT_REGISTRY) -> RuleSet:

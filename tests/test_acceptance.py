@@ -108,7 +108,7 @@ def test_c3_masked_softmax_exactness():
 def test_c4_numeral_oracle(fixture_rows):
     start = time.time()
     for surface, label, expected in fixture_rows:
-        assert render(surface, label).text == expected, (surface, label)
+        assert render(surface, label) == expected, (surface, label)
     for n in range(10**6):
         sfw = read_number_positional(str(n))
         if parse_han_number(sfw) != n:

@@ -2,9 +2,10 @@
 
 ``perfbench/workloads.py`` and ``perfbench/run.py`` call these. Removing or
 renaming one breaks the benchmark while the rest of the suite stays green,
-so each is listed here explicitly. The tracer's layer targets
-(``perfbench/spans.py``) are optional and not listed: the tracer reports a
-missing one as absent.
+so each is listed here explicitly. So are the tracer's layer targets
+(``perfbench/spans.py``): the tracer reports a missing one as absent and
+its per-layer metrics then read 0, so a refactor that moved one would
+silently zero a layer's numbers.
 """
 
 import dataclasses
@@ -38,6 +39,23 @@ CALLED = (
     ("mtnorm.rules", "compile_rules"),
 )
 
+# (module, attribute) of every layer perfbench/spans.py wraps
+TRACED = (
+    ("mtnorm.neural.model", "forward_batch"),
+    ("mtnorm.neural.model", "backward_batch"),
+    ("mtnorm.neural.train", "AdamState.step"),
+    ("mtnorm.neural.train", "make_training_batch"),
+    ("mtnorm.neural.train", "train"),
+    ("mtnorm.cli", "main"),
+    ("mtnorm.pipeline", "normalize"),
+    ("mtnorm.rules", "match_nsw"),
+    ("mtnorm.reader", "render"),
+    ("mtnorm.extractor", "extract_nsw"),
+    ("mtnorm.extractor", "priority_check"),
+    ("mtnorm.legality", "FormatRegistry.legal_labels"),
+    ("mtnorm.legality", "FormatRegistry.verify"),
+)
+
 
 def resolve(module: str, attr: str):
     obj = importlib.import_module(module)
@@ -48,6 +66,11 @@ def resolve(module: str, attr: str):
 
 @pytest.mark.parametrize("module, attr", CALLED, ids=[f"{m}.{a}" for m, a in CALLED])
 def test_called_name_resolves(module, attr):
+    assert callable(resolve(module, attr))
+
+
+@pytest.mark.parametrize("module, attr", TRACED, ids=[f"{m}.{a}" for m, a in TRACED])
+def test_traced_layer_resolves(module, attr):
     assert callable(resolve(module, attr))
 
 

@@ -186,7 +186,7 @@ class TestEmbedding:
         ids, nsw = vocab.windows(PAD_CHAR * 8, [NSWSpan(0, 8)], 8)
         cache = run_forward(params, ids, nsw)
         expected = params.embedding[vocab.pad_id][None, :] + params.positional[:8]
-        assert np.allclose(cache["x0"][0], expected)
+        assert np.allclose(cache["xq"][0], expected)
 
     def test_locality(self):
         config, vocab, params = small_setup()
@@ -194,7 +194,7 @@ class TestEmbedding:
         w1 = vocab.windows("一二三四五678", [NSWSpan(0, 8)], 8)
         w2 = vocab.windows("一二三四五978", [NSWSpan(0, 8)], 8)
         cache = run_forward(params, *(np.concatenate(part) for part in zip(w1, w2)))
-        diff = np.abs(cache["x0"][0] - cache["x0"][1]).sum(axis=1)
+        diff = np.abs(cache["xq"][0] - cache["xq"][1]).sum(axis=1)
         assert diff[5] > 0
         assert np.all(diff[np.arange(8) != 5] == 0)
 
@@ -204,7 +204,7 @@ class TestEncoderBlock:
         _, _, params = small_setup()
         ids = np.random.default_rng(0).integers(2, 14, size=(3, 8))
         cache = run_forward(params, ids)
-        assert cache["norm2"].shape == cache["x0"].shape == (3, 8, 16)
+        assert cache["norm2"].shape == cache["xq"].shape == (3, 8, 16)
 
     def test_attention_rows_sum_over_non_pad(self):
         _, vocab, params = small_setup()

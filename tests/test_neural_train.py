@@ -10,6 +10,7 @@ from oracles import reference_window
 from mtnorm.corpus import LabeledSentence, NSWSpan
 from mtnorm.neural import (
     ClassifierConfig,
+    FrozenEncoder,
     TrainingBatch,
     TrainingDiverged,
     batch_loss,
@@ -207,6 +208,46 @@ class TestGradients:
         assert grads["cls_b"][1] == pytest.approx(grads["cls_b"][2])
 
 
+class TestTrainingProjection:
+    """Training projects through the same tables as inference, frozen in float64."""
+
+    @staticmethod
+    def ragged_batch():
+        config, params, _ = small_batch()
+        rng = np.random.default_rng(11)
+        ids = rng.integers(2, 20, size=(4, 10))
+        ids[:, -3:] = config.pad_id
+        nsw = np.zeros((4, 10), dtype=bool)
+        for row, (start, count) in enumerate(((5, 1), (0, 2), (2, 4), (0, 10))):
+            nsw[row, start : start + count] = True
+        batch = TrainingBatch(ids, nsw, np.ones((4, 4), dtype=bool), np.asarray([0, 1, 2, 3]))
+        return config, params, batch
+
+    def test_one_projection_on_float64_tables(self, monkeypatch):
+        config, params, batch = self.ragged_batch()
+        real_project = FrozenEncoder.project
+        dtypes = []
+
+        def recording_project(self, *args):
+            dtypes.append((self.query_chars.dtype, self.kv_chars.dtype, self.attn_out.dtype))
+            return real_project(self, *args)
+
+        monkeypatch.setattr(FrozenEncoder, "project", recording_project)
+        batch_loss_and_grads(params, batch, config)
+        assert dtypes == [(np.float64, np.float64, np.float64)]
+
+    def test_params_forward_is_float64_frozen_forward(self):
+        config, params, batch = self.ragged_batch()
+        args = (batch.ids, batch.nsw_masks, batch.legal_masks, config.pad_id)
+        probs, cache = forward_batch(params, *args)
+        frozen = FrozenEncoder.freeze(params, config.pad_id, np.float64)
+        want_probs, want_cache = forward_batch(frozen, *args)
+        assert np.array_equal(probs, want_probs)
+        assert cache.keys() == want_cache.keys()
+        for name, value in cache.items():
+            assert np.array_equal(value, want_cache[name]), name
+
+
 class TestBatchAssembly:
     def test_shapes_and_masks(self, formats):
         corpus = separable_corpus(20)
@@ -248,12 +289,6 @@ class TestBatchAssembly:
         vocab = build_vocab(corpus, pad_id=config.pad_id)
         with pytest.raises(ValueError, match="unlabeled"):
             make_training_batch(corpus, vocab, config)
-
-    def test_vocab_pad_mismatch_rejected(self):
-        corpus = separable_corpus(10)
-        vocab = build_vocab(corpus, pad_id=0)
-        with pytest.raises(ValueError, match="pad_id"):
-            train(corpus, toy_config(pad_id=1), vocab=vocab)
 
 
 class TestPredictBatch:

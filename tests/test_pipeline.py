@@ -1,6 +1,7 @@
 import json
 import random
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from mtnorm.corpus import CorpusDistribution, LabeledSentence, generate_syntheti
 from mtnorm.extractor import extract_nsw, priority_check
 from mtnorm.labels import LabelRegistry
 from mtnorm.neural import model
-from mtnorm.rules import parse_rules
+from mtnorm.rules import compile_rules, parse_rules
 from mtnorm.pipeline import (
     ROUTE_FALLBACK,
     ROUTE_NEURAL,
@@ -26,6 +27,7 @@ from mtnorm.pipeline import (
 )
 
 DIST = CorpusDistribution.default()
+SHIPPED_RULES = str(resources.files("mtnorm").joinpath("data/rules.txt"))
 
 
 def classify_alone(system, text, span, legal):
@@ -242,7 +244,9 @@ class TestNormalizeMany:
         # label, the reader refuses 10^12, the rules find nothing either
         path = tmp_path / "formats.txt"
         path.write_text(r"A_Read_No_Zero: \d{1,3}(?:,\d{3})+|\d{1,12}" "\n", encoding="utf-8")
-        system = replace(tiny_system, formats=LabelRegistry.from_file(str(path)))
+        formats = LabelRegistry.from_file(str(path))
+        system = replace(tiny_system, rules=compile_rules(SHIPPED_RULES, formats),
+                         formats=formats)
         for out, traces in normalize_many([self.MIXED, self.MIXED], system):
             assert out.endswith("总额1,000,000,000,000元")
             assert [t.route for t in traces] == [ROUTE_PRIORITY, ROUTE_NEURAL, ROUTE_UNMATCHED]
@@ -264,15 +268,34 @@ class TestFormatOverride:
     def test_widened_format_holds_at_render_time(self, rules_system, tmp_path):
         path = tmp_path / "formats.txt"
         path.write_text(r"B_Time: (?:[01]?\d|2[0-4]):[0-5]\d" + "\n", encoding="utf-8")
-        rules = parse_rules("rule: clock\n" r"nsw: \d{1,2}:\d{2}" "\nlabel: B_Time\n")
-        system = replace(rules_system, rules=rules, formats=FormatRegistry.from_file(str(path)))
+        text = "rule: clock\n" r"nsw: \d{1,2}:\d{2}" "\nlabel: B_Time\n"
+        formats = FormatRegistry.from_file(str(path))
+        system = replace(rules_system, rules=parse_rules(text, formats), formats=formats)
         out, traces = normalize("晚上24:00关门", system)
         assert out == "晚上二十四点关门"
         assert traces[0].route == ROUTE_FALLBACK
         # the default registry rejects 24:00, so the span stays verbatim there
-        out, traces = normalize("晚上24:00关门", replace(system, formats=rules_system.formats))
+        defaults = rules_system.formats
+        out, traces = normalize(
+            "晚上24:00关门", replace(system, rules=parse_rules(text, defaults), formats=defaults)
+        )
         assert out == "晚上24:00关门"
         assert traces[0].route == ROUTE_UNMATCHED
+
+    def test_rules_must_share_the_systems_registry(self, rules_system, tmp_path):
+        # shipped rules take B_Time's shape from the registry they were
+        # compiled against; run with a wider one, they would miss 24:00
+        path = tmp_path / "formats.txt"
+        path.write_text(r"B_Time: (?:[01]?\d|2[0-4]):[0-5]\d" + "\n", encoding="utf-8")
+        formats = LabelRegistry.from_file(str(path))
+        with pytest.raises(ValueError, match="registry"):
+            replace(rules_system, formats=formats)
+        system = replace(
+            rules_system, rules=compile_rules(SHIPPED_RULES, formats), formats=formats
+        )
+        out, traces = normalize("晚上24:00关门", system)
+        assert out == "晚上二十四点关门"
+        assert traces[0].route == ROUTE_FALLBACK
 
 
 class TestRoutingStats:

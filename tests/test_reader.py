@@ -6,7 +6,6 @@ from oracles import parse_han_number
 
 from mtnorm.corpus import _gen_surface
 from mtnorm.extractor import NSW_SYMBOLS
-from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.legality import FormatRegistry
 from mtnorm.reader import (
     read_decimal,
@@ -34,7 +33,7 @@ class TestFixtureTable:
     def test_every_fixture_entry(self, fixture_rows):
         failures = []
         for surface, label, expected in fixture_rows:
-            got = render(surface, label).text
+            got = render(surface, label)
             if got != expected:
                 failures.append((surface, label, got, expected))
         assert not failures, failures[:10]
@@ -131,14 +130,14 @@ class TestRender:
         path = tmp_path / "formats.txt"
         path.write_text(r"B_Time: (?:[01]?\d|2[0-4]):[0-5]\d" + "\n", encoding="utf-8")
         widened = FormatRegistry.from_file(str(path))
-        assert render("24:00", "B_Time", widened).text == "二十四点"
+        assert render("24:00", "B_Time", widened) == "二十四点"
         with pytest.raises(ValueError, match="not legal"):
             render("24:00", "B_Time")
 
     def test_precondition_documented_examples(self):
-        assert render("10:30", "B_Time").text == "十点三十分"
-        assert render("30-10", "B_Score_Ratio").text == "三十比十"
-        assert render("2019-10-01", "B_Date_YMD").text == "二零一九年十月一日"
+        assert render("10:30", "B_Time") == "十点三十分"
+        assert render("30-10", "B_Score_Ratio") == "三十比十"
+        assert render("2019-10-01", "B_Date_YMD") == "二零一九年十月一日"
 
     def test_totality_and_purity_on_legal_surfaces(self):
         # any generator-produced surface must render, and the rendering must
@@ -148,11 +147,9 @@ class TestRender:
             for _ in range(60):
                 surface = _gen_surface(spec, rng)
                 rendered = render(surface, name)
-                assert rendered.text
-                assert not any(ch.isdigit() for ch in rendered.text)
-                assert not any(ch in NSW_SYMBOLS for ch in rendered.text)
-                assert rendered.source == surface
-                assert rendered.label == DEFAULT_REGISTRY.id_of(name)
+                assert rendered
+                assert not any(ch.isdigit() for ch in rendered)
+                assert not any(ch in NSW_SYMBOLS for ch in rendered)
 
     def test_rendered_output_not_extractable(self, fixture_rows):
         from mtnorm.extractor import extract_nsw
