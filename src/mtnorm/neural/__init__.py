@@ -11,7 +11,6 @@ from .model import (
     batch_loss_and_grads,
     forward_batch,
     init_params,
-    load_char_vectors,
     masked_softmax,
     predict_probs,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "focal_loss_vec",
     "forward_batch",
     "init_params",
-    "load_char_vectors",
     "load_params",
     "make_training_batch",
     "masked_softmax",

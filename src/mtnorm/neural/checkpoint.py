@@ -50,13 +50,20 @@ def load_params(path: str) -> tuple[EncoderParams, ClassifierConfig, Vocabulary]
             raise CheckpointError(
                 f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})"
             )
-        config = ClassifierConfig(**json.loads(str(archive["config_json"])))
+        raw_config = json.loads(str(archive["config_json"]))
+        # A removed config field, null in every checkpoint saved with it; vectors it
+        # named would already be in ``embedding``.
+        raw_config.pop("pretrained_vectors", None)
         raw_vocab = json.loads(str(archive["vocab_json"]))
-        vocab = Vocabulary(
-            char_to_id={k: int(v) for k, v in raw_vocab["char_to_id"].items()},
-            pad_id=int(raw_vocab["pad_id"]),
-            unk_id=int(raw_vocab["unk_id"]),
-        )
+        try:
+            config = ClassifierConfig(**raw_config)
+            vocab = Vocabulary(
+                char_to_id={k: int(v) for k, v in raw_vocab["char_to_id"].items()},
+                pad_id=int(raw_vocab["pad_id"]),
+                unk_id=int(raw_vocab["unk_id"]),
+            )
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
         if vocab.pad_id != config.pad_id:
             # attention would mask the wrong keys without any other error
             raise CheckpointError(

@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .loss import focal_loss_grad, focal_loss_vec
-from .vocab import Vocabulary
 
 ATTN_NEG = -1e9
 LN_EPS = 1e-5
@@ -53,7 +52,6 @@ class ClassifierConfig:
     seed: int = 0
     use_mask: bool = True
     pad_id: int = 1
-    pretrained_vectors: str | None = None
 
     def __post_init__(self):
         if self.model_dim % self.heads != 0:
@@ -173,23 +171,6 @@ def init_params(config: ClassifierConfig, vocab_size: int, rng: np.random.Genera
     return EncoderParams(**tensors)
 
 
-def load_char_vectors(path: str, vocab: Vocabulary, dim: int, embedding: np.ndarray) -> int:
-    """Overwrite embedding rows from a text file of ``char v1 .. vD`` lines."""
-    loaded = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.rstrip("\n").split()
-            if not parts:
-                continue
-            char, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise ValueError(f"{path}:{lineno}: expected {dim} values, got {len(values)}")
-            if char in vocab.char_to_id:
-                embedding[vocab.char_to_id[char]] = np.asarray([float(v) for v in values])
-                loaded += 1
-    return loaded
-
-
 # Tensors after the attention scores that the frozen form keeps in its dtype.
 _TAIL = (
     "attn_out", "ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln1_scale", "ln1_shift",
@@ -262,10 +243,8 @@ class FrozenEncoder:
             cls_w=params.cls_w.copy(), cls_b=params.cls_b.copy(),
         )
 
-    def project(self, ids: np.ndarray, rows: np.ndarray, pad_id: int):
+    def project(self, ids: np.ndarray, rows: np.ndarray):
         """NSW-row inputs and per-head Q, K, V from table rows; plus the key bias."""
-        if pad_id != self.pad_id:
-            raise ValueError(f"encoder was frozen with pad_id {self.pad_id}, not {pad_id}")
         b, w = ids.shape
         m = rows.shape[1]
         d = self.attn_out.shape[0]
@@ -330,11 +309,7 @@ def _layer_norm_backward(dout, norm, inv, scale):
 
 
 def forward_batch(
-    params: EncoderParams | FrozenEncoder,
-    ids: np.ndarray,
-    nsw_mask: np.ndarray,
-    legal_mask: np.ndarray,
-    pad_id: int,
+    encoder: FrozenEncoder, ids: np.ndarray, nsw_mask: np.ndarray, legal_mask: np.ndarray
 ) -> tuple[np.ndarray, dict]:
     """Run the encoder over a batch of windows; returns (probs, cache).
 
@@ -347,14 +322,10 @@ def forward_batch(
     other positions only through the keys and values, and only NSW rows
     reach the pooled logits.
 
-    The rows' inputs and Q, K, V are gathered from a ``FrozenEncoder``'s
-    tables. Float64 ``EncoderParams`` (training) are frozen into float64
-    tables on entry, afresh on every call because optimizer steps and
-    finite-difference probes change them in place, and the cache feeds
-    ``backward_batch``; inference passes a float32 ``FrozenEncoder``.
+    The rows' inputs and Q, K, V are gathered from the encoder's tables:
+    float32 ones frozen once for inference, or float64 ones that training
+    freezes afresh for every forward, whose cache feeds ``backward_batch``.
     """
-    if isinstance(params, EncoderParams):
-        params = FrozenEncoder.freeze(params, pad_id, np.float64)
     ids = np.asarray(ids, dtype=np.int64)
     nsw = np.asarray(nsw_mask, dtype=bool)
     legal = np.asarray(legal_mask, dtype=bool)
@@ -371,7 +342,7 @@ def forward_batch(
     # rest of the first M are distinct non-NSW positions.
     rows = np.argsort(~nsw, axis=1, kind="stable")[:, :m]
     valid = np.arange(m)[None, :] < counts[:, None]
-    xq, q, k, v, key_bias = params.project(ids, rows, pad_id)
+    xq, q, k, v, key_bias = encoder.project(ids, rows)
 
     # The softmax runs in place to avoid large temporaries.
     scores = q @ k.swapaxes(-1, -2)
@@ -384,18 +355,18 @@ def forward_batch(
     ctx = attn @ v
     b, h, _, hd = ctx.shape
     concat = ctx.transpose(0, 2, 1, 3).reshape(b, m, h * hd)
-    merged = concat @ params.attn_out
+    merged = concat @ encoder.attn_out
     res1 = xq + merged
-    norm1, n1_hat, n1_inv = _layer_norm(res1, params.ln1_scale, params.ln1_shift)
+    norm1, n1_hat, n1_inv = _layer_norm(res1, encoder.ln1_scale, encoder.ln1_shift)
 
-    ff_pre = norm1 @ params.ff_w1 + params.ff_b1
+    ff_pre = norm1 @ encoder.ff_w1 + encoder.ff_b1
     ff_act = np.maximum(ff_pre, 0.0)
-    ff_out = ff_act @ params.ff_w2 + params.ff_b2
+    ff_out = ff_act @ encoder.ff_w2 + encoder.ff_b2
     res2 = norm1 + ff_out
-    norm2, n2_hat, n2_inv = _layer_norm(res2, params.ln2_scale, params.ln2_shift)
+    norm2, n2_hat, n2_inv = _layer_norm(res2, encoder.ln2_scale, encoder.ln2_shift)
 
     pooled = (norm2 * valid[:, :, None]).sum(axis=1) / counts[:, None].astype(norm2.dtype)
-    logits = pooled @ params.cls_w + params.cls_b
+    logits = pooled @ encoder.cls_w + encoder.cls_b
     probs = masked_softmax(logits, legal)
 
     cache = {
@@ -523,30 +494,32 @@ def _check_targets_legal(batch: TrainingBatch) -> None:
         )
 
 
-def batch_loss(params: EncoderParams, batch: TrainingBatch, config: ClassifierConfig) -> float:
-    """Mean focal loss on the target-label probabilities."""
+def _training_forward(params: EncoderParams, batch: TrainingBatch, config: ClassifierConfig):
+    """Mean focal loss, target-label probabilities and forward cache; sets ``batch.probs``.
+
+    The tables are frozen in float64 afresh on every call, because optimizer
+    steps and finite-difference probes change ``params`` in place.
+    """
     _check_targets_legal(batch)
-    probs, _ = forward_batch(
-        params, batch.ids, batch.nsw_masks, batch.legal_masks, config.pad_id
-    )
+    encoder = FrozenEncoder.freeze(params, config.pad_id, np.float64)
+    probs, cache = forward_batch(encoder, batch.ids, batch.nsw_masks, batch.legal_masks)
     batch.probs = probs
     p_target = probs[np.arange(len(batch)), batch.targets]
-    return float(focal_loss_vec(p_target, config.alpha, config.gamma).mean())
+    return float(focal_loss_vec(p_target, config.alpha, config.gamma).mean()), p_target, cache
+
+
+def batch_loss(params: EncoderParams, batch: TrainingBatch, config: ClassifierConfig) -> float:
+    """Mean focal loss on the target-label probabilities."""
+    return _training_forward(params, batch, config)[0]
 
 
 def batch_loss_and_grads(
     params: EncoderParams, batch: TrainingBatch, config: ClassifierConfig
 ) -> tuple[float, dict[str, np.ndarray]]:
-    _check_targets_legal(batch)
-    probs, cache = forward_batch(
-        params, batch.ids, batch.nsw_masks, batch.legal_masks, config.pad_id
-    )
-    batch.probs = probs
+    loss, p_target, cache = _training_forward(params, batch, config)
+    probs = batch.probs
     n = len(batch)
     rows = np.arange(n)
-    p_target = probs[rows, batch.targets]
-    loss = float(focal_loss_vec(p_target, config.alpha, config.gamma).mean())
-
     dp = focal_loss_grad(p_target, config.alpha, config.gamma) / n
     onehot = np.zeros_like(probs)
     onehot[rows, batch.targets] = 1.0
@@ -562,13 +535,7 @@ def batch_loss_and_grads(
 PREDICT_CHUNK = 16
 
 
-def predict_probs(
-    params: EncoderParams | FrozenEncoder,
-    ids,
-    nsw_mask,
-    legal_mask,
-    pad_id: int,
-) -> np.ndarray:
+def predict_probs(encoder: FrozenEncoder, ids, nsw_mask, legal_mask) -> np.ndarray:
     """Label probabilities for any number of windows, in input order.
 
     ``forward_batch`` pads every window to the batch's largest NSW count,
@@ -580,16 +547,16 @@ def predict_probs(
     """
     n = len(ids)
     if n == 0:
-        return np.zeros((0, params.cls_b.shape[0]))
+        return np.zeros((0, encoder.cls_b.shape[0]))
     if n <= PREDICT_CHUNK:
-        return forward_batch(params, ids, nsw_mask, legal_mask, pad_id)[0]
+        return forward_batch(encoder, ids, nsw_mask, legal_mask)[0]
     ids = np.asarray(ids, dtype=np.int64)
     nsw = np.asarray(nsw_mask, dtype=bool)
     legal = np.asarray(legal_mask, dtype=bool)
     order = np.argsort(nsw.sum(axis=1), kind="stable")
-    probs = np.empty((n, params.cls_b.shape[0]))
+    probs = np.empty((n, encoder.cls_b.shape[0]))
     for start in range(0, n, PREDICT_CHUNK):
         chunk = order[start : start + PREDICT_CHUNK]
-        probs[chunk] = forward_batch(params, ids[chunk], nsw[chunk], legal[chunk], pad_id)[0]
+        probs[chunk] = forward_batch(encoder, ids[chunk], nsw[chunk], legal[chunk])[0]
     return probs
 

@@ -18,7 +18,6 @@ from .model import (
     TrainingBatch,
     batch_loss_and_grads,
     init_params,
-    load_char_vectors,
     predict_probs,
 )
 from .vocab import Vocabulary, build_vocab
@@ -135,8 +134,6 @@ def train(
     _keep_freed_heap()
     rng = np.random.default_rng(config.seed)
     params = init_params(config, vocab.size, rng)
-    if config.pretrained_vectors:
-        load_char_vectors(config.pretrained_vectors, vocab, config.model_dim, params.embedding)
 
     data = make_training_batch(corpus, vocab, config, formats)
     optimizer = AdamState(params, config.learning_rate)
@@ -168,5 +165,5 @@ def predict_batch(
 ) -> np.ndarray:
     """Argmax labels for a prepared batch, from the frozen (float32) encoder."""
     encoder = FrozenEncoder.freeze(params, config.pad_id)
-    probs = predict_probs(encoder, data.ids, data.nsw_masks, data.legal_masks, config.pad_id)
+    probs = predict_probs(encoder, data.ids, data.nsw_masks, data.legal_masks)
     return probs.argmax(axis=1)

@@ -27,8 +27,8 @@ class Vocabulary:
     unk_id: int = 0
 
     def __post_init__(self):
-        if self.pad_id == self.unk_id:
-            raise ValueError("pad_id and unk_id must differ")
+        if {self.pad_id, self.unk_id} != {0, 1}:
+            raise ValueError("pad_id and unk_id must be the reserved ids 0 and 1, one each")
         ids = sorted(self.char_to_id.values())
         if ids and (ids[0] < 2 or len(set(ids)) != len(ids) or ids[-1] != len(ids) + 1):
             raise ValueError("character ids must be dense in [2, V)")
@@ -69,8 +69,6 @@ class Vocabulary:
 
 def build_vocab(corpus: Iterable[LabeledSentence], pad_id: int = 1) -> Vocabulary:
     """Dense vocabulary over every character seen in the corpus."""
-    if pad_id not in (0, 1):
-        raise ValueError("pad_id must be one of the reserved ids 0 or 1")
     chars = sorted({ch for sentence in corpus for ch in sentence.text})
     mapping = {ch: i + 2 for i, ch in enumerate(chars)}
     return Vocabulary(mapping, pad_id=pad_id, unk_id=1 - pad_id)

@@ -159,9 +159,7 @@ def normalize_many(
 
     if pending:
         ids, nsw = (np.concatenate(part) for part in zip(*windows))
-        probs = predict_probs(
-            sys.encoder, ids, nsw, [legal for *_, legal in pending], sys.config.pad_id
-        )
+        probs = predict_probs(sys.encoder, ids, nsw, [legal for *_, legal in pending])
         for (traces, i, text, span, surface, _), p in zip(pending, probs):
             label = int(np.argmax(p))
             try:

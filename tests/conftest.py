@@ -85,9 +85,9 @@ def forward_calls(monkeypatch):
     calls = []
     real_forward = model.forward_batch
 
-    def counting_forward(params, ids, nsw, *rest):
+    def counting_forward(encoder, ids, nsw, *rest):
         calls.append(np.asarray(nsw, dtype=bool).sum(axis=1).tolist())
-        return real_forward(params, ids, nsw, *rest)
+        return real_forward(encoder, ids, nsw, *rest)
 
     monkeypatch.setattr(model, "forward_batch", counting_forward)
     return calls

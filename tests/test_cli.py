@@ -77,6 +77,16 @@ class TestTrain:
         assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "x.npz")]) == 1
         assert "mtnorm train: training corpus has no NSW spans" in capsys.readouterr().err
 
+    def test_unknown_config_field_fails_with_cause(self, workspace, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "pretrained_vectors": None}), "utf-8")
+        code = main(["train", "--corpus", str(workspace["corpus"]), "--config", str(config),
+                     "--out", str(tmp_path / "x.npz")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mtnorm train: ") and "pretrained_vectors" in err
+        assert err.count("\n") == 1
+
     def test_missing_corpus_fails(self, workspace, capsys):
         assert main(["train", "--corpus", "/nonexistent.jsonl",
                      "--out", str(workspace["root"] / "x.npz")]) == 1

@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,11 +18,12 @@ from mtnorm.neural import (
     CheckpointError,
     ClassifierConfig,
     FrozenEncoder,
+    TrainingBatch,
     Vocabulary,
+    batch_loss_and_grads,
     build_vocab,
     forward_batch,
     init_params,
-    load_char_vectors,
     load_params,
     masked_softmax,
     model,
@@ -28,6 +31,11 @@ from mtnorm.neural import (
     save_params,
 )
 from mtnorm.neural.vocab import PAD_CHAR
+
+
+def frozen64(params, pad_id=1):
+    """``params`` frozen into float64 tables, the encoder a training forward runs on."""
+    return FrozenEncoder.freeze(params, pad_id, np.float64)
 
 
 def small_setup(window=8, dim=16, heads=2, labels=5, vocab_chars="零一二三456789时分比"):
@@ -72,6 +80,17 @@ class TestVocabulary:
             assert vocab.id_of(ch) >= 2
         assert vocab.id_of(PAD_CHAR) == vocab.pad_id
         assert vocab.id_of("未") == vocab.unk_id
+
+    @pytest.mark.parametrize("pad_id, unk_id", [(1, 3), (5, 0), (0, 2)])
+    def test_reserved_ids_are_zero_and_one(self, pad_id, unk_id):
+        # unk_id 3 would read unknown characters as "b"; pad_id 5 has no row
+        with pytest.raises(ValueError, match="reserved"):
+            Vocabulary({"a": 2, "b": 3}, pad_id=pad_id, unk_id=unk_id)
+
+    @pytest.mark.parametrize("pad_id", [2, 5, -1])
+    def test_build_vocab_pad_id_reserved(self, pad_id):
+        with pytest.raises(ValueError, match="reserved"):
+            build_vocab([LabeledSentence("ab", ())], pad_id=pad_id)
 
     def test_pad_zero_variant(self):
         vocab = build_vocab([LabeledSentence("abc", ())], pad_id=0)
@@ -176,7 +195,7 @@ def run_forward(params, ids, nsw=None, pad_id=1, labels=5):
     ids = np.atleast_2d(ids)
     nsw = np.ones(ids.shape, dtype=bool) if nsw is None else np.atleast_2d(nsw)
     legal = np.ones((ids.shape[0], labels), dtype=bool)
-    _, cache = forward_batch(params, ids, nsw, legal, pad_id)
+    _, cache = forward_batch(frozen64(params, pad_id), ids, nsw, legal)
     return cache
 
 
@@ -264,7 +283,7 @@ class TestForwardOracle:
         config, params, rng = oracle_setup()
         for _ in range(20):
             ids, nsw, legal = ragged_windows(rng, [1, 2, 5, 12, 3, 1])
-            probs, _ = forward_batch(params, ids, nsw, legal, config.pad_id)
+            probs, _ = forward_batch(frozen64(params), ids, nsw, legal)
             want = reference_forward(params.tensors(), ids, nsw, legal, config.pad_id)
             assert np.abs(probs - want).max() <= 1e-12
             assert np.array_equal(probs.argmax(axis=1), want.argmax(axis=1))
@@ -277,7 +296,7 @@ class TestForwardOracle:
         ids, nsw = vocab.windows(text, sentence.spans, config.window)
         assert all(nsw[0])
         legal = np.ones((1, 5), dtype=bool)
-        probs, _ = forward_batch(params, ids, nsw, legal, config.pad_id)
+        probs, _ = forward_batch(frozen64(params), ids, nsw, legal)
         want = reference_forward(params.tensors(), ids, nsw, legal, config.pad_id)
         assert np.abs(probs - want).max() <= 1e-12
         assert probs.argmax() == want.argmax()
@@ -285,11 +304,11 @@ class TestForwardOracle:
     def test_mixed_batch_equals_one_by_one(self):
         config, params, rng = oracle_setup()
         ids, nsw, legal = ragged_windows(rng, [1, 2, 5, 12, 1, 7, 2])
-        batched, _ = forward_batch(params, ids, nsw, legal, config.pad_id)
+        encoder = frozen64(params)
+        batched, _ = forward_batch(encoder, ids, nsw, legal)
         for row in range(len(ids)):
-            single, _ = forward_batch(
-                params, ids[row : row + 1], nsw[row : row + 1], legal[row : row + 1], config.pad_id
-            )
+            one = slice(row, row + 1)
+            single, _ = forward_batch(encoder, ids[one], nsw[one], legal[one])
             assert np.abs(single[0] - batched[row]).max() <= 1e-12
             assert single[0].argmax() == batched[row].argmax()
 
@@ -301,14 +320,14 @@ class TestPredictProbs:
         config, params, rng = oracle_setup()
         counts = rng.integers(1, 13, size=41).tolist()
         ids, nsw, legal = ragged_windows(rng, counts)
-        probs = predict_probs(params, ids, nsw, legal, config.pad_id)
+        encoder = frozen64(params)
+        probs = predict_probs(encoder, ids, nsw, legal)
         assert [len(c) for c in forward_calls] == [16, 16, 9]
         seen = [count for call in forward_calls for count in call]
         assert seen == sorted(counts)  # non-decreasing within and across calls
         for row in range(len(ids)):
-            single, _ = model.forward_batch(
-                params, ids[row : row + 1], nsw[row : row + 1], legal[row : row + 1], config.pad_id
-            )
+            one = slice(row, row + 1)
+            single, _ = model.forward_batch(encoder, ids[one], nsw[one], legal[one])
             assert np.abs(single[0] - probs[row]).max() <= 1e-12
             assert single[0].argmax() == probs[row].argmax()
 
@@ -316,14 +335,15 @@ class TestPredictProbs:
         config, params, rng = oracle_setup()
         counts = [5, 1, 12, 2, 7, 1]
         ids, nsw, legal = ragged_windows(rng, counts)
-        probs = predict_probs(params, ids, nsw, legal, config.pad_id)
+        encoder = frozen64(params)
+        probs = predict_probs(encoder, ids, nsw, legal)
         assert forward_calls == [counts]
-        direct, _ = model.forward_batch(params, ids, nsw, legal, config.pad_id)
+        direct, _ = model.forward_batch(encoder, ids, nsw, legal)
         assert np.array_equal(probs, direct)
 
     def test_no_windows(self, forward_calls):
         config, params, _ = oracle_setup()
-        assert predict_probs(params, [], [], [], config.pad_id).shape == (0, 5)
+        assert predict_probs(frozen64(params), [], [], []).shape == (0, 5)
         assert forward_calls == []
 
 
@@ -347,7 +367,7 @@ class TestFrozenForward:
         for _ in range(20):
             ids, nsw, legal = ragged_windows(rng, [1, 2, 5, config.window, 3, 1])
             assert (ids == config.pad_id).any()
-            probs, _ = forward_batch(encoder, ids, nsw, legal, config.pad_id)
+            probs, _ = forward_batch(encoder, ids, nsw, legal)
             want = reference_forward(params.tensors(), ids, nsw, legal, config.pad_id)
             assert np.array_equal(probs.argmax(axis=1), want.argmax(axis=1))
             worst = max(worst, np.abs(probs - want).max())
@@ -360,7 +380,7 @@ class TestFrozenForward:
         text = "总额1234567890123456元"
         ids, nsw = vocab.windows(text, [NSWSpan(2, 18)], config.window)
         legal = np.ones((1, 5), dtype=bool)
-        probs, _ = forward_batch(encoder, ids, nsw, legal, config.pad_id)
+        probs, _ = forward_batch(encoder, ids, nsw, legal)
         want = reference_forward(params.tensors(), ids, nsw, legal, config.pad_id)
         assert np.abs(probs - want).max() <= self.TOLERANCE
         assert probs.argmax() == want.argmax()
@@ -371,11 +391,29 @@ class TestFrozenForward:
         encoder = FrozenEncoder.freeze(params, config.pad_id)
         for counts in ([1, 1, 1], [1, 2, 5, 12, 1, 7, 2]):
             ids, nsw, legal = ragged_windows(rng, counts)
-            batched = predict_probs(encoder, ids, nsw, legal, config.pad_id)
+            batched = predict_probs(encoder, ids, nsw, legal)
             for row in range(len(ids)):
                 one = slice(row, row + 1)
-                single = predict_probs(encoder, ids[one], nsw[one], legal[one], config.pad_id)
+                single = predict_probs(encoder, ids[one], nsw[one], legal[one])
                 assert np.abs(single[0] - batched[row]).max() <= 1e-12
+
+    @pytest.mark.parametrize("pad_id", [1, 0])
+    def test_padding_row_is_inert(self, pad_id):
+        # padding keys are suppressed, so the padding embedding reaches no output
+        config, params, rng = oracle_setup()
+        config = replace(config, pad_id=pad_id)
+        ids, nsw, legal = ragged_windows(rng, [1, 2, 5, 3, 1, 7], pad_id=pad_id)
+        assert (ids == pad_id).any()
+        shifted = params.copy()
+        shifted.embedding[pad_id] += 5.0
+        for dtype in (np.float64, np.float32):
+            want, _ = forward_batch(FrozenEncoder.freeze(params, pad_id, dtype), ids, nsw, legal)
+            got, _ = forward_batch(FrozenEncoder.freeze(shifted, pad_id, dtype), ids, nsw, legal)
+            assert np.array_equal(got, want)
+        batch = TrainingBatch(ids, nsw, legal, legal.argmax(axis=1))
+        _, grads = batch_loss_and_grads(params, batch, config)
+        assert np.all(grads["embedding"][pad_id] == 0.0)
+        assert np.abs(grads["embedding"]).max() > 0.0
 
     def test_training_params_untouched(self):
         config, params, _ = oracle_setup()
@@ -386,18 +424,11 @@ class TestFrozenForward:
             assert tensor.dtype == np.float64
             assert np.array_equal(tensor, before.tensors()[name])
 
-    def test_other_pad_id_rejected(self):
-        config, params, rng = oracle_setup()
-        encoder = FrozenEncoder.freeze(params, config.pad_id)
-        ids, nsw, legal = ragged_windows(rng, [2])
-        with pytest.raises(ValueError, match="pad_id"):
-            forward_batch(encoder, ids, nsw, legal, config.pad_id + 1)
-
 
 def classify(text, span, vocab, params, config, legal_mask):
     """One span's label probabilities and argmax, through ``predict_probs``."""
     ids, nsw = vocab.windows(text, [span], config.window)
-    probs = predict_probs(params, ids, nsw, [legal_mask], config.pad_id)[0]
+    probs = predict_probs(frozen64(params, config.pad_id), ids, nsw, [legal_mask])[0]
     return probs, int(np.argmax(probs))
 
 
@@ -444,6 +475,15 @@ class TestClassify:
             assert np.allclose(p1, p2)
 
 
+def rewrite_json(path, key, **fields):
+    """Set ``fields`` in the JSON entry ``key`` of a saved checkpoint."""
+    archive = dict(np.load(path, allow_pickle=False))
+    payload = json.loads(str(archive[key]))
+    payload.update(fields)
+    archive[key] = np.asarray(json.dumps(payload, ensure_ascii=False))
+    np.savez(path, **archive)
+
+
 class TestCheckpoint:
     def test_round_trip_identical(self, tmp_path):
         config, vocab, params = small_setup()
@@ -459,15 +499,7 @@ class TestCheckpoint:
         config, vocab, params = small_setup()
         path = str(tmp_path / "model.npz")
         save_params(path, params, config, vocab)
-        import json
-
-        import numpy as np_
-
-        archive = dict(np_.load(path, allow_pickle=False))
-        bad = json.loads(str(archive["config_json"]))
-        bad["label_count"] = 9
-        archive["config_json"] = np_.asarray(json.dumps(bad))
-        np_.savez(path, **archive)
+        rewrite_json(path, "config_json", label_count=9)
         with pytest.raises(CheckpointError, match="shape"):
             load_params(path)
 
@@ -488,26 +520,40 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="pad_id"):
             load_params(path)
 
+    def test_reserved_ids_violation_rejected(self, tmp_path):
+        config, vocab, params = small_setup()
+        path = str(tmp_path / "model.npz")
+        save_params(path, params, config, vocab)
+        rewrite_json(path, "vocab_json", unk_id=3)
+        with pytest.raises(CheckpointError, match="reserved"):
+            load_params(path)
+
+    def test_unknown_config_field_rejected(self, tmp_path):
+        config, vocab, params = small_setup()
+        path = str(tmp_path / "model.npz")
+        save_params(path, params, config, vocab)
+        rewrite_json(path, "config_json", dropout=0.1)
+        with pytest.raises(CheckpointError, match="dropout"):
+            load_params(path)
+
+    def test_legacy_pretrained_vectors_key_loads(self, tmp_path):
+        # every checkpoint saved while the config had this field holds it as null
+        config, vocab, params = small_setup()
+        path = str(tmp_path / "model.npz")
+        save_params(path, params, config, vocab)
+        rewrite_json(path, "config_json", pretrained_vectors=None)
+        loaded, config2, vocab2 = load_params(path)
+        assert config2 == config
+        assert vocab2 == vocab
+        rng = np.random.default_rng(4)
+        ids, nsw, legal = ragged_windows(rng, [1, 3, 8, 2], window=8, vocab_size=vocab.size)
+        want = predict_probs(FrozenEncoder.freeze(params, config.pad_id), ids, nsw, legal)
+        got = predict_probs(FrozenEncoder.freeze(loaded, config2.pad_id), ids, nsw, legal)
+        assert np.array_equal(got, want)
+
     def test_not_a_checkpoint(self, tmp_path):
         path = str(tmp_path / "junk.npz")
         np.savez(path, something=np.zeros(3))
         with pytest.raises(CheckpointError, match="not a classifier checkpoint"):
             load_params(path)
 
-
-class TestPretrainedVectors:
-    def test_load_overwrites_known_rows(self, tmp_path):
-        config, vocab, params = small_setup()
-        path = tmp_path / "vectors.txt"
-        row = " ".join(["0.5"] * config.model_dim)
-        path.write_text(f"一 {row}\n不 {row}\n", encoding="utf-8")
-        loaded = load_char_vectors(str(path), vocab, config.model_dim, params.embedding)
-        assert loaded == 1  # only 一 is in the vocabulary
-        assert np.allclose(params.embedding[vocab.char_to_id["一"]], 0.5)
-
-    def test_dimension_mismatch(self, tmp_path):
-        config, vocab, params = small_setup()
-        path = tmp_path / "vectors.txt"
-        path.write_text("一 0.5 0.5\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="expected"):
-            load_char_vectors(str(path), vocab, config.model_dim, params.embedding)

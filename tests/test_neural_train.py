@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 import resource
@@ -114,15 +115,21 @@ class TestTraining:
         # Each of these 8 steps churns about 6 MB, some 1500 pages if returned to the OS.
         assert faults[-1] - faults[1] < 100
 
-    def test_nan_loss_aborts_with_diagnostics(self, tmp_path):
-        path = tmp_path / "vectors.txt"
-        path.write_text("编 " + " ".join(["nan"] * 16) + "\n", encoding="utf-8")
+    def test_nan_loss_aborts_with_diagnostics(self, monkeypatch):
+        train_module = importlib.import_module("mtnorm.neural.train")
+        real_init = train_module.init_params
+
+        def nan_init(*args):
+            params = real_init(*args)
+            params.embedding[:] = np.nan
+            return params
+
+        monkeypatch.setattr(train_module, "init_params", nan_init)
         corpus = [
             LabeledSentence(f"编号{i:03d}确认", (NSWSpan(2, 5, i % 2),)) for i in range(32)
         ]
-        config = toy_config(epochs=2, pretrained_vectors=str(path))
         with pytest.raises(TrainingDiverged, match="epoch 0"):
-            train(corpus, config)
+            train(corpus, toy_config(epochs=2))
 
 
 class TestBatchLoss:
@@ -236,17 +243,6 @@ class TestTrainingProjection:
         batch_loss_and_grads(params, batch, config)
         assert dtypes == [(np.float64, np.float64, np.float64)]
 
-    def test_params_forward_is_float64_frozen_forward(self):
-        config, params, batch = self.ragged_batch()
-        args = (batch.ids, batch.nsw_masks, batch.legal_masks, config.pad_id)
-        probs, cache = forward_batch(params, *args)
-        frozen = FrozenEncoder.freeze(params, config.pad_id, np.float64)
-        want_probs, want_cache = forward_batch(frozen, *args)
-        assert np.array_equal(probs, want_probs)
-        assert cache.keys() == want_cache.keys()
-        for name, value in cache.items():
-            assert np.array_equal(value, want_cache[name]), name
-
 
 class TestBatchAssembly:
     def test_shapes_and_masks(self, formats):
@@ -308,10 +304,11 @@ class TestPredictBatch:
         legal[:, 0] = True
         data = TrainingBatch(ids, nsw, legal, np.zeros(n, dtype=np.int64))
         predicted = predict_batch(params, data, config)
+        encoder = FrozenEncoder.freeze(params, config.pad_id, np.float64)
         alone = []
         for i in range(n):
             one = slice(i, i + 1)
-            probs, _ = forward_batch(params, ids[one], nsw[one], legal[one], config.pad_id)
+            probs, _ = forward_batch(encoder, ids[one], nsw[one], legal[one])
             alone.append(int(probs.argmax()))
         assert predicted.tolist() == alone
         assert len(set(predicted.tolist())) > 1

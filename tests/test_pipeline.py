@@ -34,7 +34,7 @@ def classify_alone(system, text, span, legal):
     """One span classified on its own: the oracle's window, one forward pass."""
     chars, mask = reference_window(text, span.start, span.end, system.config.window)
     ids = [[system.vocab.id_of(ch) for ch in chars]]
-    probs = model.predict_probs(system.encoder, ids, [mask], [legal], system.config.pad_id)[0]
+    probs = model.predict_probs(system.encoder, ids, [mask], [legal])[0]
     return probs, int(np.argmax(probs))
 
 
@@ -166,9 +166,9 @@ class TestSentenceBatching:
         batches = []
         real_forward = model.forward_batch
 
-        def counting_forward(params, ids, *rest):
+        def counting_forward(encoder, ids, *rest):
             batches.append(len(ids))
-            return real_forward(params, ids, *rest)
+            return real_forward(encoder, ids, *rest)
 
         monkeypatch.setattr(model, "forward_batch", counting_forward)
         sentences = [s.text for s in generate_synthetic_corpus(DIST, 1000, seed=38)]
