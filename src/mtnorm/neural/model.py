@@ -495,17 +495,30 @@ def _check_targets_legal(batch: TrainingBatch) -> None:
 
 
 def _training_forward(params: EncoderParams, batch: TrainingBatch, config: ClassifierConfig):
-    """Mean focal loss, target-label probabilities and forward cache; sets ``batch.probs``.
+    """Mean focal loss, target-label probabilities, ambiguous rows and their forward cache.
 
-    The tables are frozen in float64 afresh on every call, because optimizer
-    steps and finite-difference probes change ``params`` in place.
+    Sets ``batch.probs``. A row with one legal label needs no forward: its
+    masked softmax is exactly one-hot on that label, whatever the logits,
+    so its target probability is 1.0 and its logit gradient exactly zero.
+    Only the ambiguous rows (two or more legal labels) run the encoder,
+    and the cache is ``None`` when there are none. The loss is still the
+    mean over every row. The tables are frozen in float64 afresh on every
+    call, because optimizer steps and finite-difference probes change
+    ``params`` in place.
     """
     _check_targets_legal(batch)
-    encoder = FrozenEncoder.freeze(params, config.pad_id, np.float64)
-    probs, cache = forward_batch(encoder, batch.ids, batch.nsw_masks, batch.legal_masks)
+    ambiguous = batch.legal_masks.sum(axis=1) > 1
+    probs = batch.legal_masks.astype(np.float64)  # one-hot on the one-label rows
+    cache = None
+    if ambiguous.any():
+        encoder = FrozenEncoder.freeze(params, config.pad_id, np.float64)
+        probs[ambiguous], cache = forward_batch(
+            encoder, batch.ids[ambiguous], batch.nsw_masks[ambiguous], batch.legal_masks[ambiguous]
+        )
     batch.probs = probs
     p_target = probs[np.arange(len(batch)), batch.targets]
-    return float(focal_loss_vec(p_target, config.alpha, config.gamma).mean()), p_target, cache
+    loss = float(focal_loss_vec(p_target, config.alpha, config.gamma).mean())
+    return loss, p_target, ambiguous, cache
 
 
 def batch_loss(params: EncoderParams, batch: TrainingBatch, config: ClassifierConfig) -> float:
@@ -516,13 +529,15 @@ def batch_loss(params: EncoderParams, batch: TrainingBatch, config: ClassifierCo
 def batch_loss_and_grads(
     params: EncoderParams, batch: TrainingBatch, config: ClassifierConfig
 ) -> tuple[float, dict[str, np.ndarray]]:
-    loss, p_target, cache = _training_forward(params, batch, config)
-    probs = batch.probs
-    n = len(batch)
-    rows = np.arange(n)
-    dp = focal_loss_grad(p_target, config.alpha, config.gamma) / n
+    """Mean focal loss and its gradients; the one-label rows contribute none."""
+    loss, p_target, ambiguous, cache = _training_forward(params, batch, config)
+    if cache is None:
+        return loss, {name: np.zeros_like(t) for name, t in params.tensors().items()}
+    probs = batch.probs[ambiguous]
+    p_target = p_target[ambiguous]
+    dp = focal_loss_grad(p_target, config.alpha, config.gamma) / len(batch)
     onehot = np.zeros_like(probs)
-    onehot[rows, batch.targets] = 1.0
+    onehot[np.arange(len(probs)), batch.targets[ambiguous]] = 1.0
     dlogits = (dp * p_target)[:, None] * (onehot - probs)
     grads = backward_batch(params, cache, dlogits)
     return loss, grads

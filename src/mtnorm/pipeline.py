@@ -6,11 +6,15 @@ shift the context other spans depend on; ``Vocabulary.windows`` cuts
 their windows from the text in one call), then splice the spoken forms
 right-to-left so earlier indices stay valid. Routing per span: priority
 surfaces go straight to the rules, and so does a span with no legal
-label; every other span's window goes to the classifier, and its argmax
-label is rendered, with rule fallback (the probabilities kept in the
-trace) if rendering fails; a span nothing can handle stays verbatim. A
-system without a classifier is the rules-only baseline: every
-non-priority span takes the fallback route.
+label. A span with one legal label needs no classifier: its masked
+softmax could only return that label's one-hot, so it gets that one-hot
+directly. Every other span's window goes to the classifier. Each span's
+legal labels are computed once: the chosen label is rendered by its
+reader if the surface is legal for it, and otherwise, or if the reader
+refuses, the span takes the rule fallback with its probabilities kept in
+the trace; a span nothing can handle stays verbatim. A system without a
+classifier is the rules-only baseline: every non-priority span takes the
+fallback route.
 
 The classifier decides each span from its own window, so nothing ties a
 forward pass to one sentence: ``normalize_many`` routes every span of
@@ -121,14 +125,18 @@ def _rule_route(sys: HybridSystem, text: str, span: NSWSpan, surface: str, route
     return NormalizationTrace(span, ROUTE_UNMATCHED, None, None, probs)
 
 
-def _classifier_mask(sys: HybridSystem, surface: str) -> list[bool] | None:
-    """Legal labels the classifier chooses among; ``None`` leaves the span to the rules."""
-    if sys.params is None:
-        return None
-    if not sys.config.use_mask:
-        return [True] * len(sys.formats)
-    legal = sys.formats.legal_labels(surface)
-    return legal if any(legal) else None
+def _neural_route(
+    sys: HybridSystem, text: str, span: NSWSpan, surface: str, legal: list[bool], probs: np.ndarray
+):
+    """Render the argmax label if ``legal`` admits it, else take the rule fallback."""
+    label = int(np.argmax(probs))
+    if legal[label]:
+        try:
+            sfw = sys.formats.by_id(label).read(surface)
+            return NormalizationTrace(span, ROUTE_NEURAL, label, sfw, probs)
+        except ValueError:
+            pass
+    return _rule_route(sys, text, span, surface, ROUTE_FALLBACK, probs)
 
 
 def normalize_many(
@@ -136,8 +144,9 @@ def normalize_many(
 ) -> list[tuple[str, list[NormalizationTrace]]]:
     """Normalize many sentences; returns (output text, per-NSW traces) per input."""
     traced = []  # (text, traces) per input; classifier-routed traces are filled in below
-    pending = []  # (traces, index, text, span, surface, legal mask) for the classifier
+    pending = []  # (traces, index, text, span, surface, legal labels) for the classifier
     windows = []  # (ids, NSW masks) of the classifier-routed spans, per input
+    masks = []  # the classifier's label mask per pending span
     for text in texts:
         spans = extract_nsw(text)
         traces: list[NormalizationTrace | None] = [None] * len(spans)
@@ -147,27 +156,31 @@ def normalize_many(
             if priority_check(surface, sys.priority):
                 traces[i] = _rule_route(sys, text, span, surface, ROUTE_PRIORITY)
                 continue
-            legal = _classifier_mask(sys, surface)
-            if legal is None:
+            if sys.encoder is None:
                 traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
                 continue
-            routed.append(span)
-            pending.append((traces, i, text, span, surface, legal))
+            legal = sys.formats.legal_labels(surface)
+            mask = legal if sys.config.use_mask else [True] * len(legal)
+            choices = sum(mask)
+            if choices == 0:
+                traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
+            elif choices == 1:
+                # the masked softmax of any logits: exactly 1.0 there, 0.0 elsewhere
+                onehot = np.array(mask, dtype=np.float64)
+                traces[i] = _neural_route(sys, text, span, surface, legal, onehot)
+            else:
+                routed.append(span)
+                pending.append((traces, i, text, span, surface, legal))
+                masks.append(mask)
         if routed:
             windows.append(sys.vocab.windows(text, routed, sys.config.window))
         traced.append((text, traces))
 
     if pending:
         ids, nsw = (np.concatenate(part) for part in zip(*windows))
-        probs = predict_probs(sys.encoder, ids, nsw, [legal for *_, legal in pending])
-        for (traces, i, text, span, surface, _), p in zip(pending, probs):
-            label = int(np.argmax(p))
-            try:
-                sfw = reader.render(surface, label, sys.formats)
-            except ValueError:
-                traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK, p)
-                continue
-            traces[i] = NormalizationTrace(span, ROUTE_NEURAL, label, sfw, p)
+        probs = predict_probs(sys.encoder, ids, nsw, masks)
+        for (traces, i, text, span, surface, legal), p in zip(pending, probs):
+            traces[i] = _neural_route(sys, text, span, surface, legal, p)
 
     return [(_splice(text, traces), traces) for text, traces in traced]
 

@@ -68,6 +68,30 @@ class TestMaskedSoftmax:
         with pytest.raises(ValueError):
             masked_softmax(np.zeros(4), np.zeros(4, dtype=bool))
 
+    def test_one_legal_entry_is_exact_one_hot(self):
+        # the pipeline and training decide one-label spans by this one-hot
+        rng = np.random.default_rng(6)
+        for scale in (1.0, 1e3, 1e150, 1e300):
+            logits = rng.normal(scale=scale, size=(40, 7))
+            logits[:20] = np.abs(logits[:20])
+            logits[20:] = -np.abs(logits[20:])
+            legal = np.zeros((40, 7), dtype=bool)
+            legal[np.arange(40), rng.integers(0, 7, size=40)] = True
+            assert np.array_equal(masked_softmax(logits, legal), legal.astype(np.float64))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("scale", [1.0, 1e6, -1e6])
+    def test_one_legal_entry_forward_is_exact_one_hot(self, dtype, scale):
+        config, params, rng = oracle_setup()
+        params.cls_w *= scale
+        params.cls_b *= scale
+        ids, nsw, _ = ragged_windows(rng, [1, 2, 5, 12, 3, 1])
+        legal = np.zeros((6, 5), dtype=bool)
+        legal[np.arange(6), [0, 4, 2, 2, 1, 3]] = True
+        probs, _ = forward_batch(FrozenEncoder.freeze(params, config.pad_id, dtype), ids, nsw, legal)
+        assert probs.dtype == np.float64
+        assert np.array_equal(probs, legal.astype(np.float64))
+
 
 class TestVocabulary:
     def test_pad_unk_distinct(self):

@@ -9,6 +9,7 @@ from gradcheck import gradient_check
 from oracles import reference_window
 
 from mtnorm.corpus import LabeledSentence, NSWSpan
+from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.neural import (
     ClassifierConfig,
     FrozenEncoder,
@@ -23,6 +24,8 @@ from mtnorm.neural import (
     predict_batch,
     train,
 )
+from mtnorm.neural.loss import focal_loss_grad, focal_loss_vec
+from mtnorm.neural.model import backward_batch
 
 
 def separable_corpus(n=200, trigger=("甲", "乙")):
@@ -213,6 +216,81 @@ class TestGradients:
         # the two equally-probable non-target labels receive identical updates
         assert np.allclose(grads["cls_w"][:, 1], grads["cls_w"][:, 2])
         assert grads["cls_b"][1] == pytest.approx(grads["cls_b"][2])
+
+
+class TestOneLabelRows:
+    """Rows with one legal label skip the forward and backward pass and change nothing."""
+
+    @staticmethod
+    def all_rows_reference(params, batch, config):
+        """Loss, gradients and probabilities with every row through the encoder."""
+        encoder = FrozenEncoder.freeze(params, config.pad_id, np.float64)
+        probs, cache = forward_batch(encoder, batch.ids, batch.nsw_masks, batch.legal_masks)
+        rows = np.arange(len(batch))
+        p_target = probs[rows, batch.targets]
+        loss = float(focal_loss_vec(p_target, config.alpha, config.gamma).mean())
+        dp = focal_loss_grad(p_target, config.alpha, config.gamma) / len(batch)
+        onehot = np.zeros_like(probs)
+        onehot[rows, batch.targets] = 1.0
+        dlogits = (dp * p_target)[:, None] * (onehot - probs)
+        return loss, backward_batch(params, cache, dlogits), probs
+
+    def test_mixed_batch_matches_all_rows(self, forward_calls):
+        config, params, _ = small_batch()
+        rng = np.random.default_rng(12)
+        ids = rng.integers(2, 20, size=(6, 10))
+        ids[:, -2:] = config.pad_id
+        nsw = np.zeros((6, 10), dtype=bool)
+        for row, (start, count) in enumerate(((4, 1), (0, 2), (2, 4), (1, 8), (5, 3), (3, 2))):
+            nsw[row, start : start + count] = True
+        targets = np.asarray([1, 2, 0, 3, 2, 1])
+        legal = np.ones((6, 4), dtype=bool)
+        one_label = np.asarray([False, True, False, True, True, False])
+        legal[one_label] = np.eye(4, dtype=bool)[targets[one_label]]
+        batch = TrainingBatch(ids, nsw, legal, targets)
+        loss, grads = batch_loss_and_grads(params, batch, config)
+        assert forward_calls == [[1, 4, 2]]  # the ambiguous rows' NSW counts
+        assert np.array_equal(batch.probs[one_label], legal[one_label].astype(np.float64))
+        want_loss, want_grads, want_probs = self.all_rows_reference(params, batch, config)
+        assert loss == pytest.approx(want_loss, rel=0.0, abs=1e-12)
+        assert np.abs(batch.probs - want_probs).max() <= 1e-12
+        for name, grad in want_grads.items():
+            assert grads[name].shape == grad.shape
+            assert np.abs(grads[name] - grad).max() <= 1e-12, name
+        assert np.abs(grads["embedding"]).max() > 0.0
+
+    def test_all_one_label_batch_runs_no_forward(self, forward_calls):
+        config, params, batch = small_batch()
+        batch.legal_masks[:] = np.eye(4, dtype=bool)[batch.targets]
+        loss, grads = batch_loss_and_grads(params, batch, config)
+        assert forward_calls == []
+        assert np.array_equal(batch.probs, batch.legal_masks.astype(np.float64))
+        assert loss < 1e-25
+        for name, tensor in params.tensors().items():
+            assert grads[name].shape == tensor.shape
+            assert not grads[name].any()
+
+    def test_all_one_label_corpus_still_steps(self, monkeypatch, forward_calls):
+        # every span is a percentage, whose only legal label is B_Percent
+        train_module = importlib.import_module("mtnorm.neural.train")
+        real_step = train_module.AdamState.step
+        steps = []
+
+        def counting_step(self, params, grads):
+            real_step(self, params, grads)
+            steps.append(self.step_count)
+
+        monkeypatch.setattr(train_module.AdamState, "step", counting_step)
+        percent = DEFAULT_REGISTRY.id_of("B_Percent")
+        corpus = [
+            LabeledSentence(f"只有{i}%的学生", (NSWSpan(2, 3 + len(str(i)), percent),))
+            for i in range(40)
+        ]
+        config = toy_config(use_mask=True, label_count=len(DEFAULT_REGISTRY), epochs=2)
+        result = train(corpus, config)
+        assert forward_calls == []
+        assert steps == [1, 2, 3, 4]  # two minibatches of at most 32, two epochs
+        assert [entry["accuracy"] for entry in result.history] == [1.0, 1.0]
 
 
 class TestTrainingProjection:

@@ -152,14 +152,15 @@ class TestNormalize:
 
 
 class TestSentenceBatching:
-    """A sentence's forward passes (one per 16 classifier spans) decide as each span alone."""
+    """A sentence's forward passes (one per 16 ambiguous spans) decide as each span alone."""
 
     @staticmethod
-    def classifier_spans(text, system):
+    def classifier_spans(text, system, least=1):
+        """Non-priority spans with at least ``least`` legal labels."""
         return [
             span for span in extract_nsw(text)
             if not priority_check(text[span.start:span.end], system.priority)
-            and any(system.formats.legal_labels(text[span.start:span.end]))
+            and sum(system.formats.legal_labels(text[span.start:span.end])) >= least
         ]
 
     def test_one_forward_pass_per_sentence(self, tiny_system, monkeypatch):
@@ -177,7 +178,7 @@ class TestSentenceBatching:
         while len(lines) < 200:
             lines.append("，".join(rng.sample(sentences, rng.randint(2, 8))))
         long_line = "，".join(sentences[:40])
-        assert len(self.classifier_spans(long_line, tiny_system)) > 16
+        assert len(self.classifier_spans(long_line, tiny_system, least=2)) > 16
         lines.append(long_line)
         mixed = "遇到危险请拨打911，会议定于上午10:30开始，总额1,000,000,000,000元"
         lines.append(mixed)
@@ -186,8 +187,10 @@ class TestSentenceBatching:
             before = len(batches)
             _, traces = normalize(text, tiny_system)
             expected = self.classifier_spans(text, tiny_system)
-            chunks = range(0, len(expected), 16)
-            assert batches[before:] == [min(16, len(expected) - k) for k in chunks]
+            # a span with one legal label is decided without a window
+            windows = len(self.classifier_spans(text, tiny_system, least=2))
+            chunks = range(0, windows, 16)
+            assert batches[before:] == [min(16, windows - k) for k in chunks]
             classified = [t for t in traces if t.probabilities is not None]
             assert [t.span for t in classified] == expected
             for trace in classified:
@@ -204,6 +207,24 @@ class TestSentenceBatching:
         # classifier never sees the span: verbatim, no probabilities
         assert traces[2].sfw is None and traces[2].label is None
         assert traces[2].probabilities is None
+
+
+class TestOneLabelSpans:
+    """A span with one legal label is decided without the classifier, as it would decide."""
+
+    def test_no_forward_pass_and_classifier_probabilities(self, tiny_system, forward_calls):
+        text = "只有10%的学生，今天是2019-10-01"
+        out, traces = normalize(text, tiny_system)
+        assert forward_calls == []
+        assert out == "只有百分之十的学生，今天是二零一九年十月一日"
+        assert [t.route for t in traces] == [ROUTE_NEURAL, ROUTE_NEURAL]
+        for trace in traces:
+            legal = tiny_system.formats.legal_labels(text[trace.span.start:trace.span.end])
+            assert sum(legal) == 1
+            probs, label = classify_alone(tiny_system, text, trace.span, legal)
+            assert trace.probabilities.dtype == probs.dtype
+            assert np.array_equal(trace.probabilities, probs)
+            assert trace.label == label
 
 
 class TestNormalizeMany:
