@@ -69,7 +69,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    # With no priority surfaces every span with a legal label is classified, 911 too.
+    # With no priority surfaces every span with a legal label is scored, 911 too.
     system = replace(_build_system(args, args.model), priority=PriorityList())
     labels = system.formats
     texts = [args.text] if args.text is not None else _read_lines(args.infile)

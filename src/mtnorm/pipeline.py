@@ -204,10 +204,11 @@ def routing_stats(corpus, sys: HybridSystem) -> tuple[float, float, float]:
 
     ``corpus`` is a list of sentences (labeled or raw strings). Read from
     the traces: priority is the ``priority_rule`` share and neural the
-    share the classifier scored (the traces with probabilities); fallback
-    is the sub-fraction of the scored spans that the classifier did not
-    render. Spans with no legal label, and every non-priority span of a
-    system without a classifier, are in neither.
+    share that was scored (the traces with probabilities, a one-hot for a
+    span with one legal label); fallback is the sub-fraction of the scored
+    spans that the neural route did not render. Spans with no legal label,
+    and every non-priority span of a system without a classifier, are in
+    neither.
     """
     texts = [item if isinstance(item, str) else item.text for item in corpus]
     traces = [trace for _, traced in normalize_many(texts, sys) for trace in traced]

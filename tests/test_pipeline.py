@@ -150,6 +150,21 @@ class TestNormalize:
                     assert system.formats.verify(surface, trace.label)
         assert ROUTE_NEURAL in routes
 
+    def test_no_mask_illegal_choice_falls_back(self, tiny_system):
+        # the unmasked classifier picks A_Two_Liang for 3; its reader would
+        # say 两, but the label is not legal for 3, so the rules decide
+        liang = tiny_system.formats.id_of("A_Two_Liang")
+        params = tiny_system.params.copy()
+        params.cls_w[:] = 0.0
+        params.cls_b[:] = 0.0
+        params.cls_b[liang] = 10.0
+        loose = replace(tiny_system.config, use_mask=False)
+        system = replace(tiny_system, params=params, config=loose)
+        out, traces = normalize("共3人", system)
+        assert out == "共三人"
+        assert traces[0].route == ROUTE_FALLBACK
+        assert int(np.argmax(traces[0].probabilities)) == liang
+
 
 class TestSentenceBatching:
     """A sentence's forward passes (one per 16 ambiguous spans) decide as each span alone."""
