@@ -22,6 +22,11 @@ backpropagates to the parameters with a hand-written backward pass, whose
 gradients the test suite checks against central finite differences, so
 forward and backward must stay in lockstep. Inference runs the same
 ``forward_batch`` on tables frozen once, in float32.
+
+Per utterance the classifier runs one window at a time, and at that size
+numpy's fixed cost per call outweighs the arithmetic. So the forward pass
+keeps its call count low: reductions call the ufuncs directly, and
+biases, residuals and the softmax update fresh arrays in place.
 """
 
 from __future__ import annotations
@@ -266,36 +271,30 @@ class FrozenEncoder:
 def masked_softmax(logits: np.ndarray, legal: np.ndarray) -> np.ndarray:
     """Softmax restricted to legal entries; illegal ones are exactly zero."""
     logits = np.atleast_2d(logits)
-    legal = np.atleast_2d(legal).astype(bool)
-    if not legal.any(axis=-1).all():
+    legal = np.atleast_2d(np.asarray(legal, dtype=bool))
+    if not np.logical_or.reduce(legal, axis=-1).all():
         raise ValueError("masked softmax needs at least one legal label per row")
     z = np.where(legal, logits, -np.inf)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=-1, keepdims=True)`` by halving the last axis.
-
-    Exact, and several times faster than numpy's max reduction on rows as
-    short as a window. With an odd length the two halves share an element.
-    """
-    while x.shape[-1] > 1:
-        half = (x.shape[-1] + 1) // 2
-        x = np.maximum(x[..., :half], x[..., -half:])
-    return x
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
-    # sum / d is the arithmetic of mean(), without its Python-level overhead
+    # the arithmetic of mean() and var(), without their Python-level overhead
     d = x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) / d
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= d
     centered = x - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / d  # the arithmetic of x.var()
-    inv = 1.0 / np.sqrt(var + LN_EPS)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
+    var /= d
+    var += LN_EPS
+    inv = 1.0 / np.sqrt(var, out=var)
     norm = centered * inv
-    return norm * scale + shift, norm, inv
+    out = norm * scale
+    out += shift
+    return out, norm, inv
 
 
 def _layer_norm_backward(dout, norm, inv, scale):
@@ -325,48 +324,58 @@ def forward_batch(
     The rows' inputs and Q, K, V are gathered from the encoder's tables:
     float32 ones frozen once for inference, or float64 ones that training
     freezes afresh for every forward, whose cache feeds ``backward_batch``.
+
+    The attention softmax subtracts each row's maximum, one
+    ``np.maximum.reduce`` at every batch size. Sums and maxima are ufunc
+    reductions and additions run in place on fresh products: at batch 1
+    numpy's per-call overhead, not the arithmetic, sets the cost. The
+    values are those of the plain expressions, bit for bit.
     """
     ids = np.asarray(ids, dtype=np.int64)
     nsw = np.asarray(nsw_mask, dtype=bool)
     legal = np.asarray(legal_mask, dtype=bool)
 
-    counts = nsw.sum(axis=1)
-    if np.any(counts == 0):
+    counts = np.add.reduce(nsw, axis=1)
+    if not counts.all():
         raise ValueError("every window must mark at least one NSW position")
     # A one-row product runs as BLAS gemv, which rounds differently from
     # gemm in float32; with two rows or more every window's result is
     # independent of the chunk it runs in. Padded rows leave the pooling,
     # so in training they get exactly zero gradient.
-    m = max(int(counts.max()), min(2, ids.shape[1]))
+    m = max(int(np.maximum.reduce(counts)), min(2, ids.shape[1]))
     # A stable sort puts each window's NSW positions first, in order; the
     # rest of the first M are distinct non-NSW positions.
     rows = np.argsort(~nsw, axis=1, kind="stable")[:, :m]
-    valid = np.arange(m)[None, :] < counts[:, None]
+    valid = np.arange(m) < counts[:, None]
     xq, q, k, v, key_bias = encoder.project(ids, rows)
 
     # The softmax runs in place to avoid large temporaries.
     scores = q @ k.swapaxes(-1, -2)
     scores += key_bias[:, None, None, :]
-    np.subtract(scores, _row_max(scores), out=scores)
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    np.divide(scores, scores.sum(axis=-1, keepdims=True), out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
     attn = scores
 
     ctx = attn @ v
     b, h, _, hd = ctx.shape
     concat = ctx.transpose(0, 2, 1, 3).reshape(b, m, h * hd)
-    merged = concat @ encoder.attn_out
-    res1 = xq + merged
+    res1 = concat @ encoder.attn_out
+    res1 += xq
     norm1, n1_hat, n1_inv = _layer_norm(res1, encoder.ln1_scale, encoder.ln1_shift)
 
-    ff_pre = norm1 @ encoder.ff_w1 + encoder.ff_b1
+    ff_pre = norm1 @ encoder.ff_w1
+    ff_pre += encoder.ff_b1
     ff_act = np.maximum(ff_pre, 0.0)
-    ff_out = ff_act @ encoder.ff_w2 + encoder.ff_b2
-    res2 = norm1 + ff_out
+    res2 = ff_act @ encoder.ff_w2
+    res2 += encoder.ff_b2
+    res2 += norm1
     norm2, n2_hat, n2_inv = _layer_norm(res2, encoder.ln2_scale, encoder.ln2_shift)
 
-    pooled = (norm2 * valid[:, :, None]).sum(axis=1) / counts[:, None].astype(norm2.dtype)
-    logits = pooled @ encoder.cls_w + encoder.cls_b
+    pooled = np.add.reduce(norm2 * valid[:, :, None], axis=1)
+    pooled /= counts[:, None].astype(norm2.dtype)
+    logits = pooled @ encoder.cls_w
+    logits += encoder.cls_b
     probs = masked_softmax(logits, legal)
 
     cache = {

@@ -55,16 +55,24 @@ class Vocabulary:
         A window is centred on its span, with the extra context character
         on the right; positions outside the text read ``pad_id``. An NSW
         at least ``width`` long keeps its first ``width`` characters. The
-        text is encoded once and every window gathered from it by index.
+        padded text is encoded once as a list and every window sliced from
+        it; a mask is built from its head, NSW and tail lengths. Both
+        arrays are C-contiguous and writable.
         """
-        pad = [self.pad_id] * width
-        codes = np.array(
-            pad + list(map(self._lookup.get, text, repeat(self.unk_id))) + pad, dtype=np.int64
-        )
-        bounds = np.array([(s.start, s.end) for s in spans], dtype=np.int64).reshape(-1, 2)
-        starts, ends = bounds[:, :1], bounds[:, 1:]
-        pos = starts - np.maximum(0, (width - (ends - starts)) // 2) + np.arange(width)  # text offsets
-        return codes[pos + width], (pos >= starts) & (pos < ends)
+        codes = [self.pad_id] * width
+        codes += map(self._lookup.get, text, repeat(self.unk_id))
+        codes += [self.pad_id] * width
+        ids: list[int] = []
+        nsw = bytearray()  # one byte per mask position, read as bool
+        for span in spans:
+            start, length = span.start, span.end - span.start
+            head = max(0, (width - length) // 2)  # context before the NSW
+            first = start - head + width  # the window's first index in codes
+            ids += codes[first : first + width]
+            length = min(length, width)
+            nsw += bytes(head) + b"\x01" * length + bytes(width - head - length)
+        shape = (-1, width)
+        return np.array(ids, dtype=np.int64).reshape(shape), np.frombuffer(nsw, dtype=bool).reshape(shape)
 
 
 def build_vocab(corpus: Iterable[LabeledSentence], pad_id: int = 1) -> Vocabulary:

@@ -129,7 +129,7 @@ def _neural_route(
     sys: HybridSystem, text: str, span: NSWSpan, surface: str, legal: list[bool], probs: np.ndarray
 ):
     """Render the argmax label if ``legal`` admits it, else take the rule fallback."""
-    label = int(np.argmax(probs))
+    label = int(probs.argmax())
     if legal[label]:
         try:
             sfw = sys.formats.by_id(label).read(surface)
@@ -177,7 +177,7 @@ def normalize_many(
         traced.append((text, traces))
 
     if pending:
-        ids, nsw = (np.concatenate(part) for part in zip(*windows))
+        ids, nsw = windows[0] if len(windows) == 1 else map(np.concatenate, zip(*windows))
         probs = predict_probs(sys.encoder, ids, nsw, masks)
         for (traces, i, text, span, surface, legal), p in zip(pending, probs):
             traces[i] = _neural_route(sys, text, span, surface, legal, p)

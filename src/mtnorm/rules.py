@@ -49,7 +49,9 @@ class RuleSet:
     """Rules indexed in match order; immutable after construction.
 
     ``labels`` is the registry the rules' labels and default NSW shapes
-    were resolved through.
+    were resolved through. ``match_nsw`` walks ``_matchers``: per rule in
+    match order, its NSW ``fullmatch``, its context length and its pre and
+    post ``search``, or ``None`` for an empty pattern, which always matches.
     """
 
     def __init__(self, rules: list[Rule], labels: LabelRegistry):
@@ -59,6 +61,16 @@ class RuleSet:
             raise RuleError(f"duplicate rule name: {dupe}")
         self.rules: tuple[Rule, ...] = tuple(sorted(rules, key=Rule.sort_key))
         self.labels = labels
+        self._matchers = tuple(
+            (
+                rule,
+                rule.nsw_pattern.fullmatch,
+                rule.context_len,
+                rule.pre_pattern.search if rule.pre_pattern.pattern else None,
+                rule.post_pattern.search if rule.post_pattern.pattern else None,
+            )
+            for rule in self.rules
+        )
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -125,20 +137,21 @@ def compile_rules(path: str, labels: LabelRegistry = DEFAULT_REGISTRY) -> RuleSe
         return parse_rules(fh.read(), labels, source=path)
 
 
-def _rule_matches(rule: Rule, text: str, span: NSWSpan) -> bool:
-    surface = text[span.start : span.end]
-    if rule.nsw_pattern.fullmatch(surface) is None:
-        return False
-    pre = text[max(0, span.start - rule.context_len) : span.start]
-    post = text[span.end : span.end + rule.context_len]
-    return bool(rule.pre_pattern.search(pre)) and bool(rule.post_pattern.search(post))
-
-
 def match_nsw(rs: RuleSet, sentence: LabeledSentence | str, span: NSWSpan) -> RuleMatch | None:
-    """First rule in specificity order whose patterns all match at the span."""
-    text = sentence if isinstance(sentence, str) else sentence.text
-    for rule in rs.rules:
-        if _rule_matches(rule, text, span):
-            return RuleMatch(rule, span, rule.label)
-    return None
+    """First rule in specificity order whose patterns all match at the span.
 
+    The NSW pattern must match the whole surface; the pre and post patterns
+    search the up to ``context_len`` characters before and after it.
+    """
+    text = sentence if isinstance(sentence, str) else sentence.text
+    start, end = span.start, span.end
+    surface = text[start:end]
+    for rule, fullmatch, context_len, pre, post in rs._matchers:
+        if fullmatch(surface) is None:
+            continue
+        if pre is not None and pre(text[max(0, start - context_len) : start]) is None:
+            continue
+        if post is not None and post(text[end : end + context_len]) is None:
+            continue
+        return RuleMatch(rule, span, rule.label)
+    return None

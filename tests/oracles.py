@@ -76,6 +76,24 @@ def brute_force_best_rule(rule_specs, text, start, end):
     return min(candidates, key=lambda s: (-s["context_len"], -s["priority"], s["name"]))
 
 
+def reference_match_nsw(rules, text, start, end):
+    """First of ``rules``, taken in the given order, whose patterns all match at the span.
+
+    Each rule's NSW pattern must match the whole surface and its pre and
+    post patterns are searched in the up to ``context_len`` characters
+    around it, every pattern run afresh for every rule.
+    """
+    surface = text[start:end]
+    for rule in rules:
+        if rule.nsw_pattern.fullmatch(surface) is None:
+            continue
+        pre = text[max(0, start - rule.context_len) : start]
+        post = text[end : end + rule.context_len]
+        if rule.pre_pattern.search(pre) and rule.post_pattern.search(post):
+            return rule
+    return None
+
+
 def boundary_surfaces():
     """NSW surfaces at and just past the edges of the numeric formats.
 

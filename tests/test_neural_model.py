@@ -68,6 +68,19 @@ class TestMaskedSoftmax:
         with pytest.raises(ValueError):
             masked_softmax(np.zeros(4), np.zeros(4, dtype=bool))
 
+    def test_int_and_list_masks_and_1d_logits(self):
+        logits = np.array([2.0, -1.0, 0.5, 3.0])
+        e = np.exp(np.array([2.0, 0.5]) - 2.0)
+        want = np.array([[e[0] / e.sum(), 0.0, e[1] / e.sum(), 0.0]])
+        for legal in ([True, False, True, False], [1, 0, 1, 0], (1, 0, 1, 0), np.array([3, 0, 1, 0])):
+            probs = masked_softmax(logits, legal)
+            assert probs.shape == (1, 4) and probs.dtype == np.float64
+            assert np.allclose(probs, want, rtol=0.0, atol=1e-15)
+            assert probs[0, 1] == probs[0, 3] == 0.0
+        assert np.array_equal(masked_softmax(logits, [0, 0, 7, 0]), [[0.0, 0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError):
+            masked_softmax(logits, [0, 0, 0, 0])
+
     def test_one_legal_entry_is_exact_one_hot(self):
         # the pipeline and training decide one-label spans by this one-hot
         rng = np.random.default_rng(6)
@@ -204,6 +217,34 @@ class TestWindows:
         assert nsw.tolist() == [[False, True, True, True, False]]
         for width in self.WIDTHS:
             self.check(vocab, text, [NSWSpan(2, 5)], width)
+
+    @pytest.mark.parametrize("pad_id", [1, 0])
+    def test_random_texts_and_spans(self, pad_id):
+        rng = random.Random(40 + pad_id)
+        known = "0123456789共人元%:-今天"
+        vocab = Vocabulary({ch: i + 2 for i, ch in enumerate(known)}, pad_id=pad_id, unk_id=1 - pad_id)
+        alphabet = known + PAD_CHAR + "未知é"  # the last three are unknown
+        seen = {"edge_start": 0, "edge_end": 0, "longer": 0, "none": 0}
+        for width in range(1, 41):
+            for _ in range(12):
+                text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 70)))
+                spans = []
+                for _ in range(rng.choice([0, 1, 1, 2, 5])):
+                    start = rng.choice([0, rng.randrange(len(text))])
+                    end = rng.choice([len(text), rng.randint(start + 1, len(text))])
+                    spans.append(NSWSpan(start, end))
+                    seen["edge_start"] += start == 0
+                    seen["edge_end"] += end == len(text)
+                    seen["longer"] += end - start > width
+                seen["none"] += not spans
+                ids, nsw = vocab.windows(text, spans, width)
+                assert ids.dtype == np.int64 and nsw.dtype == bool
+                assert ids.shape == nsw.shape == (len(spans), width)
+                assert ids.flags.c_contiguous and nsw.flags.c_contiguous
+                want_ids, want_nsw = reference_windows(vocab, text, spans, width)
+                assert np.array_equal(ids, want_ids)
+                assert np.array_equal(nsw, want_nsw)
+        assert min(seen.values()) > 20
 
     def test_no_spans(self):
         vocab = build_vocab([LabeledSentence("今天好", ())])
@@ -371,14 +412,6 @@ class TestPredictProbs:
         assert forward_calls == []
 
 
-def test_row_max_equals_max_reduction():
-    # softmax is shift-invariant, so the forward tests cannot see a wrong shift
-    rng = np.random.default_rng(3)
-    for width in range(1, 34):
-        x = rng.normal(size=(3, 4, width)).astype(np.float32)
-        assert np.array_equal(model._row_max(x), x.max(axis=-1, keepdims=True))
-
-
 class TestFrozenForward:
     """The float32 table-gather encoder against the float64 full-window oracle."""
 
@@ -396,6 +429,26 @@ class TestFrozenForward:
             assert np.array_equal(probs.argmax(axis=1), want.argmax(axis=1))
             worst = max(worst, np.abs(probs - want).max())
         assert worst <= self.TOLERANCE
+
+    def test_large_attention_scores_stay_finite(self):
+        # softmax is shift-invariant, so only scores far outside exp's float32
+        # range show a shift other than the row maximum
+        config, params, rng = oracle_setup()
+        ids, nsw, legal = ragged_windows(rng, [1, 2, 5, 12, 3, 1, 7, 4])
+        keys = (ids != config.pad_id)[:, None, None, :]
+
+        def scores(encoder):
+            _, cache = forward_batch(encoder, ids, nsw, legal)
+            return (cache["q"] @ cache["k"].swapaxes(-1, -2))[np.broadcast_to(keys, cache["attn"].shape)]
+
+        params.attn_q *= 1e3 / np.abs(scores(frozen64(params, config.pad_id))).max()
+        encoder = FrozenEncoder.freeze(params, config.pad_id)
+        reached = scores(encoder)
+        assert reached.max() > 500.0 and reached.min() < -500.0
+        probs, _ = forward_batch(encoder, ids, nsw, legal)
+        assert np.isfinite(probs).all()
+        want = reference_forward(params.tensors(), ids, nsw, legal, config.pad_id)
+        assert np.array_equal(probs.argmax(axis=1), want.argmax(axis=1))
 
     def test_nsw_longer_than_window(self):
         config, params, _ = oracle_setup()

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from oracles import brute_force_best_rule
+from oracles import brute_force_best_rule, reference_match_nsw
 
-from mtnorm.corpus import NSWSpan
+from mtnorm.corpus import CorpusDistribution, NSWSpan, generate_synthetic_corpus
 from mtnorm.extractor import extract_nsw
 from mtnorm.labels import DEFAULT_REGISTRY, LabelRegistry
 from mtnorm.pipeline import normalize
-from mtnorm.rules import RuleError, match_nsw, parse_rules
+from mtnorm.rules import RuleError, RuleMatch, match_nsw, parse_rules
 
 
 def make_rule_text(specs):
@@ -184,6 +184,49 @@ class TestAgainstBruteForce:
             longest = max(s["context_len"] for s in matching)
             if sum(1 for s in matching if s["context_len"] == longest) == 1:
                 assert got.rule.context_len == longest
+
+
+class TestAgainstReferenceLoop:
+    """``match_nsw`` against the rule-by-rule loop over ``RuleSet.rules``."""
+
+    def check(self, rs, text, span):
+        rule = reference_match_nsw(rs.rules, text, span.start, span.end)
+        got = match_nsw(rs, text, span)
+        if rule is None:
+            assert got is None
+        else:
+            assert got == RuleMatch(rule, span, rule.label)
+            assert got.rule is rule
+        return rule
+
+    def test_dense_lines_and_their_edges(self, ruleset):
+        corpus = generate_synthetic_corpus(CorpusDistribution.default(), 600, seed=31)
+        rng = random.Random(31)
+        found = []
+        for _ in range(150):
+            text = "，".join(s.text for s in rng.sample(corpus, rng.randint(2, 8))) + "。"
+            for span in extract_nsw(text):
+                found.append(self.check(ruleset, text, span))
+                # the span at the start and at the end of the text
+                self.check(ruleset, text[span.start :], NSWSpan(0, span.end - span.start))
+                self.check(ruleset, text[: span.end], span)
+        assert any(rule is None for rule in found)
+        assert any(rule is not None and rule.pre_pattern.pattern for rule in found)
+        assert any(rule is not None and rule.post_pattern.pattern for rule in found)
+
+    def test_fixture_rows_in_context(self, ruleset, fixture_rows):
+        for surface, _, _ in fixture_rows:
+            # keywords at and away from the near edge of the context
+            for pre in ("", "比分", "本场比分是", "共"):
+                for post in ("", "领先", "以领先", "度", "个人", "年"):
+                    span = NSWSpan(len(pre), len(pre) + len(surface))
+                    self.check(ruleset, pre + surface + post, span)
+
+    def test_random_rule_sets(self):
+        rng = random.Random(77)
+        for _ in range(300):
+            specs, text, start, end = random_instance(rng)
+            self.check(parse_rules(make_rule_text(specs)), text, NSWSpan(start, end))
 
 
 class TestNormalizeRuleBased:
