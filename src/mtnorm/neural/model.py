@@ -12,16 +12,21 @@ values, and only NSW positions reach the pooled logits, so queries,
 attention, feed-forward and both layer norms run on those rows while
 keys and values still cover every position. This is the full block's
 result, not an approximation; the tests compare it with a full-window
-reference.
+reference. A call pads every window's query rows to its largest NSW
+count, so a training step sorts its windows by NSW count and, where that
+saves padded rows, runs them in two calls.
 
 The query, key and value projections are linear in the embeddings, so
 ``forward_batch`` never multiplies a window by them: it gathers rows of
 per-character and per-position tables (``FrozenEncoder``). Training
-freezes its float64 parameters into float64 tables on every forward and
+freezes its float64 parameters into float64 tables once per step and
 backpropagates to the parameters with a hand-written backward pass, whose
 gradients the test suite checks against central finite differences, so
-forward and backward must stay in lockstep. Inference runs the same
-``forward_batch`` on tables frozen once, in float32.
+forward and backward must stay in lockstep. The backward pass takes the
+key and value gradients back through the same tables: summed per distinct
+character and per position, not multiplied out per window position.
+Inference runs the same ``forward_batch`` on tables frozen once, in
+float32.
 
 Per utterance the classifier runs one window at a time, and at that size
 numpy's fixed cost per call outweighs the arithmetic. So the forward pass
@@ -59,6 +64,12 @@ class ClassifierConfig:
     pad_id: int = 1
 
     def __post_init__(self):
+        if self.heads < 1 or self.batch_size < 1:
+            raise ValueError("heads and batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be > 0")
         if self.model_dim % self.heads != 0:
             raise ValueError("model_dim must be divisible by heads")
         if not 0.0 < self.alpha <= 1.0:
@@ -176,6 +187,11 @@ def init_params(config: ClassifierConfig, vocab_size: int, rng: np.random.Genera
     return EncoderParams(**tensors)
 
 
+def _heads_to_columns(weight: np.ndarray) -> np.ndarray:
+    """(H, D, K) projection weights as one (D, H*K) matrix, head-major columns."""
+    return weight.transpose(1, 0, 2).reshape(weight.shape[1], -1)
+
+
 # Tensors after the attention scores that the frozen form keeps in its dtype.
 _TAIL = (
     "attn_out", "ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln1_scale", "ln1_shift",
@@ -224,12 +240,10 @@ class FrozenEncoder:
     @classmethod
     def freeze(cls, params: EncoderParams, pad_id: int, dtype=np.float32) -> "FrozenEncoder":
         h, d, k = params.attn_q.shape
-
-        def heads_to_columns(weight):  # (H, D, K) -> (D, H*K), head-major columns
-            return weight.transpose(1, 0, 2).reshape(d, h * k)
-
-        query = heads_to_columns(params.attn_q) / np.sqrt(k)
-        kv = np.concatenate([heads_to_columns(params.attn_k), heads_to_columns(params.attn_v)], axis=1)
+        query = _heads_to_columns(params.attn_q) / np.sqrt(k)
+        kv = np.concatenate(
+            [_heads_to_columns(params.attn_k), _heads_to_columns(params.attn_v)], axis=1
+        )
 
         def tables(x):  # x: embedding or positional
             return np.concatenate([x, x @ query], axis=1), x @ kv
@@ -323,7 +337,7 @@ def forward_batch(
 
     The rows' inputs and Q, K, V are gathered from the encoder's tables:
     float32 ones frozen once for inference, or float64 ones that training
-    freezes afresh for every forward, whose cache feeds ``backward_batch``.
+    freezes afresh for every step, whose cache feeds ``backward_batch``.
 
     The attention softmax subtracts each row's maximum, one
     ``np.maximum.reduce`` at every batch size. Sums and maxima are ufunc
@@ -393,12 +407,20 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
     """Gradients of a scalar loss w.r.t. every tensor, given dloss/dlogits.
 
     Follows the forward's row restriction: query-side gradients exist on
-    the NSW rows only (padded rows get exactly zero), key and value
-    gradients cover every position, and the rows' input gradients are
-    scattered back to their window positions. The forward's queries come
-    pre-scaled from the tables; the gradients are with respect to
-    ``params``, so the scale is folded into ``dq``, and the window inputs
-    the key and value projections saw are rebuilt from ``params``.
+    the NSW rows only (padded rows get exactly zero), and key and value
+    gradients cover every position. The forward's queries come pre-scaled
+    from the tables; the gradients are with respect to ``params``, so the
+    scale is folded into ``dq``.
+
+    Keys and values were gathered from ``E @ Wkv`` and ``P @ Wkv``, so
+    their gradients go back through the same tables: the window
+    positions' dK|dV rows, with the query rows' input gradients beside
+    them, are summed once per distinct character id (one stable sort and
+    ``np.add.reduceat``) and once per position. One product with the
+    embedding rows of those characters and the positional table then gives
+    the key and value weights' gradients, and one with ``Wkv`` the
+    embedding and positional gradients. At most B*W distinct ids occur, so
+    this never costs more than products over every window position.
     """
     ids, rows, valid, counts = cache["ids"], cache["rows"], cache["valid"], cache["counts"]
 
@@ -446,27 +468,45 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
     dq *= 1.0 / np.sqrt(k.shape[-1])
     dk = dscores.swapaxes(-1, -2) @ q
 
-    # Fold batch and rows (or positions) into one axis and the heads into
-    # the other, so each projection gradient is one (B*N, D) x (D, H*K)
-    # product; per-head products would build an (H, B*N, D) temporary.
-    x0 = params.embedding[ids] + params.positional
-    dx0 = np.zeros_like(x0)
-    for name, dhead, weight, x, dx in (
-        ("attn_q", dq, params.attn_q, cache["xq"], dxq),
-        ("attn_k", dk, params.attn_k, x0, dx0),
-        ("attn_v", dv, params.attn_v, x0, dx0),
-    ):
-        n = x.shape[1]
-        dcat = dhead.transpose(0, 2, 1, 3).reshape(b * n, -1)
-        grads[name] = np.ascontiguousarray(
-            (x.reshape(b * n, d).T @ dcat).reshape(d, h, -1).transpose(1, 0, 2)
-        )
-        dx += (dcat @ weight.transpose(1, 0, 2).reshape(d, -1).T).reshape(b, n, d)
-    # Rows of one window are distinct positions, so plain fancy-index += is exact.
-    dx0[np.arange(b)[:, None], rows] += dxq
+    def columns_to_heads(grad):  # (D, H*K) -> (H, D, K)
+        return np.ascontiguousarray(grad.reshape(d, h, -1).transpose(1, 0, 2))
 
-    np.add.at(grads["embedding"], ids, dx0)
-    grads["positional"] = dx0.sum(axis=0)
+    # Query rows: one (B*M, D) x (D, H*K) product each way.
+    dq_cat = dq.transpose(0, 2, 1, 3).reshape(b * m, -1)
+    grads["attn_q"] = columns_to_heads(cache["xq"].reshape(b * m, d).T @ dq_cat)
+    dxq += (dq_cat @ _heads_to_columns(params.attn_q).T).reshape(b, m, d)
+
+    # Window positions: dK | dV | the query rows' input gradient, per position.
+    w = ids.shape[1]
+    hk = dk.shape[1] * dk.shape[3]
+    dwindow = np.zeros((b, w, 2 * hk + d))
+    dwindow[:, :, :hk] = dk.transpose(0, 2, 1, 3).reshape(b, w, hk)
+    dwindow[:, :, hk : 2 * hk] = dv.transpose(0, 2, 1, 3).reshape(b, w, hk)
+    # Rows of one window are distinct positions, so plain assignment is exact.
+    dwindow[np.arange(b)[:, None], rows, 2 * hk :] = dxq
+
+    flat_ids = ids.reshape(-1)
+    order = np.argsort(flat_ids, kind="stable")
+    sorted_ids = flat_ids[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+    chars = sorted_ids[starts]
+    u = len(chars)
+    # Rows 0..U-1 sum per distinct character, rows U..U+W-1 per position.
+    dtable = np.empty((u + w, dwindow.shape[2]))
+    np.add.reduceat(dwindow.reshape(b * w, -1)[order], starts, axis=0, out=dtable[:u])
+    np.add.reduce(dwindow, axis=0, out=dtable[u:])
+    x = np.concatenate((params.embedding[chars], params.positional))
+    kv_weight = np.concatenate(
+        (_heads_to_columns(params.attn_k), _heads_to_columns(params.attn_v)), axis=1
+    )
+    dkv = dtable[:, : 2 * hk]
+    dkv_weight = x.T @ dkv
+    grads["attn_k"] = columns_to_heads(dkv_weight[:, :hk])
+    grads["attn_v"] = columns_to_heads(dkv_weight[:, hk:])
+    dx = dkv @ kv_weight.T
+    dx += dtable[:, 2 * hk :]
+    grads["embedding"][chars] = dx[:u]
+    grads["positional"] = dx[u:]
     return grads
 
 
@@ -495,6 +535,14 @@ class TrainingBatch:
 
 def _check_targets_legal(batch: TrainingBatch) -> None:
     rows = np.arange(len(batch))
+    label_count = batch.legal_masks.shape[1]
+    in_range = (batch.targets >= 0) & (batch.targets < label_count)
+    if not in_range.all():
+        bad = int(rows[~in_range][0])
+        raise ValueError(
+            f"target label {int(batch.targets[bad])} of sample {bad} is outside "
+            f"[0, {label_count})"
+        )
     if not batch.legal_masks[rows, batch.targets].all():
         bad = int(rows[~batch.legal_masks[rows, batch.targets]][0])
         raise ValueError(
@@ -503,31 +551,60 @@ def _check_targets_legal(batch: TrainingBatch) -> None:
         )
 
 
+def _split_by_nsw_count(counts: np.ndarray) -> list[np.ndarray]:
+    """Indices into ``counts`` sorted by count, as one part or two.
+
+    ``forward_batch`` pads every window's query rows to the largest count
+    of its call. Cutting the sorted counts ``c`` before index ``i`` pads
+    ``i*c[i-1] + (n-i)*c[n-1]`` rows instead of ``n*c[n-1]``; the cut that
+    pads the fewest is taken, and none when no cut saves a row. Each extra
+    part costs a forward and a backward pass's fixed numpy overhead, which
+    on training minibatches outweighs what a second cut saves.
+    """
+    order = np.argsort(counts, kind="stable")
+    c = counts[order]
+    n = len(c)
+    cuts = np.arange(1, n)
+    padded = cuts * c[:-1] + (n - cuts) * c[-1]
+    if n < 2 or padded.min() >= n * c[-1]:
+        return [order]
+    cut = int(cuts[np.argmin(padded)])
+    return [order[:cut], order[cut:]]
+
+
 def _training_forward(params: EncoderParams, batch: TrainingBatch, config: ClassifierConfig):
-    """Mean focal loss, target-label probabilities, ambiguous rows and their forward cache.
+    """Mean focal loss, target-label probabilities and a (rows, cache) pair per forward call.
 
     Sets ``batch.probs``. A row with one legal label needs no forward: its
     masked softmax is exactly one-hot on that label, whatever the logits,
     so its target probability is 1.0 and its logit gradient exactly zero.
-    Only the ambiguous rows (two or more legal labels) run the encoder,
-    and the cache is ``None`` when there are none. The loss is still the
-    mean over every row. The tables are frozen in float64 afresh on every
-    call, because optimizer steps and finite-difference probes change
-    ``params`` in place.
+    Only the ambiguous rows (two or more legal labels) run the encoder:
+    sorted by NSW count and split at most once, where that saves the most
+    padded query rows (``_split_by_nsw_count``), one ``forward_batch`` per
+    part. No part is returned when no row is ambiguous. A window's result
+    does not depend on the other windows of its call, so the split changes
+    only the float summation order, and the loss is still the mean over
+    every row. The tables are frozen in float64 afresh on every call,
+    because optimizer steps and finite-difference probes change ``params``
+    in place.
     """
     _check_targets_legal(batch)
-    ambiguous = batch.legal_masks.sum(axis=1) > 1
+    ambiguous = np.flatnonzero(batch.legal_masks.sum(axis=1) > 1)
     probs = batch.legal_masks.astype(np.float64)  # one-hot on the one-label rows
-    cache = None
-    if ambiguous.any():
+    parts = []
+    if len(ambiguous):
         encoder = FrozenEncoder.freeze(params, config.pad_id, np.float64)
-        probs[ambiguous], cache = forward_batch(
-            encoder, batch.ids[ambiguous], batch.nsw_masks[ambiguous], batch.legal_masks[ambiguous]
-        )
+        nsw = batch.nsw_masks[ambiguous]
+        for part in _split_by_nsw_count(nsw.sum(axis=1)):
+            rows = ambiguous[part]
+            probs[rows], cache = forward_batch(
+                encoder, batch.ids[rows], nsw[part], batch.legal_masks[rows]
+            )
+            parts.append((rows, cache))
     batch.probs = probs
     p_target = probs[np.arange(len(batch)), batch.targets]
     loss = float(focal_loss_vec(p_target, config.alpha, config.gamma).mean())
-    return loss, p_target, ambiguous, cache
+    return loss, p_target, parts
 
 
 def batch_loss(params: EncoderParams, batch: TrainingBatch, config: ClassifierConfig) -> float:
@@ -538,17 +615,26 @@ def batch_loss(params: EncoderParams, batch: TrainingBatch, config: ClassifierCo
 def batch_loss_and_grads(
     params: EncoderParams, batch: TrainingBatch, config: ClassifierConfig
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean focal loss and its gradients; the one-label rows contribute none."""
-    loss, p_target, ambiguous, cache = _training_forward(params, batch, config)
-    if cache is None:
-        return loss, {name: np.zeros_like(t) for name, t in params.tensors().items()}
-    probs = batch.probs[ambiguous]
-    p_target = p_target[ambiguous]
-    dp = focal_loss_grad(p_target, config.alpha, config.gamma) / len(batch)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(len(probs)), batch.targets[ambiguous]] = 1.0
-    dlogits = (dp * p_target)[:, None] * (onehot - probs)
-    grads = backward_batch(params, cache, dlogits)
+    """Mean focal loss and its gradients: the sum of each forward part's backward pass.
+
+    The one-label rows contribute none.
+    """
+    loss, p_target, parts = _training_forward(params, batch, config)
+    grads = None
+    for rows, cache in parts:
+        probs = batch.probs[rows]
+        dp = focal_loss_grad(p_target[rows], config.alpha, config.gamma) / len(batch)
+        onehot = np.zeros_like(probs)
+        onehot[np.arange(len(rows)), batch.targets[rows]] = 1.0
+        dlogits = (dp * p_target[rows])[:, None] * (onehot - probs)
+        part_grads = backward_batch(params, cache, dlogits)
+        if grads is None:
+            grads = part_grads
+        else:
+            for name, grad in part_grads.items():
+                grads[name] += grad
+    if grads is None:
+        grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
     return loss, grads
 
 

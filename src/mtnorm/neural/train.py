@@ -78,10 +78,14 @@ class AdamState:
         correct2 = 1.0 - self.beta2**self.step_count
         for name, tensor in params.tensors().items():
             g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / correct1
-            v_hat = self.v[name] / correct2
+            # in place, with the same roundings as beta * m + (1 - beta) * g
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / correct1
+            v_hat = v / correct2
             tensor -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
@@ -126,9 +130,10 @@ def train(
         raise ValueError("training corpus has no NSW spans to learn from")
     for sentence in corpus:
         for span in sentence.spans:
-            if span.label is not None and span.label >= config.label_count:
+            if span.label is not None and not 0 <= span.label < config.label_count:
                 raise ValueError(
-                    f"span label {span.label} outside configured label_count {config.label_count}"
+                    f"span label {span.label} outside [0, {config.label_count}) "
+                    "for the configured label_count"
                 )
     vocab = build_vocab(corpus, pad_id=config.pad_id)
     _keep_freed_heap()

@@ -196,3 +196,70 @@ def reference_forward(tensors, ids, nsw_mask, legal_mask, pad_id):
         probs[legal] = e / e.sum()
         out.append(probs)
     return np.asarray(out)
+
+
+def _reference_layer_norm_backward(dout, norm, inv, scale):
+    dnorm = dout * scale
+    axes = tuple(range(dout.ndim - 1))
+    dx = inv * (
+        dnorm
+        - dnorm.mean(axis=-1, keepdims=True)
+        - norm * (dnorm * norm).mean(axis=-1, keepdims=True)
+    )
+    return dx, (dout * norm).sum(axis=axes), dout.sum(axis=axes)
+
+
+def reference_backward_batch(tensors, cache, dlogits):
+    """Parameter gradients from a forward cache, projecting every window position.
+
+    ``tensors`` maps parameter names to arrays and ``cache`` is the dict a
+    float64 forward pass returns. Above the projections this is the
+    encoder block's backward pass step by step. Below them it rebuilds each
+    window's inputs ``E[ids] + P``, takes the key and value weights'
+    gradients as products over all B*W window positions, and scatters the
+    input gradients into the embedding with ``np.add.at``, one window
+    position at a time.
+    """
+    t = tensors
+    ids, rows, valid, counts = cache["ids"], cache["rows"], cache["valid"], cache["counts"]
+    grads = {"cls_w": cache["pooled"].T @ dlogits, "cls_b": dlogits.sum(axis=0)}
+    dnorm2 = (dlogits @ t["cls_w"].T)[:, None, :] * (valid / counts[:, None])[:, :, None]
+    dres2, grads["ln2_scale"], grads["ln2_shift"] = _reference_layer_norm_backward(
+        dnorm2, cache["n2_hat"], cache["n2_inv"], t["ln2_scale"]
+    )
+    b, m, d = dres2.shape
+    grads["ff_w2"] = cache["ff_act"].reshape(b * m, -1).T @ dres2.reshape(b * m, d)
+    grads["ff_b2"] = dres2.sum(axis=(0, 1))
+    dff_pre = (dres2 @ t["ff_w2"].T) * (cache["ff_pre"] > 0.0)
+    grads["ff_w1"] = cache["norm1"].reshape(b * m, d).T @ dff_pre.reshape(b * m, -1)
+    grads["ff_b1"] = dff_pre.sum(axis=(0, 1))
+    dres1, grads["ln1_scale"], grads["ln1_shift"] = _reference_layer_norm_backward(
+        dres2 + dff_pre @ t["ff_w1"].T, cache["n1_hat"], cache["n1_inv"], t["ln1_scale"]
+    )
+    grads["attn_out"] = cache["concat"].reshape(b * m, d).T @ dres1.reshape(b * m, d)
+    h = t["attn_q"].shape[0]
+    dctx = (dres1 @ t["attn_out"].T).reshape(b, m, h, d // h).transpose(0, 2, 1, 3)
+    attn, v, q, k = cache["attn"], cache["v"], cache["q"], cache["k"]
+    dattn = dctx @ v.swapaxes(-1, -2)
+    dv = attn.swapaxes(-1, -2) @ dctx
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dq = dscores @ k / np.sqrt(k.shape[-1])
+    dk = dscores.swapaxes(-1, -2) @ q
+
+    x0 = t["embedding"][ids] + t["positional"]
+    dxq = dres1.copy()
+    dx0 = np.zeros_like(x0)
+    for name, dhead, x, dx in (
+        ("attn_q", dq, cache["xq"], dxq),
+        ("attn_k", dk, x0, dx0),
+        ("attn_v", dv, x0, dx0),
+    ):
+        n = x.shape[1]
+        dcat = dhead.transpose(0, 2, 1, 3).reshape(b * n, -1)
+        grads[name] = (x.reshape(b * n, d).T @ dcat).reshape(d, h, -1).transpose(1, 0, 2)
+        dx += (dcat @ t[name].transpose(1, 0, 2).reshape(d, -1).T).reshape(b, n, d)
+    dx0[np.arange(b)[:, None], rows] += dxq
+    grads["embedding"] = np.zeros_like(t["embedding"])
+    np.add.at(grads["embedding"], ids, dx0)
+    grads["positional"] = dx0.sum(axis=0)
+    return grads

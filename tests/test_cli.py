@@ -87,6 +87,20 @@ class TestTrain:
         assert err.startswith("mtnorm train: ") and "pretrained_vectors" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("field, value", [("batch_size", 0), ("heads", 0), ("epochs", -1)])
+    def test_config_that_breaks_training_fails_with_cause(
+        self, workspace, tmp_path, capsys, field, value
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, field: value}), "utf-8")
+        code = main(["train", "--corpus", str(workspace["corpus"]), "--config", str(config),
+                     "--out", str(tmp_path / "x.npz")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mtnorm train: ") and field in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.npz").exists()
+
     def test_missing_corpus_fails(self, workspace, capsys):
         assert main(["train", "--corpus", "/nonexistent.jsonl",
                      "--out", str(workspace["root"] / "x.npz")]) == 1

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import reference_forward, reference_window
+from oracles import reference_backward_batch, reference_forward, reference_window
 
 from mtnorm.corpus import (
     CorpusDistribution,
@@ -30,6 +30,7 @@ from mtnorm.neural import (
     predict_probs,
     save_params,
 )
+from mtnorm.neural.model import backward_batch
 from mtnorm.neural.vocab import PAD_CHAR
 
 
@@ -378,6 +379,36 @@ class TestForwardOracle:
             assert single[0].argmax() == batched[row].argmax()
 
 
+class TestBackwardOracle:
+    """K/V gradients through per-character tables equal per-position products."""
+
+    @pytest.mark.parametrize(
+        "case, id_range, vocab_size",
+        [
+            ("pad ids", (2, 20), 20),
+            ("repeated ids", (2, 5), 20),
+            ("vocabulary larger than the batch's ids", (2, 30), 500),
+        ],
+    )
+    def test_matches_per_position_reference(self, case, id_range, vocab_size):
+        config, params, rng = oracle_setup(vocab_size=vocab_size)
+        for _ in range(5):
+            ids, nsw, legal = ragged_windows(rng, [1, 2, 5, 12, 3, 1, 7], vocab_size=vocab_size)
+            if case != "pad ids":
+                ids = np.where(nsw | (ids != config.pad_id), rng.integers(*id_range, ids.shape), ids)
+            assert (ids == config.pad_id).any()
+            _, cache = forward_batch(frozen64(params, config.pad_id), ids, nsw, legal)
+            dlogits = rng.normal(size=(len(ids), config.label_count))
+            got = backward_batch(params, cache, dlogits)
+            want = reference_backward_batch(params.tensors(), cache, dlogits)
+            assert got.keys() == want.keys()
+            for name, grad in want.items():
+                assert got[name].shape == grad.shape, name
+                assert np.abs(got[name] - grad).max() <= 1e-12, name
+            unseen = np.setdiff1d(np.arange(vocab_size), ids)
+            assert not got["embedding"][unseen].any()
+
+
 class TestPredictProbs:
     """Windows sorted by NSW count, in chunks, give each window's own result."""
 
@@ -561,6 +592,27 @@ def rewrite_json(path, key, **fields):
     np.savez(path, **archive)
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("batch_size", 0, "batch_size must be >= 1"),
+            ("batch_size", -5, "batch_size must be >= 1"),
+            ("heads", 0, "heads and batch_size must be >= 1"),
+            ("epochs", -1, "epochs must be >= 0"),
+            ("learning_rate", 0.0, "learning_rate must be > 0"),
+            ("learning_rate", -1e-3, "learning_rate must be > 0"),
+            ("learning_rate", float("nan"), "learning_rate must be > 0"),
+        ],
+    )
+    def test_values_that_break_training_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ClassifierConfig(**{field: value})
+
+    def test_zero_epochs_allowed(self):
+        assert ClassifierConfig(epochs=0).epochs == 0
+
+
 class TestCheckpoint:
     def test_round_trip_identical(self, tmp_path):
         config, vocab, params = small_setup()
@@ -611,6 +663,14 @@ class TestCheckpoint:
         save_params(path, params, config, vocab)
         rewrite_json(path, "config_json", dropout=0.1)
         with pytest.raises(CheckpointError, match="dropout"):
+            load_params(path)
+
+    def test_config_that_breaks_training_rejected(self, tmp_path):
+        config, vocab, params = small_setup()
+        path = str(tmp_path / "model.npz")
+        save_params(path, params, config, vocab)
+        rewrite_json(path, "config_json", batch_size=0)
+        with pytest.raises(CheckpointError, match="batch_size must be >= 1"):
             load_params(path)
 
     def test_legacy_pretrained_vectors_key_loads(self, tmp_path):

@@ -25,7 +25,8 @@ from mtnorm.neural import (
     train,
 )
 from mtnorm.neural.loss import focal_loss_grad, focal_loss_vec
-from mtnorm.neural.model import backward_batch
+from mtnorm.neural.model import _split_by_nsw_count, backward_batch
+from mtnorm.neural.train import AdamState
 
 
 def separable_corpus(n=200, trigger=("甲", "乙")):
@@ -102,6 +103,12 @@ class TestTraining:
         with pytest.raises(ValueError, match="label_count"):
             train(corpus, toy_config())
 
+    def test_negative_label_rejected(self):
+        # a label of -1 would index the last label's legality mask and train toward it
+        corpus = [LabeledSentence("共100人", (NSWSpan(1, 4, -1),))]
+        with pytest.raises(ValueError, match=r"span label -1 outside \[0, 2\)"):
+            train(corpus, toy_config())
+
     @pytest.mark.skipif(
         not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"),
         reason="the freed-memory thresholds are set on glibc only",
@@ -171,6 +178,13 @@ class TestBatchLoss:
         config, params, batch = small_batch()
         batch.legal_masks[0, batch.targets[0]] = False
         with pytest.raises(ValueError, match="illegal"):
+            batch_loss(params, batch, config)
+
+    @pytest.mark.parametrize("target", [-1, -4, 4])
+    def test_target_outside_label_range_rejected(self, target):
+        config, params, batch = small_batch()
+        batch.targets[2] = target
+        with pytest.raises(ValueError, match=rf"label {target} of sample 2 is outside \[0, 4\)"):
             batch_loss(params, batch, config)
 
 
@@ -249,7 +263,8 @@ class TestOneLabelRows:
         legal[one_label] = np.eye(4, dtype=bool)[targets[one_label]]
         batch = TrainingBatch(ids, nsw, legal, targets)
         loss, grads = batch_loss_and_grads(params, batch, config)
-        assert forward_calls == [[1, 4, 2]]  # the ambiguous rows' NSW counts
+        # the ambiguous rows' NSW counts, sorted and split where that saves padding
+        assert forward_calls == [[1, 2], [4]]
         assert np.array_equal(batch.probs[one_label], legal[one_label].astype(np.float64))
         want_loss, want_grads, want_probs = self.all_rows_reference(params, batch, config)
         assert loss == pytest.approx(want_loss, rel=0.0, abs=1e-12)
@@ -319,7 +334,81 @@ class TestTrainingProjection:
 
         monkeypatch.setattr(FrozenEncoder, "project", recording_project)
         batch_loss_and_grads(params, batch, config)
-        assert dtypes == [(np.float64, np.float64, np.float64)]
+        assert dtypes == [(np.float64, np.float64, np.float64)] * 2  # one per split part
+
+
+    def test_gradient_check_split_batch(self):
+        config, params, batch = self.ragged_batch()
+        counts = batch.nsw_masks.sum(axis=1)
+        assert [counts[part].tolist() for part in _split_by_nsw_count(counts)] == [[1, 2, 4], [10]]
+        # one character at query rows and key positions of both parts
+        batch.ids[0, 5] = batch.ids[1, 4] = batch.ids[2, 8] = batch.ids[3, 0] = batch.ids[3, 6] = 7
+        # every coordinate of every tensor, the repeated character's embedding row included
+        assert gradient_check(params, batch, config, coords_per_tensor=200) <= 1e-3
+
+
+class TestSplitByNSWCount:
+    """Ambiguous rows run in at most two forward calls, cut where that pads the fewest rows."""
+
+    @staticmethod
+    def padded_rows(counts, parts):
+        return sum(len(part) * counts[part].max() for part in parts)
+
+    @pytest.mark.parametrize("counts", [[3], [3, 3, 3], [5] * 64, [1, 1], [4, 4, 4, 4, 4]])
+    def test_uniform_counts_give_one_part(self, counts):
+        parts = _split_by_nsw_count(np.asarray(counts))
+        assert [part.tolist() for part in parts] == [list(range(len(counts)))]
+
+    def test_cut_before_the_largest_count(self):
+        parts = _split_by_nsw_count(np.asarray([10, 1, 4, 2]))
+        assert [part.tolist() for part in parts] == [[1, 3, 2], [0]]
+
+    def test_random_counts(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            counts = rng.integers(1, int(rng.integers(2, 31)), size=int(rng.integers(1, 65)))
+            parts = _split_by_nsw_count(counts)
+            assert 1 <= len(parts) <= 2
+            joined = np.concatenate(parts)
+            assert sorted(joined.tolist()) == list(range(len(counts)))  # each row exactly once
+            assert np.all(np.diff(counts[joined]) >= 0)  # sorted, across and within parts
+            # the stable order: rows of equal count keep their input order
+            assert joined.tolist() == np.argsort(counts, kind="stable").tolist()
+            sorted_counts = np.sort(counts)
+            n = len(counts)
+            best = min(
+                [n * sorted_counts[-1]]
+                + [i * sorted_counts[i - 1] + (n - i) * sorted_counts[-1] for i in range(1, n)]
+            )
+            assert self.padded_rows(counts, parts) == best
+            if len(parts) == 1:
+                assert best == n * counts.max()  # no cut saves a row
+            else:
+                assert best < n * counts.max()
+
+
+class TestAdam:
+    def test_in_place_update_matches_formula_bit_for_bit(self):
+        _, params, _ = small_batch()
+        reference = params.copy()
+        optimizer = AdamState(params, 1e-3)
+        m = {name: np.zeros_like(t) for name, t in reference.tensors().items()}
+        v = {name: np.zeros_like(t) for name, t in reference.tensors().items()}
+        rng = np.random.default_rng(6)
+        for step in range(1, 6):
+            grads = {name: rng.normal(size=t.shape) for name, t in reference.tensors().items()}
+            optimizer.step(params, grads)
+            for name, tensor in reference.tensors().items():
+                g = grads[name]
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
+                m_hat = m[name] / (1.0 - 0.9**step)
+                v_hat = v[name] / (1.0 - 0.999**step)
+                tensor -= 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            for name, tensor in reference.tensors().items():
+                assert np.array_equal(params.tensors()[name], tensor), name
+                assert np.array_equal(optimizer.m[name], m[name]), name
+                assert np.array_equal(optimizer.v[name], v[name]), name
 
 
 class TestBatchAssembly:
