@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from importlib import resources
 
 from . import corpus as corpus_mod
@@ -70,7 +69,7 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     # With no priority surfaces every span with a legal label is scored, 911 too.
-    system = replace(_build_system(args, args.model), priority=PriorityList())
+    system = _build_system(args, args.model, PriorityList())
     labels = system.formats
     texts = [args.text] if args.text is not None else _read_lines(args.infile)
     for text, (_, traces) in zip(texts, pipeline.normalize_many(texts, system)):
@@ -86,11 +85,15 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _build_system(args, model: str | None) -> pipeline.HybridSystem:
+def _build_system(
+    args, model: str | None, priority: PriorityList | None = None
+) -> pipeline.HybridSystem:
     params, config, vocab = load_params(model) if model else (None, None, None)
+    if priority is None:
+        priority = load_priority_list(args.priority or _data_path("priority.txt"))
     return pipeline.HybridSystem(
         rules=compile_rules(args.rules or _data_path("rules.txt")),
-        priority=load_priority_list(args.priority or _data_path("priority.txt")),
+        priority=priority,
         params=params,
         config=config,
         vocab=vocab,

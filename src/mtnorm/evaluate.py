@@ -213,7 +213,6 @@ def format_golden_report(report: GoldenReport) -> str:
 
 ABLATION_GRID = (
     {"name": "proposed"},
-    {"name": "pad_zeros", "pad_id": 0},
     {"name": "max_window", "window": "max"},
     {"name": "ce_loss", "alpha": 1.0, "gamma": 0.0},
     {"name": "no_mask", "use_mask": False},

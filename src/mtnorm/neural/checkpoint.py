@@ -3,6 +3,10 @@
 The container is a numpy .npz archive (self-describing shapes). A
 ``format_version`` entry gates loading, and every tensor shape is checked
 against the stored config before the model is accepted.
+
+Older files also hold ``pad_id`` (config) and ``pad_id`` / ``unk_id``
+(vocabulary): the fixed ids load as saved, and the swapped pair loads with
+embedding rows 0 and 1 swapped, an exact equivalent.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import json
 import numpy as np
 
 from .model import ClassifierConfig, EncoderParams
-from .vocab import Vocabulary
+from .vocab import PAD_ID, UNK_ID, Vocabulary
 
 FORMAT_VERSION = 1
 
@@ -22,16 +26,11 @@ class CheckpointError(ValueError):
 
 
 def save_params(path: str, params: EncoderParams, config: ClassifierConfig, vocab: Vocabulary) -> None:
-    vocab_payload = {
-        "char_to_id": vocab.char_to_id,
-        "pad_id": vocab.pad_id,
-        "unk_id": vocab.unk_id,
-    }
     np.savez(
         path,
         format_version=np.asarray(FORMAT_VERSION),
         config_json=np.asarray(config.to_json()),
-        vocab_json=np.asarray(json.dumps(vocab_payload, ensure_ascii=False)),
+        vocab_json=np.asarray(json.dumps({"char_to_id": vocab.char_to_id}, ensure_ascii=False)),
         **params.tensors(),
     )
 
@@ -55,21 +54,20 @@ def load_params(path: str) -> tuple[EncoderParams, ClassifierConfig, Vocabulary]
         # named would already be in ``embedding``.
         raw_config.pop("pretrained_vectors", None)
         raw_vocab = json.loads(str(archive["vocab_json"]))
+        reserved = (
+            raw_config.pop("pad_id", PAD_ID),
+            raw_vocab.get("pad_id", PAD_ID),
+            raw_vocab.get("unk_id", UNK_ID),
+        )
+        if reserved not in ((PAD_ID, PAD_ID, UNK_ID), (UNK_ID, UNK_ID, PAD_ID)):
+            # attention would mask the wrong keys without any other error
+            raise CheckpointError(f"{path}: config pad_id, vocabulary pad_id and unk_id "
+                                  f"{reserved} are not the reserved ids (1, 1, 0) or (0, 0, 1)")
         try:
             config = ClassifierConfig(**raw_config)
-            vocab = Vocabulary(
-                char_to_id={k: int(v) for k, v in raw_vocab["char_to_id"].items()},
-                pad_id=int(raw_vocab["pad_id"]),
-                unk_id=int(raw_vocab["unk_id"]),
-            )
+            vocab = Vocabulary({k: int(v) for k, v in raw_vocab["char_to_id"].items()})
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: {exc}") from None
-        if vocab.pad_id != config.pad_id:
-            # attention would mask the wrong keys without any other error
-            raise CheckpointError(
-                f"{path}: vocabulary pad_id {vocab.pad_id} disagrees with config.pad_id "
-                f"{config.pad_id}"
-            )
         field_names = EncoderParams.__dataclass_fields__
         tensors = {}
         for name in field_names:
@@ -81,5 +79,7 @@ def load_params(path: str) -> tuple[EncoderParams, ClassifierConfig, Vocabulary]
         params.check_shapes(config, vocab.size)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
+    if reserved[0] != PAD_ID:
+        params.embedding[[PAD_ID, UNK_ID]] = params.embedding[[UNK_ID, PAD_ID]]
     params.check_finite()
     return params, config, vocab

@@ -42,6 +42,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .loss import focal_loss_grad, focal_loss_vec
+from .vocab import PAD_ID
 
 ATTN_NEG = -1e9
 LN_EPS = 1e-5
@@ -61,11 +62,12 @@ class ClassifierConfig:
     batch_size: int = 64
     seed: int = 0
     use_mask: bool = True
-    pad_id: int = 1
 
     def __post_init__(self):
         if self.heads < 1 or self.batch_size < 1:
             raise ValueError("heads and batch_size must be >= 1")
+        if self.model_dim < 1 or self.ff_dim < 0:
+            raise ValueError("model_dim must be >= 1 and ff_dim >= 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if not self.learning_rate > 0.0:
@@ -209,7 +211,7 @@ class FrozenEncoder:
     The query side packs the embedding with the query projection, already
     scaled by 1/sqrt(K), because the NSW rows need both (the residual and
     the queries); the key side packs the key and value projections.
-    ``key_bias`` is ``ATTN_NEG`` at ``pad_id`` and 0 elsewhere. The tail
+    ``key_bias`` is ``ATTN_NEG`` at ``PAD_ID`` and 0 elsewhere. The tail
     tensors are kept under their ``EncoderParams`` names in ``dtype``:
     float32 for inference, float64 for training, where they are the
     parameters themselves. The classifier head always stays float64: a
@@ -223,7 +225,6 @@ class FrozenEncoder:
     kv_chars: np.ndarray         # (V, 2*H*K): key | value projection
     kv_positions: np.ndarray     # (W, 2*H*K)
     key_bias: np.ndarray         # (V,)
-    pad_id: int
     heads: int
     attn_out: np.ndarray
     ff_w1: np.ndarray
@@ -238,7 +239,7 @@ class FrozenEncoder:
     cls_b: np.ndarray
 
     @classmethod
-    def freeze(cls, params: EncoderParams, pad_id: int, dtype=np.float32) -> "FrozenEncoder":
+    def freeze(cls, params: EncoderParams, dtype=np.float32) -> "FrozenEncoder":
         h, d, k = params.attn_q.shape
         query = _heads_to_columns(params.attn_q) / np.sqrt(k)
         kv = np.concatenate(
@@ -251,14 +252,14 @@ class FrozenEncoder:
         query_chars, kv_chars = tables(params.embedding)
         query_positions, kv_positions = tables(params.positional)
         key_bias = np.zeros(params.embedding.shape[0])
-        key_bias[pad_id] = ATTN_NEG
+        key_bias[PAD_ID] = ATTN_NEG
 
         def cast(a):
             return np.ascontiguousarray(a, dtype=dtype)
 
         return cls(
             cast(query_chars), cast(query_positions), cast(kv_chars), cast(kv_positions),
-            cast(key_bias), pad_id, h, **{name: cast(getattr(params, name)) for name in _TAIL},
+            cast(key_bias), h, **{name: cast(getattr(params, name)) for name in _TAIL},
             cls_w=params.cls_w.copy(), cls_b=params.cls_b.copy(),
         )
 
@@ -555,14 +556,15 @@ def _split_by_nsw_count(counts: np.ndarray) -> list[np.ndarray]:
     """Indices into ``counts`` sorted by count, as one part or two.
 
     ``forward_batch`` pads every window's query rows to the largest count
-    of its call. Cutting the sorted counts ``c`` before index ``i`` pads
+    of its call, and runs at least two, so a window costs ``max(count, 2)``
+    rows. Cutting the sorted costs ``c`` before index ``i`` pads
     ``i*c[i-1] + (n-i)*c[n-1]`` rows instead of ``n*c[n-1]``; the cut that
     pads the fewest is taken, and none when no cut saves a row. Each extra
     part costs a forward and a backward pass's fixed numpy overhead, which
     on training minibatches outweighs what a second cut saves.
     """
     order = np.argsort(counts, kind="stable")
-    c = counts[order]
+    c = np.maximum(counts[order], 2)
     n = len(c)
     cuts = np.arange(1, n)
     padded = cuts * c[:-1] + (n - cuts) * c[-1]
@@ -593,7 +595,7 @@ def _training_forward(params: EncoderParams, batch: TrainingBatch, config: Class
     probs = batch.legal_masks.astype(np.float64)  # one-hot on the one-label rows
     parts = []
     if len(ambiguous):
-        encoder = FrozenEncoder.freeze(params, config.pad_id, np.float64)
+        encoder = FrozenEncoder.freeze(params, np.float64)
         nsw = batch.nsw_masks[ambiguous]
         for part in _split_by_nsw_count(nsw.sum(axis=1)):
             rows = ambiguous[part]

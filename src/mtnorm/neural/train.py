@@ -135,7 +135,7 @@ def train(
                     f"span label {span.label} outside [0, {config.label_count}) "
                     "for the configured label_count"
                 )
-    vocab = build_vocab(corpus, pad_id=config.pad_id)
+    vocab = build_vocab(corpus)
     _keep_freed_heap()
     rng = np.random.default_rng(config.seed)
     params = init_params(config, vocab.size, rng)
@@ -169,6 +169,6 @@ def predict_batch(
     params: EncoderParams, data: TrainingBatch, config: ClassifierConfig
 ) -> np.ndarray:
     """Argmax labels for a prepared batch, from the frozen (float32) encoder."""
-    encoder = FrozenEncoder.freeze(params, config.pad_id)
+    encoder = FrozenEncoder.freeze(params)
     probs = predict_probs(encoder, data.ids, data.nsw_masks, data.legal_masks)
     return probs.argmax(axis=1)

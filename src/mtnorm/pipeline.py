@@ -108,10 +108,8 @@ class HybridSystem:
             return
         if self.config.label_count != len(self.formats):
             raise ValueError("classifier label count and label registry disagree")
-        if self.vocab.pad_id != self.config.pad_id:
-            raise ValueError("vocabulary pad_id disagrees with config.pad_id")
         self.params.check_shapes(self.config, self.vocab.size)
-        self.encoder = FrozenEncoder.freeze(self.params, self.config.pad_id)
+        self.encoder = FrozenEncoder.freeze(self.params)
 
 
 def _rule_route(sys: HybridSystem, text: str, span: NSWSpan, surface: str, route: str, probs=None):

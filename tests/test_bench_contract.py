@@ -87,7 +87,7 @@ def test_keyword_construction():
     from mtnorm.pipeline import HybridSystem
 
     config = ClassifierConfig(label_count=11, epochs=6, seed=0)
-    for field in ("window", "heads", "model_dim", "ff_dim", "batch_size", "epochs", "pad_id"):
+    for field in ("window", "heads", "model_dim", "ff_dim", "batch_size", "epochs"):
         assert hasattr(config, field)
     fields = {f.name for f in dataclasses.fields(HybridSystem)}
     assert fields >= {"rules", "priority", "params", "config", "vocab", "formats"}

@@ -9,7 +9,14 @@ from mtnorm import evaluate as ev
 from mtnorm.cli import main
 from mtnorm.corpus import CorpusDistribution, generate_synthetic_corpus, load_corpus
 from mtnorm.labels import DEFAULT_REGISTRY
-from mtnorm.neural import ClassifierConfig, build_vocab, init_params, load_params, save_params
+from mtnorm.neural import (
+    ClassifierConfig,
+    FrozenEncoder,
+    build_vocab,
+    init_params,
+    load_params,
+    save_params,
+)
 
 TINY_CONFIG = {
     "model_dim": 16, "heads": 2, "ff_dim": 32, "epochs": 2,
@@ -191,6 +198,18 @@ class TestClassify:
         assert out.startswith("10%\t")
         assert "B_Percent" in out
 
+    def test_encoder_frozen_once(self, workspace, monkeypatch, capsys):
+        freeze = FrozenEncoder.freeze.__func__
+        calls = []
+
+        def counting_freeze(cls, *args, **kwargs):
+            calls.append(args)
+            return freeze(cls, *args, **kwargs)
+
+        monkeypatch.setattr(FrozenEncoder, "freeze", classmethod(counting_freeze))
+        assert main(["classify", "--model", str(workspace["model"]), "--text", "共100人"]) == 0
+        assert len(calls) == 1
+
     def test_priority_surface_classified(self, workspace, capsys):
         # classify shows the classifier's view of every span, priority surfaces too
         assert main(["classify", "--model", str(workspace["model"]),
@@ -209,7 +228,7 @@ class TestClassify:
     def test_unmasked_checkpoint_matches_normalize(self, workspace, tmp_path, capsys):
         # use_mask=False: every label is a candidate, as in normalize and training
         config = ClassifierConfig(**{**TINY_CONFIG, "use_mask": False})
-        vocab = build_vocab(load_corpus(str(workspace["corpus"])), pad_id=config.pad_id)
+        vocab = build_vocab(load_corpus(str(workspace["corpus"])))
         model = tmp_path / "unmasked.npz"
         save_params(str(model), init_params(config, vocab.size, np.random.default_rng(4)),
                     config, vocab)

@@ -19,7 +19,7 @@ from mtnorm.corpus import (
 from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.legality import default_formats
 from mtnorm.neural import build_vocab
-from mtnorm.neural.vocab import PAD_CHAR
+from mtnorm.neural.vocab import PAD_CHAR, PAD_ID
 
 DIST = CorpusDistribution.default()
 
@@ -77,7 +77,7 @@ def decoded_window(sentence, span, width):
     """``Vocabulary.windows`` for one span, its ids read back as characters."""
     vocab = build_vocab([sentence])
     ids, nsw = vocab.windows(sentence.text, [span], width)
-    chars = {i: ch for ch, i in vocab.char_to_id.items()} | {vocab.pad_id: PAD_CHAR}
+    chars = {i: ch for ch, i in vocab.char_to_id.items()} | {PAD_ID: PAD_CHAR}
     return SimpleNamespace(
         chars="".join(chars[i] for i in ids[0]), nsw_mask=tuple(bool(b) for b in nsw[0])
     )

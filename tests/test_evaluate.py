@@ -200,5 +200,5 @@ class TestAblation:
     def test_default_grid_covers_spec_rows(self):
         names = {entry["name"] for entry in ev.ABLATION_GRID}
         assert names == {
-            "proposed", "pad_zeros", "max_window", "ce_loss", "no_mask", "data_expansion"
+            "proposed", "max_window", "ce_loss", "no_mask", "data_expansion"
         }

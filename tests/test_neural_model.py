@@ -1,6 +1,6 @@
 import json
 import random
-from dataclasses import replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -29,14 +29,15 @@ from mtnorm.neural import (
     model,
     predict_probs,
     save_params,
+    train,
 )
 from mtnorm.neural.model import backward_batch
-from mtnorm.neural.vocab import PAD_CHAR
+from mtnorm.neural.vocab import PAD_CHAR, PAD_ID, UNK_ID
 
 
-def frozen64(params, pad_id=1):
+def frozen64(params):
     """``params`` frozen into float64 tables, the encoder a training forward runs on."""
-    return FrozenEncoder.freeze(params, pad_id, np.float64)
+    return FrozenEncoder.freeze(params, np.float64)
 
 
 def small_setup(window=8, dim=16, heads=2, labels=5, vocab_chars="零一二三456789时分比"):
@@ -102,38 +103,28 @@ class TestMaskedSoftmax:
         ids, nsw, _ = ragged_windows(rng, [1, 2, 5, 12, 3, 1])
         legal = np.zeros((6, 5), dtype=bool)
         legal[np.arange(6), [0, 4, 2, 2, 1, 3]] = True
-        probs, _ = forward_batch(FrozenEncoder.freeze(params, config.pad_id, dtype), ids, nsw, legal)
+        probs, _ = forward_batch(FrozenEncoder.freeze(params, dtype), ids, nsw, legal)
         assert probs.dtype == np.float64
         assert np.array_equal(probs, legal.astype(np.float64))
 
 
 class TestVocabulary:
-    def test_pad_unk_distinct(self):
-        with pytest.raises(ValueError):
-            Vocabulary({}, pad_id=1, unk_id=1)
-
     def test_round_trip_ids(self):
         vocab = build_vocab([LabeledSentence("今天好", ())])
         for ch in "今天好":
             assert vocab.id_of(ch) >= 2
-        assert vocab.id_of(PAD_CHAR) == vocab.pad_id
-        assert vocab.id_of("未") == vocab.unk_id
+        assert vocab.id_of(PAD_CHAR) == PAD_ID
+        assert vocab.id_of("未") == UNK_ID
 
-    @pytest.mark.parametrize("pad_id, unk_id", [(1, 3), (5, 0), (0, 2)])
-    def test_reserved_ids_are_zero_and_one(self, pad_id, unk_id):
-        # unk_id 3 would read unknown characters as "b"; pad_id 5 has no row
-        with pytest.raises(ValueError, match="reserved"):
-            Vocabulary({"a": 2, "b": 3}, pad_id=pad_id, unk_id=unk_id)
-
-    @pytest.mark.parametrize("pad_id", [2, 5, -1])
-    def test_build_vocab_pad_id_reserved(self, pad_id):
-        with pytest.raises(ValueError, match="reserved"):
-            build_vocab([LabeledSentence("ab", ())], pad_id=pad_id)
-
-    def test_pad_zero_variant(self):
-        vocab = build_vocab([LabeledSentence("abc", ())], pad_id=0)
-        assert vocab.pad_id == 0
-        assert vocab.unk_id == 1
+    @pytest.mark.parametrize("pad_id, unk_id", [(1, 3), (5, 0), (0, 2), (1, 1)])
+    def test_reserved_ids_are_zero_and_one(self, tmp_path, pad_id, unk_id):
+        # a vocabulary saved with other ids than 0 and 1 does not load: unk_id 3
+        # would read unknown characters as "b", and pad_id 5 has no row
+        config, _, params = small_setup(vocab_chars="ab")
+        path = str(tmp_path / "model.npz")
+        save_old_format(path, params, config, {"a": 2, "b": 3}, pad_id, pad_id, unk_id)
+        with pytest.raises(CheckpointError, match="reserved"):
+            load_params(path)
 
 
 def reference_windows(vocab, text, spans, width):
@@ -181,9 +172,9 @@ class TestWindows:
 
     def test_dense_lines(self):
         corpus = generate_synthetic_corpus(CorpusDistribution.default(), 400, seed=22)
-        for pad_id in (1, 0):
-            vocab = build_vocab(corpus[:200], pad_id=pad_id)
-            for line in dense_lines(corpus, 60, seed=pad_id):
+        vocab = build_vocab(corpus[:200])
+        for seed in (1, 0):
+            for line in dense_lines(corpus, 60, seed=seed):
                 for width in self.WIDTHS:
                     self.check(vocab, line.text, line.spans, width)
                     self.check(vocab, line.text, extract_nsw(line.text), width)
@@ -195,7 +186,7 @@ class TestWindows:
             self.check(vocab, "12人在3", [NSWSpan(0, 2), NSWSpan(4, 5)], width)
             self.check(vocab, "共12人在3", spans, width)
         ids, nsw = vocab.windows("12", [NSWSpan(0, 2)], 6)
-        pad = [vocab.pad_id] * 2
+        pad = [PAD_ID] * 2
         assert ids.tolist() == [pad + [vocab.id_of("1"), vocab.id_of("2")] + pad]
         assert nsw.tolist() == [[False, False, True, True, False, False]]
 
@@ -208,22 +199,21 @@ class TestWindows:
             assert nsw.all()
             self.check(vocab, text, [NSWSpan(2, 12), NSWSpan(12, 13)], width)
 
-    @pytest.mark.parametrize("pad_id", [1, 0])
-    def test_literal_pad_char_reads_pad_id(self, pad_id):
-        vocab = build_vocab([LabeledSentence("共100人", ())], pad_id=pad_id)
+    def test_literal_pad_char_reads_pad_id(self):
+        vocab = build_vocab([LabeledSentence("共100人", ())])
         text = "共\x00100人"
         ids, nsw = vocab.windows(text, [NSWSpan(2, 5)], 5)
         assert ids.tolist() == [[vocab.id_of(ch) for ch in "\x00100人"]]
-        assert ids[0, 0] == vocab.pad_id == pad_id
+        assert ids[0, 0] == PAD_ID
         assert nsw.tolist() == [[False, True, True, True, False]]
         for width in self.WIDTHS:
             self.check(vocab, text, [NSWSpan(2, 5)], width)
 
-    @pytest.mark.parametrize("pad_id", [1, 0])
-    def test_random_texts_and_spans(self, pad_id):
-        rng = random.Random(40 + pad_id)
+    @pytest.mark.parametrize("seed", [1, 0])
+    def test_random_texts_and_spans(self, seed):
+        rng = random.Random(40 + seed)
         known = "0123456789共人元%:-今天"
-        vocab = Vocabulary({ch: i + 2 for i, ch in enumerate(known)}, pad_id=pad_id, unk_id=1 - pad_id)
+        vocab = Vocabulary({ch: i + 2 for i, ch in enumerate(known)})
         alphabet = known + PAD_CHAR + "未知é"  # the last three are unknown
         seen = {"edge_start": 0, "edge_end": 0, "longer": 0, "none": 0}
         for width in range(1, 41):
@@ -256,12 +246,12 @@ class TestWindows:
                 assert ids.dtype == np.int64 and nsw.dtype == bool
 
 
-def run_forward(params, ids, nsw=None, pad_id=1, labels=5):
+def run_forward(params, ids, nsw=None, labels=5):
     """forward_batch over window id rows; every position is NSW unless given."""
     ids = np.atleast_2d(ids)
     nsw = np.ones(ids.shape, dtype=bool) if nsw is None else np.atleast_2d(nsw)
     legal = np.ones((ids.shape[0], labels), dtype=bool)
-    _, cache = forward_batch(frozen64(params, pad_id), ids, nsw, legal)
+    _, cache = forward_batch(frozen64(params), ids, nsw, legal)
     return cache
 
 
@@ -270,7 +260,7 @@ class TestEmbedding:
         config, vocab, params = small_setup()
         ids, nsw = vocab.windows(PAD_CHAR * 8, [NSWSpan(0, 8)], 8)
         cache = run_forward(params, ids, nsw)
-        expected = params.embedding[vocab.pad_id][None, :] + params.positional[:8]
+        expected = params.embedding[PAD_ID][None, :] + params.positional[:8]
         assert np.allclose(cache["xq"][0], expected)
 
     def test_locality(self):
@@ -295,7 +285,7 @@ class TestEncoderBlock:
         _, vocab, params = small_setup()
         ids = np.random.default_rng(1).integers(2, 14, size=8)
         pad = np.asarray([False] * 5 + [True] * 3)
-        ids[pad] = vocab.pad_id
+        ids[pad] = PAD_ID
         attn = run_forward(params, ids, ~pad)["attn"]
         # only the 5 NSW query rows are computed; keys cover the whole window
         assert attn.shape == (1, 2, 5, 8)
@@ -326,7 +316,7 @@ def oracle_setup(window=12, dim=16, heads=2, labels=5, vocab_size=20, seed=7):
     return config, params, rng
 
 
-def ragged_windows(rng, counts, window=12, vocab_size=20, pad_id=1):
+def ragged_windows(rng, counts, window=12, vocab_size=20):
     """One window per NSW count, with random pad keys around the NSW."""
     ids = rng.integers(2, vocab_size, size=(len(counts), window))
     nsw = np.zeros((len(counts), window), dtype=bool)
@@ -336,7 +326,7 @@ def ragged_windows(rng, counts, window=12, vocab_size=20, pad_id=1):
         if count < window:
             pads = rng.random(window) < 0.3
             pads[start : start + count] = False
-            ids[row, pads] = pad_id
+            ids[row, pads] = PAD_ID
     legal = rng.random((len(counts), 5)) < 0.6
     legal[np.arange(len(counts)), rng.integers(0, 5, size=len(counts))] = True
     return ids, nsw, legal
@@ -350,7 +340,7 @@ class TestForwardOracle:
         for _ in range(20):
             ids, nsw, legal = ragged_windows(rng, [1, 2, 5, 12, 3, 1])
             probs, _ = forward_batch(frozen64(params), ids, nsw, legal)
-            want = reference_forward(params.tensors(), ids, nsw, legal, config.pad_id)
+            want = reference_forward(params.tensors(), ids, nsw, legal, PAD_ID)
             assert np.abs(probs - want).max() <= 1e-12
             assert np.array_equal(probs.argmax(axis=1), want.argmax(axis=1))
 
@@ -363,7 +353,7 @@ class TestForwardOracle:
         assert all(nsw[0])
         legal = np.ones((1, 5), dtype=bool)
         probs, _ = forward_batch(frozen64(params), ids, nsw, legal)
-        want = reference_forward(params.tensors(), ids, nsw, legal, config.pad_id)
+        want = reference_forward(params.tensors(), ids, nsw, legal, PAD_ID)
         assert np.abs(probs - want).max() <= 1e-12
         assert probs.argmax() == want.argmax()
 
@@ -395,9 +385,9 @@ class TestBackwardOracle:
         for _ in range(5):
             ids, nsw, legal = ragged_windows(rng, [1, 2, 5, 12, 3, 1, 7], vocab_size=vocab_size)
             if case != "pad ids":
-                ids = np.where(nsw | (ids != config.pad_id), rng.integers(*id_range, ids.shape), ids)
-            assert (ids == config.pad_id).any()
-            _, cache = forward_batch(frozen64(params, config.pad_id), ids, nsw, legal)
+                ids = np.where(nsw | (ids != PAD_ID), rng.integers(*id_range, ids.shape), ids)
+            assert (ids == PAD_ID).any()
+            _, cache = forward_batch(frozen64(params), ids, nsw, legal)
             dlogits = rng.normal(size=(len(ids), config.label_count))
             got = backward_batch(params, cache, dlogits)
             want = reference_backward_batch(params.tensors(), cache, dlogits)
@@ -450,13 +440,13 @@ class TestFrozenForward:
 
     def test_matches_full_window_reference(self):
         config, params, rng = oracle_setup()
-        encoder = FrozenEncoder.freeze(params, config.pad_id)
+        encoder = FrozenEncoder.freeze(params)
         worst = 0.0
         for _ in range(20):
             ids, nsw, legal = ragged_windows(rng, [1, 2, 5, config.window, 3, 1])
-            assert (ids == config.pad_id).any()
+            assert (ids == PAD_ID).any()
             probs, _ = forward_batch(encoder, ids, nsw, legal)
-            want = reference_forward(params.tensors(), ids, nsw, legal, config.pad_id)
+            want = reference_forward(params.tensors(), ids, nsw, legal, PAD_ID)
             assert np.array_equal(probs.argmax(axis=1), want.argmax(axis=1))
             worst = max(worst, np.abs(probs - want).max())
         assert worst <= self.TOLERANCE
@@ -466,37 +456,37 @@ class TestFrozenForward:
         # range show a shift other than the row maximum
         config, params, rng = oracle_setup()
         ids, nsw, legal = ragged_windows(rng, [1, 2, 5, 12, 3, 1, 7, 4])
-        keys = (ids != config.pad_id)[:, None, None, :]
+        keys = (ids != PAD_ID)[:, None, None, :]
 
         def scores(encoder):
             _, cache = forward_batch(encoder, ids, nsw, legal)
             return (cache["q"] @ cache["k"].swapaxes(-1, -2))[np.broadcast_to(keys, cache["attn"].shape)]
 
-        params.attn_q *= 1e3 / np.abs(scores(frozen64(params, config.pad_id))).max()
-        encoder = FrozenEncoder.freeze(params, config.pad_id)
+        params.attn_q *= 1e3 / np.abs(scores(frozen64(params))).max()
+        encoder = FrozenEncoder.freeze(params)
         reached = scores(encoder)
         assert reached.max() > 500.0 and reached.min() < -500.0
         probs, _ = forward_batch(encoder, ids, nsw, legal)
         assert np.isfinite(probs).all()
-        want = reference_forward(params.tensors(), ids, nsw, legal, config.pad_id)
+        want = reference_forward(params.tensors(), ids, nsw, legal, PAD_ID)
         assert np.array_equal(probs.argmax(axis=1), want.argmax(axis=1))
 
     def test_nsw_longer_than_window(self):
         config, params, _ = oracle_setup()
-        encoder = FrozenEncoder.freeze(params, config.pad_id)
+        encoder = FrozenEncoder.freeze(params)
         vocab = Vocabulary({ch: i + 2 for i, ch in enumerate("0123456789总额元")})
         text = "总额1234567890123456元"
         ids, nsw = vocab.windows(text, [NSWSpan(2, 18)], config.window)
         legal = np.ones((1, 5), dtype=bool)
         probs, _ = forward_batch(encoder, ids, nsw, legal)
-        want = reference_forward(params.tensors(), ids, nsw, legal, config.pad_id)
+        want = reference_forward(params.tensors(), ids, nsw, legal, PAD_ID)
         assert np.abs(probs - want).max() <= self.TOLERANCE
         assert probs.argmax() == want.argmax()
 
     def test_chunk_equals_one_by_one(self):
         # one-NSW windows alone and a one-window chunk take other BLAS paths
         config, params, rng = oracle_setup()
-        encoder = FrozenEncoder.freeze(params, config.pad_id)
+        encoder = FrozenEncoder.freeze(params)
         for counts in ([1, 1, 1], [1, 2, 5, 12, 1, 7, 2]):
             ids, nsw, legal = ragged_windows(rng, counts)
             batched = predict_probs(encoder, ids, nsw, legal)
@@ -505,28 +495,26 @@ class TestFrozenForward:
                 single = predict_probs(encoder, ids[one], nsw[one], legal[one])
                 assert np.abs(single[0] - batched[row]).max() <= 1e-12
 
-    @pytest.mark.parametrize("pad_id", [1, 0])
-    def test_padding_row_is_inert(self, pad_id):
+    def test_padding_row_is_inert(self):
         # padding keys are suppressed, so the padding embedding reaches no output
         config, params, rng = oracle_setup()
-        config = replace(config, pad_id=pad_id)
-        ids, nsw, legal = ragged_windows(rng, [1, 2, 5, 3, 1, 7], pad_id=pad_id)
-        assert (ids == pad_id).any()
+        ids, nsw, legal = ragged_windows(rng, [1, 2, 5, 3, 1, 7])
+        assert (ids == PAD_ID).any()
         shifted = params.copy()
-        shifted.embedding[pad_id] += 5.0
+        shifted.embedding[PAD_ID] += 5.0
         for dtype in (np.float64, np.float32):
-            want, _ = forward_batch(FrozenEncoder.freeze(params, pad_id, dtype), ids, nsw, legal)
-            got, _ = forward_batch(FrozenEncoder.freeze(shifted, pad_id, dtype), ids, nsw, legal)
+            want, _ = forward_batch(FrozenEncoder.freeze(params, dtype), ids, nsw, legal)
+            got, _ = forward_batch(FrozenEncoder.freeze(shifted, dtype), ids, nsw, legal)
             assert np.array_equal(got, want)
         batch = TrainingBatch(ids, nsw, legal, legal.argmax(axis=1))
         _, grads = batch_loss_and_grads(params, batch, config)
-        assert np.all(grads["embedding"][pad_id] == 0.0)
+        assert np.all(grads["embedding"][PAD_ID] == 0.0)
         assert np.abs(grads["embedding"]).max() > 0.0
 
     def test_training_params_untouched(self):
         config, params, _ = oracle_setup()
         before = params.copy()
-        encoder = FrozenEncoder.freeze(params, config.pad_id)
+        encoder = FrozenEncoder.freeze(params)
         assert encoder.kv_chars.dtype == np.float32
         for name, tensor in params.tensors().items():
             assert tensor.dtype == np.float64
@@ -536,7 +524,7 @@ class TestFrozenForward:
 def classify(text, span, vocab, params, config, legal_mask):
     """One span's label probabilities and argmax, through ``predict_probs``."""
     ids, nsw = vocab.windows(text, [span], config.window)
-    probs = predict_probs(frozen64(params, config.pad_id), ids, nsw, [legal_mask])[0]
+    probs = predict_probs(frozen64(params), ids, nsw, [legal_mask])[0]
     return probs, int(np.argmax(probs))
 
 
@@ -592,6 +580,19 @@ def rewrite_json(path, key, **fields):
     np.savez(path, **archive)
 
 
+def save_old_format(path, params, config, char_to_id, config_pad_id, pad_id, unk_id):
+    """A checkpoint as saved while the config and vocabulary held the reserved ids."""
+    np.savez(
+        path,
+        format_version=np.asarray(1),
+        config_json=np.asarray(json.dumps({**asdict(config), "pad_id": config_pad_id}, sort_keys=True)),
+        vocab_json=np.asarray(json.dumps(
+            {"char_to_id": char_to_id, "pad_id": pad_id, "unk_id": unk_id}, ensure_ascii=False
+        )),
+        **params.tensors(),
+    )
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "field, value, message",
@@ -603,6 +604,9 @@ class TestConfig:
             ("learning_rate", 0.0, "learning_rate must be > 0"),
             ("learning_rate", -1e-3, "learning_rate must be > 0"),
             ("learning_rate", float("nan"), "learning_rate must be > 0"),
+            ("model_dim", 0, "model_dim must be >= 1"),
+            ("model_dim", -8, "model_dim must be >= 1"),
+            ("ff_dim", -1, "ff_dim >= 0"),
         ],
     )
     def test_values_that_break_training_rejected(self, field, value, message):
@@ -611,6 +615,13 @@ class TestConfig:
 
     def test_zero_epochs_allowed(self):
         assert ClassifierConfig(epochs=0).epochs == 0
+
+    def test_zero_ff_dim_trains(self):
+        config = ClassifierConfig(
+            model_dim=8, heads=2, ff_dim=0, label_count=3, epochs=1, use_mask=False
+        )
+        corpus = [LabeledSentence("共12人", (NSWSpan(1, 3, 1),))]
+        assert len(train(corpus, config).history) == 1
 
 
 class TestCheckpoint:
@@ -623,6 +634,9 @@ class TestCheckpoint:
             assert np.array_equal(loaded.tensors()[name], tensor)
         assert config2 == config
         assert vocab2 == vocab
+        with np.load(path) as archive:
+            assert "pad_id" not in json.loads(str(archive["config_json"]))
+            assert json.loads(str(archive["vocab_json"])).keys() == {"char_to_id"}
 
     def test_wrong_label_count_rejected(self, tmp_path):
         config, vocab, params = small_setup()
@@ -643,11 +657,50 @@ class TestCheckpoint:
 
     def test_pad_id_mismatch_rejected(self, tmp_path):
         config, vocab, params = small_setup()
-        vocab = Vocabulary(vocab.char_to_id, pad_id=0, unk_id=1)  # config.pad_id is 1
         path = str(tmp_path / "model.npz")
-        save_params(path, params, config, vocab)
-        with pytest.raises(CheckpointError, match="pad_id"):
-            load_params(path)
+        for config_pad_id, pad_id, unk_id in ((1, 0, 1), (0, 1, 0)):
+            save_old_format(path, params, config, vocab.char_to_id, config_pad_id, pad_id, unk_id)
+            with pytest.raises(CheckpointError, match="pad_id"):
+                load_params(path)
+
+    def test_fixed_id_file_loads_unchanged(self, tmp_path):
+        config, vocab, params = small_setup()
+        path = str(tmp_path / "model.npz")
+        save_old_format(path, params, config, vocab.char_to_id, PAD_ID, PAD_ID, UNK_ID)
+        loaded, config2, vocab2 = load_params(path)
+        for name, tensor in params.tensors().items():
+            assert np.array_equal(loaded.tensors()[name], tensor), name
+        assert config2 == config
+        assert vocab2 == vocab
+
+    def test_pad_zero_file_loads_with_rows_swapped(self, tmp_path):
+        # padding 0 and unknown 1 is the fixed pair with embedding rows 0 and 1 swapped
+        config, params, rng = oracle_setup()
+        char_to_id = {ch: i + 2 for i, ch in enumerate("0123456789共人元:今天点分")}
+        path = str(tmp_path / "model.npz")
+        save_old_format(path, params, config, char_to_id, 0, 0, 1)
+        loaded, _, vocab = load_params(path)
+        assert np.array_equal(loaded.embedding[[0, 1]], params.embedding[[1, 0]])
+        assert np.array_equal(loaded.embedding[2:], params.embedding[2:])
+        old_codes = {**char_to_id, PAD_CHAR: 0}
+        ids, nsw, old_ids, old_nsw = [], [], [], []
+        for text in ("共12人", "今天10:30分开始", "温度25度左右很热", "元旦1月1日放假"):
+            spans = extract_nsw(text)
+            window_ids, window_nsw = vocab.windows(text, spans, config.window)
+            ids += window_ids.tolist()
+            nsw += window_nsw.tolist()
+            for span in spans:
+                chars, mask = reference_window(text, span.start, span.end, config.window)
+                old_ids.append([old_codes.get(ch, 1) for ch in chars])
+                old_nsw.append(mask)
+        old_ids = np.asarray(old_ids)
+        assert (old_ids == 0).any() and (old_ids == 1).any()  # padding and unknown characters
+        legal = rng.random((len(ids), config.label_count)) < 0.6
+        legal[:, 0] = True
+        got = predict_probs(FrozenEncoder.freeze(loaded), ids, nsw, legal)
+        want = reference_forward(params.tensors(), old_ids, np.asarray(old_nsw), legal, 0)
+        assert np.abs(got - want).max() <= 1e-6
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
     def test_reserved_ids_violation_rejected(self, tmp_path):
         config, vocab, params = small_setup()
@@ -684,8 +737,8 @@ class TestCheckpoint:
         assert vocab2 == vocab
         rng = np.random.default_rng(4)
         ids, nsw, legal = ragged_windows(rng, [1, 3, 8, 2], window=8, vocab_size=vocab.size)
-        want = predict_probs(FrozenEncoder.freeze(params, config.pad_id), ids, nsw, legal)
-        got = predict_probs(FrozenEncoder.freeze(loaded, config2.pad_id), ids, nsw, legal)
+        want = predict_probs(FrozenEncoder.freeze(params), ids, nsw, legal)
+        got = predict_probs(FrozenEncoder.freeze(loaded), ids, nsw, legal)
         assert np.array_equal(got, want)
 
     def test_not_a_checkpoint(self, tmp_path):

@@ -27,6 +27,7 @@ from mtnorm.neural import (
 from mtnorm.neural.loss import focal_loss_grad, focal_loss_vec
 from mtnorm.neural.model import _split_by_nsw_count, backward_batch
 from mtnorm.neural.train import AdamState
+from mtnorm.neural.vocab import PAD_ID
 
 
 def separable_corpus(n=200, trigger=("甲", "乙")):
@@ -58,7 +59,7 @@ def small_batch(seed=5):
     params = init_params(config, vocab_size=20, rng=np.random.default_rng(3))
     rng = np.random.default_rng(seed)
     ids = rng.integers(2, 20, size=(4, 10))
-    ids[:, -2:] = config.pad_id
+    ids[:, -2:] = PAD_ID
     nsw = np.zeros((4, 10), dtype=bool)
     nsw[:, 3:6] = True
     legal = np.ones((4, 4), dtype=bool)
@@ -85,7 +86,7 @@ class TestTraining:
         config = toy_config(epochs=0)
         result = train(corpus, config)
         assert result.history == []
-        vocab = build_vocab(corpus, pad_id=config.pad_id)
+        vocab = build_vocab(corpus)
         expected = init_params(config, vocab.size, np.random.default_rng(config.seed))
         for name, tensor in result.params.tensors().items():
             assert np.array_equal(expected.tensors()[name], tensor)
@@ -199,7 +200,7 @@ class TestGradients:
         config, params, _ = small_batch()
         rng = np.random.default_rng(9)
         ids = rng.integers(2, 20, size=(5, 10))
-        ids[:4, -2:] = config.pad_id
+        ids[:4, -2:] = PAD_ID
         nsw = np.zeros((5, 10), dtype=bool)
         for row, (start, count) in enumerate(((4, 1), (0, 2), (6, 3), (0, 9), (0, 10))):
             nsw[row, start : start + count] = True
@@ -238,7 +239,7 @@ class TestOneLabelRows:
     @staticmethod
     def all_rows_reference(params, batch, config):
         """Loss, gradients and probabilities with every row through the encoder."""
-        encoder = FrozenEncoder.freeze(params, config.pad_id, np.float64)
+        encoder = FrozenEncoder.freeze(params, np.float64)
         probs, cache = forward_batch(encoder, batch.ids, batch.nsw_masks, batch.legal_masks)
         rows = np.arange(len(batch))
         p_target = probs[rows, batch.targets]
@@ -253,7 +254,7 @@ class TestOneLabelRows:
         config, params, _ = small_batch()
         rng = np.random.default_rng(12)
         ids = rng.integers(2, 20, size=(6, 10))
-        ids[:, -2:] = config.pad_id
+        ids[:, -2:] = PAD_ID
         nsw = np.zeros((6, 10), dtype=bool)
         for row, (start, count) in enumerate(((4, 1), (0, 2), (2, 4), (1, 8), (5, 3), (3, 2))):
             nsw[row, start : start + count] = True
@@ -316,7 +317,7 @@ class TestTrainingProjection:
         config, params, _ = small_batch()
         rng = np.random.default_rng(11)
         ids = rng.integers(2, 20, size=(4, 10))
-        ids[:, -3:] = config.pad_id
+        ids[:, -3:] = PAD_ID
         nsw = np.zeros((4, 10), dtype=bool)
         for row, (start, count) in enumerate(((5, 1), (0, 2), (2, 4), (0, 10))):
             nsw[row, start : start + count] = True
@@ -348,13 +349,18 @@ class TestTrainingProjection:
 
 
 class TestSplitByNSWCount:
-    """Ambiguous rows run in at most two forward calls, cut where that pads the fewest rows."""
+    """Ambiguous rows run in at most two forward calls, cut where that pads the fewest rows.
+
+    A call runs at least two query rows per window, so a window costs ``max(count, 2)``.
+    """
 
     @staticmethod
     def padded_rows(counts, parts):
-        return sum(len(part) * counts[part].max() for part in parts)
+        return sum(len(part) * max(counts[part].max(), 2) for part in parts)
 
-    @pytest.mark.parametrize("counts", [[3], [3, 3, 3], [5] * 64, [1, 1], [4, 4, 4, 4, 4]])
+    @pytest.mark.parametrize(
+        "counts", [[3], [3, 3, 3], [5] * 64, [1, 1], [4, 4, 4, 4, 4], [1, 1, 2]]
+    )
     def test_uniform_counts_give_one_part(self, counts):
         parts = _split_by_nsw_count(np.asarray(counts))
         assert [part.tolist() for part in parts] == [list(range(len(counts)))]
@@ -374,7 +380,7 @@ class TestSplitByNSWCount:
             assert np.all(np.diff(counts[joined]) >= 0)  # sorted, across and within parts
             # the stable order: rows of equal count keep their input order
             assert joined.tolist() == np.argsort(counts, kind="stable").tolist()
-            sorted_counts = np.sort(counts)
+            sorted_counts = np.maximum(np.sort(counts), 2)
             n = len(counts)
             best = min(
                 [n * sorted_counts[-1]]
@@ -382,9 +388,9 @@ class TestSplitByNSWCount:
             )
             assert self.padded_rows(counts, parts) == best
             if len(parts) == 1:
-                assert best == n * counts.max()  # no cut saves a row
+                assert best == n * sorted_counts[-1]  # no cut saves a row
             else:
-                assert best < n * counts.max()
+                assert best < n * sorted_counts[-1]
 
 
 class TestAdam:
@@ -415,7 +421,7 @@ class TestBatchAssembly:
     def test_shapes_and_masks(self, formats):
         corpus = separable_corpus(20)
         config = toy_config(use_mask=True, label_count=11)
-        vocab = build_vocab(corpus, pad_id=config.pad_id)
+        vocab = build_vocab(corpus)
         batch = make_training_batch(corpus, vocab, config, formats)
         assert batch.ids.shape == (20, config.window)
         assert batch.legal_masks.shape == (20, 11)
@@ -428,7 +434,7 @@ class TestBatchAssembly:
             LabeledSentence("6号", (NSWSpan(0, 1, 1),)),
         ]
         config = toy_config(window=5)
-        vocab = build_vocab(corpus, pad_id=config.pad_id)
+        vocab = build_vocab(corpus)
         batch = make_training_batch(corpus, vocab, config)
         want = [
             reference_window(s.text, span.start, span.end, 5) for s in corpus for span in s.spans
@@ -440,7 +446,7 @@ class TestBatchAssembly:
     def test_no_spans_gives_empty_windows(self):
         corpus = [LabeledSentence("今天天气好", ())]
         config = toy_config()
-        vocab = build_vocab(corpus, pad_id=config.pad_id)
+        vocab = build_vocab(corpus)
         for data in (corpus, []):
             batch = make_training_batch(data, vocab, config)
             assert len(batch) == 0
@@ -449,7 +455,7 @@ class TestBatchAssembly:
     def test_unlabeled_span_rejected(self):
         corpus = [LabeledSentence("共100人", (NSWSpan(1, 4, None),))]
         config = toy_config()
-        vocab = build_vocab(corpus, pad_id=config.pad_id)
+        vocab = build_vocab(corpus)
         with pytest.raises(ValueError, match="unlabeled"):
             make_training_batch(corpus, vocab, config)
 
@@ -463,7 +469,7 @@ class TestPredictBatch:
             tensor[...] = rng.normal(scale=0.7, size=tensor.shape)
         n = 50
         ids = rng.integers(2, 20, size=(n, 12))
-        ids[:, :2] = config.pad_id
+        ids[:, :2] = PAD_ID
         nsw = np.zeros((n, 12), dtype=bool)
         for row, count in enumerate(rng.integers(1, 11, size=n)):
             nsw[row, 2 : 2 + count] = True
@@ -471,7 +477,7 @@ class TestPredictBatch:
         legal[:, 0] = True
         data = TrainingBatch(ids, nsw, legal, np.zeros(n, dtype=np.int64))
         predicted = predict_batch(params, data, config)
-        encoder = FrozenEncoder.freeze(params, config.pad_id, np.float64)
+        encoder = FrozenEncoder.freeze(params, np.float64)
         alone = []
         for i in range(n):
             one = slice(i, i + 1)

@@ -405,11 +405,6 @@ class TestSystemValidation:
         with pytest.raises(ValueError, match="all set or all None"):
             replace(tiny_system, config=None)
 
-    def test_pad_id_mismatch_rejected(self, tiny_system):
-        bad = replace(tiny_system.config, pad_id=1 - tiny_system.config.pad_id)
-        with pytest.raises(ValueError, match="pad_id"):
-            replace(tiny_system, config=bad)
-
     def test_wrong_tensor_shape_rejected(self, tiny_system):
         params = tiny_system.params.copy()
         params.embedding = params.embedding[:-1]  # a character id would index past it
