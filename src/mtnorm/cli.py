@@ -70,7 +70,6 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     # With no priority surfaces every span with a legal label is scored, 911 too.
     system = _build_system(args, args.model, PriorityList())
-    labels = system.formats
     texts = [args.text] if args.text is not None else _read_lines(args.infile)
     for text, (_, traces) in zip(texts, pipeline.normalize_many(texts, system)):
         for trace in traces:
@@ -79,9 +78,11 @@ def cmd_classify(args) -> int:
             if probs is None:
                 print(f"{surface}\t<no legal label>")
                 continue
-            top = sorted(((float(p), lab.name) for p, lab in zip(probs, labels)), reverse=True)[:3]
+            top = sorted(
+                ((float(p), lab.name) for p, lab in zip(probs, DEFAULT_REGISTRY)), reverse=True
+            )[:3]
             ranked = "  ".join(f"{name}={p:.4f}" for p, name in top)
-            print(f"{surface}\t{labels.by_id(int(probs.argmax())).name}\t{ranked}")
+            print(f"{surface}\t{DEFAULT_REGISTRY.by_id(int(probs.argmax())).name}\t{ranked}")
     return 0
 
 
@@ -111,7 +112,7 @@ def cmd_normalize(args) -> int:
     _write_lines(args.out, [out for out, _ in results])
     if args.trace:
         traced = [(text, traces) for text, (_, traces) in zip(texts, results)]
-        pipeline.write_traces(args.trace, traced, system.formats)
+        pipeline.write_traces(args.trace, traced)
     return 0
 
 

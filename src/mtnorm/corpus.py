@@ -12,12 +12,10 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
-from .labels import DEFAULT_REGISTRY, LabelRegistry
-
-OVERSAMPLE_STRATEGIES = ("duplicate", "pad_prefix", "digit_jitter", "window_shift")
+from .labels import DEFAULT_REGISTRY
 
 
 class CorpusError(ValueError):
@@ -68,7 +66,7 @@ def validate_span_surface(surface: str) -> bool:
 # Line-format IO
 # --------------------------------------------------------------------------
 
-def load_corpus(path: str, labels: LabelRegistry = DEFAULT_REGISTRY) -> list[LabeledSentence]:
+def load_corpus(path: str) -> list[LabeledSentence]:
     sentences = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -79,7 +77,7 @@ def load_corpus(path: str, labels: LabelRegistry = DEFAULT_REGISTRY) -> list[Lab
                 record = json.loads(line)
                 text = record["text"]
                 spans = tuple(
-                    NSWSpan(int(s), int(e), labels.id_of(name))
+                    NSWSpan(int(s), int(e), DEFAULT_REGISTRY.id_of(name))
                     for s, e, name in record.get("spans", [])
                 )
                 sentence = LabeledSentence(text, spans)
@@ -95,9 +93,7 @@ def load_corpus(path: str, labels: LabelRegistry = DEFAULT_REGISTRY) -> list[Lab
     return sentences
 
 
-def save_corpus(
-    corpus: list[LabeledSentence], path: str, labels: LabelRegistry = DEFAULT_REGISTRY
-) -> None:
+def save_corpus(corpus: list[LabeledSentence], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for sentence in corpus:
             for span in sentence.spans:
@@ -107,7 +103,9 @@ def save_corpus(
                     )
             record = {
                 "text": sentence.text,
-                "spans": [[s.start, s.end, labels.by_id(s.label).name] for s in sentence.spans],
+                "spans": [
+                    [s.start, s.end, DEFAULT_REGISTRY.by_id(s.label).name] for s in sentence.spans
+                ],
             }
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
@@ -212,14 +210,13 @@ def generate_synthetic_corpus(
     n: int,
     seed: int,
     templates: dict[str, LabelTemplates] | None = None,
-    labels: LabelRegistry = DEFAULT_REGISTRY,
 ) -> list[LabeledSentence]:
     """Deterministic template-based corpus following ``dist``."""
     if templates is None:
         templates = load_templates()
     names = [name for name, p in dist.proportions.items() if p > 0]
     weights = [dist.proportions[name] for name in names]
-    by_name = {name: labels.by_name(name) for name in names}
+    by_name = {name: DEFAULT_REGISTRY.by_name(name) for name in names}
     for name in names:
         if name not in templates:
             raise CorpusError(f"label {name} has nonzero proportion but no templates")
@@ -255,73 +252,38 @@ def _jitter_digits(surface: str, pattern: re.Pattern, rng: random.Random) -> str
     return surface
 
 
-def rare_labels(corpus: list[LabeledSentence], threshold: float = 0.05) -> set[int]:
-    """Labels carried by fewer than ``threshold`` of the corpus's spans."""
+def rare_labels(corpus: list[LabeledSentence]) -> set[int]:
+    """Labels carried by fewer than 5% of the corpus's spans."""
     counts = Counter(span.label for sentence in corpus for span in sentence.spans)
     total = sum(counts.values())
-    return {lab for lab, c in counts.items() if c / total < threshold}
+    return {lab for lab, c in counts.items() if c / total < 0.05}
 
 
-def oversample_expand(
-    corpus: list[LabeledSentence],
-    strategies: set[str],
-    seed: int,
-    threshold: float = 0.05,
-    factor: int = 3,
-    labels: LabelRegistry = DEFAULT_REGISTRY,
-) -> list[LabeledSentence]:
+def oversample_expand(corpus: list[LabeledSentence], seed: int) -> list[LabeledSentence]:
     """Append augmented copies of sentences carrying under-represented labels.
 
-    ``factor`` copies per strategy per qualifying sentence; augmented spans
-    keep their labels and still match their label's format.
+    Each sentence with a ``rare_labels`` span gets three copies whose rare
+    spans' digits are redrawn within their label's format, then three plain
+    duplicates. Copies keep every span and label.
     """
-    for strategy in strategies:
-        if strategy not in OVERSAMPLE_STRATEGIES:
-            raise CorpusError(f"unknown oversampling strategy: {strategy!r}")
-    rare = rare_labels(corpus, threshold)
+    rare = rare_labels(corpus)
     rng = random.Random(seed)
     out = list(corpus)
     for sentence in corpus:
-        if not any(span.label in rare for span in sentence.spans):
-            continue
-        for strategy in sorted(strategies):
-            for _ in range(factor):
-                augmented = _augment(sentence, strategy, rng, rare, labels)
-                if augmented is not None:
-                    out.append(augmented)
+        if any(span.label in rare for span in sentence.spans):
+            out.extend(_jitter_rare_spans(sentence, rare, rng) for _ in range(3))
+            out.extend([sentence] * 3)
     return out
 
 
-def _augment(
-    sentence: LabeledSentence,
-    strategy: str,
-    rng: random.Random,
-    rare: set[int],
-    labels: LabelRegistry,
-) -> LabeledSentence | None:
-    if strategy == "duplicate":
-        return sentence
-    if strategy == "pad_prefix":
-        # Dropping leading characters turns them into window padding.
-        room = min(span.start for span in sentence.spans)
-        if room == 0:
-            return None
-        cut = rng.randint(1, min(3, room))
-        spans = tuple(replace(s, start=s.start - cut, end=s.end - cut) for s in sentence.spans)
-        return LabeledSentence(sentence.text[cut:], spans)
-    if strategy == "window_shift":
-        last_end = max(span.end for span in sentence.spans)
-        room = len(sentence.text) - last_end
-        if room == 0:
-            return None
-        cut = rng.randint(1, min(3, room))
-        return LabeledSentence(sentence.text[:-cut], sentence.spans)
-    if strategy == "digit_jitter":
-        text = sentence.text
-        for span in sorted(sentence.spans, key=lambda s: s.start, reverse=True):
-            if span.label not in rare:
-                continue
-            jittered = _jitter_digits(sentence.surface(span), labels.by_id(span.label).format, rng)
-            text = text[: span.start] + jittered + text[span.end :]
-        return LabeledSentence(text, sentence.spans)
-    raise CorpusError(f"unknown oversampling strategy: {strategy!r}")
+def _jitter_rare_spans(
+    sentence: LabeledSentence, rare: set[int], rng: random.Random
+) -> LabeledSentence:
+    text = sentence.text
+    for span in sorted(sentence.spans, key=lambda s: s.start, reverse=True):
+        if span.label not in rare:
+            continue
+        label_format = DEFAULT_REGISTRY.by_id(span.label).format
+        jittered = _jitter_digits(sentence.surface(span), label_format, rng)
+        text = text[: span.start] + jittered + text[span.end :]
+    return LabeledSentence(text, sentence.spans)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from . import pipeline, reader
 from .corpus import LabeledSentence, oversample_expand, rare_labels
-from .labels import DEFAULT_REGISTRY, LabelRegistry
+from .labels import DEFAULT_REGISTRY
 from .neural import ClassifierConfig, make_training_batch, predict_batch, train
 
 
@@ -27,7 +27,7 @@ class LabelMetrics:
 
 
 def pattern_metrics(
-    predictions: list[tuple[int, int]], labels: LabelRegistry = DEFAULT_REGISTRY
+    predictions: list[tuple[int, int]],
 ) -> tuple[dict[str, LabelMetrics], float]:
     """Per-label precision/recall/F1 and overall accuracy from (gold, predicted) pairs."""
     if not predictions:
@@ -44,7 +44,7 @@ def pattern_metrics(
             fp[pred] = fp.get(pred, 0) + 1
             fn[gold] = fn.get(gold, 0) + 1
     per_label = {}
-    for lab in labels:
+    for lab in DEFAULT_REGISTRY:
         t, p, n = tp.get(lab.id, 0), fp.get(lab.id, 0), fn.get(lab.id, 0)
         precision = t / (t + p) if t + p else 0.0
         recall = t / (t + n) if t + n else 0.0
@@ -75,26 +75,24 @@ def split_corpus(
 # Golden sets: (input, reference) sentence pairs with gold spans
 # --------------------------------------------------------------------------
 
-def reference_sfw(sentence: LabeledSentence, formats: LabelRegistry = DEFAULT_REGISTRY) -> str:
+def reference_sfw(sentence: LabeledSentence) -> str:
     """Reference output: every gold span rendered by its own label's reader."""
     out = sentence.text
     for span in sorted(sentence.spans, key=lambda s: s.start, reverse=True):
-        sfw = reader.render(sentence.surface(span), span.label, formats)
+        sfw = reader.render(sentence.surface(span), span.label)
         out = out[: span.start] + sfw + out[span.end :]
     return out
 
 
-def build_golden(
-    corpus: list[LabeledSentence], formats: LabelRegistry = DEFAULT_REGISTRY
-) -> list[dict]:
+def build_golden(corpus: list[LabeledSentence]) -> list[dict]:
     records = []
     for sentence in corpus:
         records.append(
             {
                 "input": sentence.text,
-                "reference": reference_sfw(sentence, formats),
+                "reference": reference_sfw(sentence),
                 "spans": [
-                    [s.start, s.end, formats.by_id(s.label).name] for s in sentence.spans
+                    [s.start, s.end, DEFAULT_REGISTRY.by_id(s.label).name] for s in sentence.spans
                 ],
             }
         )
@@ -131,7 +129,6 @@ def evaluate_golden(records: list[dict], sys: pipeline.HybridSystem) -> GoldenRe
 
     The baseline is the same system with the classifier removed.
     """
-    labels = sys.formats
     rules_sys = replace(sys, params=None, config=None, vocab=None)
     texts = [record["input"] for record in records]
     hybrid_pairs, rule_pairs = [], []
@@ -143,7 +140,8 @@ def evaluate_golden(records: list[dict], sys: pipeline.HybridSystem) -> GoldenRe
         hybrid_pairs.append((hybrid_out, reference))
         rule_pairs.append((rules_out, reference))
         gold_by_span = {
-            (int(s), int(e)): labels.id_of(name) for s, e, name in record.get("spans", [])
+            (int(s), int(e)): DEFAULT_REGISTRY.id_of(name)
+            for s, e, name in record.get("spans", [])
         }
         for traces, sink in ((hybrid_traces, hybrid_span_pairs), (rule_traces, rule_span_pairs)):
             for trace in traces:
@@ -151,8 +149,8 @@ def evaluate_golden(records: list[dict], sys: pipeline.HybridSystem) -> GoldenRe
                 if gold is not None:
                     sink.append((gold, -1 if trace.label is None else trace.label))
     if hybrid_span_pairs:
-        per_label, hybrid_acc = pattern_metrics(hybrid_span_pairs, labels)
-        _, rules_acc = pattern_metrics(rule_span_pairs, labels)
+        per_label, hybrid_acc = pattern_metrics(hybrid_span_pairs)
+        _, rules_acc = pattern_metrics(rule_span_pairs)
     else:  # golden records without gold spans still score sentences
         per_label, hybrid_acc, rules_acc = {}, float("nan"), float("nan")
     return GoldenReport(
@@ -251,11 +249,10 @@ def run_ablation(
     corpus: list[LabeledSentence],
     seed: int,
     base_config: ClassifierConfig | None = None,
-    labels: LabelRegistry = DEFAULT_REGISTRY,
     log=None,
 ) -> list[AblationRow]:
     """Train and score one model per grid entry on a shared split."""
-    base = base_config or ClassifierConfig(label_count=len(labels))
+    base = base_config or ClassifierConfig(label_count=len(DEFAULT_REGISTRY))
     train_set, dev_set, test_set = split_corpus(corpus, seed)
     held_out = dev_set + test_set
     rare = rare_labels(corpus)
@@ -271,14 +268,12 @@ def run_ablation(
             config = replace(base, seed=seed, window=int(window), **entry)
             train_corpus = train_set
             if expand:
-                train_corpus = oversample_expand(
-                    train_set, set(("duplicate", "digit_jitter")), seed, labels=labels
-                )
-            result = train(train_corpus, config, formats=labels)
-            batch = make_training_batch(held_out, result.vocab, config, labels)
+                train_corpus = oversample_expand(train_set, seed)
+            result = train(train_corpus, config)
+            batch = make_training_batch(held_out, result.vocab, config)
             predicted = predict_batch(result.params, batch, config)
             pairs = list(zip(batch.targets.tolist(), predicted.tolist()))
-            _, accuracy = pattern_metrics(pairs, labels)
+            _, accuracy = pattern_metrics(pairs)
             row = AblationRow(name, accuracy, macro_recall(pairs, rare))
         except Exception as exc:  # keep the grid running past a bad entry
             row = AblationRow(name, None, None, error=str(exc))

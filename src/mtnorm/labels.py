@@ -1,11 +1,12 @@
 """Pattern label taxonomy: the closed set of NSW categories the system knows.
 
 Each label owns a full-match surface format and exactly one reader from
-:mod:`mtnorm.reader`. The registry is the one table the rules, the
-classifier's softmax mask and the post-classification verifier share, so
-they can never drift apart. The shipped set covers the ten core patterns
-plus a dollar-amount example of registry extension; the registry accepts up
-to ``MAX_LABELS`` entries.
+:mod:`mtnorm.reader`. ``DEFAULT_REGISTRY`` is the one label table: the
+rules, the classifier's softmax mask, the post-classification verifier,
+``reader.render``, corpus IO and the metrics all read it directly, so they
+can never drift apart. The shipped set covers the ten core patterns plus a
+dollar-amount example of registry extension; a registry accepts up to
+``MAX_LABELS`` entries.
 """
 
 from __future__ import annotations
@@ -90,33 +91,6 @@ class LabelRegistry:
 
     def verify(self, surface: str, label_id: int) -> bool:
         return self.by_id(label_id).format.fullmatch(surface) is not None
-
-    @classmethod
-    def from_file(cls, path: str) -> LabelRegistry:
-        """The shipped labels with formats overridden from a file.
-
-        The file holds ``name: pattern`` lines (rule-file grammar: # comments
-        allowed). Every label keeps its id, name and reader.
-        """
-        overrides: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                name, sep, pattern = line.partition(":")
-                if not sep or not pattern.strip():
-                    raise ValueError(f"{path}:{lineno}: expected 'label: pattern'")
-                name = name.strip()
-                if name not in DEFAULT_REGISTRY:
-                    raise ValueError(f"{path}:{lineno}: unknown label {name!r}")
-                overrides[name] = pattern.strip()
-        reg = cls()
-        for lab in DEFAULT_REGISTRY:
-            reg.register(
-                lab.name, overrides.get(lab.name, lab.format.pattern), lab.read, lab.description
-            )
-        return reg
 
 
 def default_registry() -> LabelRegistry:

@@ -1,13 +1,12 @@
 """Attention-based NSW pattern classifier: model, loss, training, IO."""
 
 from .checkpoint import CheckpointError, load_params, save_params
-from .loss import focal_loss, focal_loss_vec
+from .loss import focal_loss_vec
 from .model import (
     ClassifierConfig,
     EncoderParams,
     FrozenEncoder,
     TrainingBatch,
-    batch_loss,
     batch_loss_and_grads,
     forward_batch,
     init_params,
@@ -34,10 +33,8 @@ __all__ = [
     "TrainingDiverged",
     "TrainResult",
     "Vocabulary",
-    "batch_loss",
     "batch_loss_and_grads",
     "build_vocab",
-    "focal_loss",
     "focal_loss_vec",
     "forward_batch",
     "init_params",

@@ -17,16 +17,6 @@ def clamp_p(p):
     return np.clip(p, P_EPS, 1.0 - P_EPS)
 
 
-def focal_loss(p: float, y: int, alpha: float, gamma: float) -> float:
-    """Single-probability focal term; y is prediction correctness (0 or 1)."""
-    if y not in (0, 1):
-        raise ValueError(f"y must be 0 or 1, got {y!r}")
-    p = float(clamp_p(p))
-    if y == 1:
-        return -alpha * (1.0 - p) ** gamma * np.log(p)
-    return -alpha * p**gamma * np.log(1.0 - p)
-
-
 def focal_loss_vec(p: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
     """Vectorized y=1 branch over target-label probabilities."""
     p = clamp_p(p)

@@ -609,11 +609,6 @@ def _training_forward(params: EncoderParams, batch: TrainingBatch, config: Class
     return loss, p_target, parts
 
 
-def batch_loss(params: EncoderParams, batch: TrainingBatch, config: ClassifierConfig) -> float:
-    """Mean focal loss on the target-label probabilities."""
-    return _training_forward(params, batch, config)[0]
-
-
 def batch_loss_and_grads(
     params: EncoderParams, batch: TrainingBatch, config: ClassifierConfig
 ) -> tuple[float, dict[str, np.ndarray]]:

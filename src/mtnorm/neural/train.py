@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..corpus import LabeledSentence
-from ..labels import DEFAULT_REGISTRY, LabelRegistry
+from ..labels import DEFAULT_REGISTRY
 from .model import (
     ClassifierConfig,
     EncoderParams,
@@ -93,7 +93,6 @@ def make_training_batch(
     corpus: list[LabeledSentence],
     vocab: Vocabulary,
     config: ClassifierConfig,
-    formats: LabelRegistry = DEFAULT_REGISTRY,
 ) -> TrainingBatch:
     """One sample per labeled span: window ids, NSW mask, legality mask, target."""
     windows = [vocab.windows("", (), config.window)]  # (0, W) arrays if no span follows
@@ -103,7 +102,7 @@ def make_training_batch(
             if span.label is None:
                 raise ValueError(f"unlabeled span in training sentence: {sentence.text!r}")
             if config.use_mask:
-                legal.append(formats.legal_labels(sentence.surface(span)))
+                legal.append(DEFAULT_REGISTRY.legal_labels(sentence.surface(span)))
             else:
                 legal.append([True] * config.label_count)
             targets.append(span.label)
@@ -117,13 +116,13 @@ def make_training_batch(
     )
 
 
-def train(
-    corpus: list[LabeledSentence],
-    config: ClassifierConfig,
-    formats: LabelRegistry = DEFAULT_REGISTRY,
-    log=None,
-) -> TrainResult:
+def train(corpus: list[LabeledSentence], config: ClassifierConfig, log=None) -> TrainResult:
     """Train from scratch on the labeled corpus; fully seeded, no hidden state."""
+    if config.use_mask and config.label_count != len(DEFAULT_REGISTRY):
+        raise ValueError(
+            f"label_count {config.label_count} does not match the label table's "
+            f"{len(DEFAULT_REGISTRY)} labels, which the legality mask is drawn from"
+        )
     if not corpus:
         raise ValueError("training corpus is empty")
     if not any(sentence.spans for sentence in corpus):
@@ -140,7 +139,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = init_params(config, vocab.size, rng)
 
-    data = make_training_batch(corpus, vocab, config, formats)
+    data = make_training_batch(corpus, vocab, config)
     optimizer = AdamState(params, config.learning_rate)
     history = []
     n = len(data)

@@ -9,7 +9,8 @@ surfaces go straight to the rules, and so does a span with no legal
 label. A span with one legal label needs no classifier: its masked
 softmax could only return that label's one-hot, so it gets that one-hot
 directly. Every other span's window goes to the classifier. Each span's
-legal labels are computed once: the chosen label is rendered by its
+legal labels are computed once, from the shipped label table
+(``labels.DEFAULT_REGISTRY``): the chosen label is rendered by its
 reader if the surface is legal for it, and otherwise, or if the reader
 refuses, the span takes the rule fallback with its probabilities kept in
 the trace; a span nothing can handle stays verbatim. A system without a
@@ -30,7 +31,6 @@ of its parameters, frozen once when the system is built.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,13 +47,6 @@ ROUTE_NEURAL = "neural"
 ROUTE_FALLBACK = "fallback_rule"
 ROUTE_UNMATCHED = "unmatched"
 
-_SENTENCE_SPLIT = re.compile(r"[^。！？!?；;\n]*[。！？!?；;\n]?")
-
-
-def split_sentences(text: str) -> list[str]:
-    """Thin pre-step for raw documents: split after sentence-final punctuation."""
-    return [m.group() for m in _SENTENCE_SPLIT.finditer(text) if m.group()]
-
 
 @dataclass
 class NormalizationTrace:
@@ -65,12 +58,12 @@ class NormalizationTrace:
     sfw: str | None = None
     probabilities: np.ndarray | None = None
 
-    def to_record(self, labels: LabelRegistry = DEFAULT_REGISTRY) -> dict:
+    def to_record(self) -> dict:
         return {
             "start": self.span.start,
             "end": self.span.end,
             "route": self.route,
-            "label": None if self.label is None else labels.by_id(self.label).name,
+            "label": None if self.label is None else DEFAULT_REGISTRY.by_id(self.label).name,
             "sfw": self.sfw,
             "probabilities": None
             if self.probabilities is None
@@ -80,14 +73,15 @@ class NormalizationTrace:
 
 @dataclass
 class HybridSystem:
-    """Everything inference needs; ``formats`` is the label registry.
+    """Everything inference needs; labels come from the shipped label table.
 
-    ``rules`` must be compiled against ``formats`` itself, so that rules,
-    classifier mask and readers share one surface domain. ``params``,
-    ``config`` and ``vocab`` are all set or all ``None``; with
-    none of them the system runs rules only. ``encoder`` is ``params``
-    frozen for inference once, at construction: the classifier runs on it,
-    and ``params`` stays the float64 object given.
+    ``formats`` must be that table, ``labels.DEFAULT_REGISTRY``; nothing
+    reads the field, which stays only because the benchmark harness builds
+    the system with it. ``params``, ``config`` and ``vocab`` are all set or
+    all ``None``; with none of them the system runs rules only.
+    ``encoder`` is ``params`` frozen for inference once, at construction:
+    the classifier runs on it, and ``params`` stays the float64 object
+    given.
     """
 
     rules: RuleSet
@@ -99,15 +93,15 @@ class HybridSystem:
     encoder: FrozenEncoder | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.rules.labels is not self.formats:
-            raise ValueError("rules were compiled against another label registry than formats")
+        if self.formats is not DEFAULT_REGISTRY:
+            raise ValueError("formats must be the shipped label table, labels.DEFAULT_REGISTRY")
         classifier = (self.params, self.config, self.vocab)
         if None in classifier and any(part is not None for part in classifier):
             raise ValueError("params, config and vocab must be all set or all None")
         if self.config is None:
             return
-        if self.config.label_count != len(self.formats):
-            raise ValueError("classifier label count and label registry disagree")
+        if self.config.label_count != len(DEFAULT_REGISTRY):
+            raise ValueError("classifier label count and label table disagree")
         self.params.check_shapes(self.config, self.vocab.size)
         self.encoder = FrozenEncoder.freeze(self.params)
 
@@ -116,7 +110,7 @@ def _rule_route(sys: HybridSystem, text: str, span: NSWSpan, surface: str, route
     match = match_nsw(sys.rules, text, span)
     if match is not None:
         try:
-            sfw = reader.render(surface, match.label, sys.formats)
+            sfw = reader.render(surface, match.label)
             return NormalizationTrace(span, route, match.label, sfw, probs)
         except ValueError:
             pass
@@ -130,7 +124,7 @@ def _neural_route(
     label = int(probs.argmax())
     if legal[label]:
         try:
-            sfw = sys.formats.by_id(label).read(surface)
+            sfw = DEFAULT_REGISTRY.by_id(label).read(surface)
             return NormalizationTrace(span, ROUTE_NEURAL, label, sfw, probs)
         except ValueError:
             pass
@@ -157,7 +151,7 @@ def normalize_many(
             if sys.encoder is None:
                 traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
                 continue
-            legal = sys.formats.legal_labels(surface)
+            legal = DEFAULT_REGISTRY.legal_labels(surface)
             mask = legal if sys.config.use_mask else [True] * len(legal)
             choices = sum(mask)
             if choices == 0:
@@ -218,11 +212,10 @@ def routing_stats(corpus, sys: HybridSystem) -> tuple[float, float, float]:
     return priority / len(traces), neural / len(traces), fallback / neural if neural else 0.0
 
 
-def write_traces(path: str, traced: list[tuple[str, list[NormalizationTrace]]],
-                 labels: LabelRegistry = DEFAULT_REGISTRY) -> None:
+def write_traces(path: str, traced: list[tuple[str, list[NormalizationTrace]]]) -> None:
     """Line-delimited audit records, one JSON object per NSW."""
     with open(path, "w", encoding="utf-8") as fh:
         for text, traces in traced:
             for trace in traces:
-                record = {"text": text, **trace.to_record(labels)}
+                record = {"text": text, **trace.to_record()}
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")

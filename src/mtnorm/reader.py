@@ -16,10 +16,6 @@ under ``data/fixtures.tsv``):
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .labels import LabelRegistry
 
 DIGIT_CHARS = "零一二三四五六七八九"
 _GROUP_UNITS = ("", "十", "百", "千")
@@ -169,17 +165,20 @@ def render_dollar(surface: str) -> str:
     return read_decimal(surface[1:]) + "美元"
 
 
-def render(surface: str, label: int | str, formats: LabelRegistry | None = None) -> str:
+def render(surface: str, label: int | str) -> str:
     """The spoken form of an NSW surface, from the label's reader.
 
-    The label resolves through ``formats``, the caller's label registry
-    (default: the shipped one), and the surface is checked against that
-    registry's format for it. A surface the registry rejects, or that the
-    reader cannot read, raises ``ValueError``.
+    The label resolves through the shipped label table, and the surface is
+    checked against that label's format. A surface the format rejects, or
+    that the reader cannot read, raises ``ValueError``.
     """
-    if formats is None:
-        from .labels import DEFAULT_REGISTRY as formats  # labels imports this module
-    lab = formats.by_name(label) if isinstance(label, str) else formats.by_id(label)
-    if not formats.verify(surface, lab.id):
+    table = labels.DEFAULT_REGISTRY
+    lab = table.by_name(label) if isinstance(label, str) else table.by_id(label)
+    if not table.verify(surface, lab.id):
         raise ValueError(f"surface {surface!r} is not legal for label {lab.name}")
     return lab.read(surface)
+
+
+# At the foot: labels imports this module for its readers, and render reads
+# the table at call time, so either module may be imported first.
+from . import labels  # noqa: E402

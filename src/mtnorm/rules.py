@@ -5,9 +5,9 @@ specific context always beats higher priority at a shorter length;
 priority breaks ties within a length, rule name breaks exact ties. The
 order is derived from the rule fields, never from file position.
 
-A rule's NSW shape defaults to its label's format in the label registry
-that resolves its ``label:``, so rules, classifier mask and readers share
-one surface domain; an explicit ``nsw:`` narrows it.
+A rule's ``label:`` names a label of the shipped label table, and its NSW
+shape defaults to that label's format, so rules, classifier mask and
+readers share one surface domain; an explicit ``nsw:`` narrows it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .corpus import LabeledSentence, NSWSpan
-from .labels import DEFAULT_REGISTRY, LabelRegistry
+from .labels import DEFAULT_REGISTRY
 
 
 class RuleError(ValueError):
@@ -48,19 +48,17 @@ class RuleMatch:
 class RuleSet:
     """Rules indexed in match order; immutable after construction.
 
-    ``labels`` is the registry the rules' labels and default NSW shapes
-    were resolved through. ``match_nsw`` walks ``_matchers``: per rule in
-    match order, its NSW ``fullmatch``, its context length and its pre and
-    post ``search``, or ``None`` for an empty pattern, which always matches.
+    ``match_nsw`` walks ``_matchers``: per rule in match order, its NSW
+    ``fullmatch``, its context length and its pre and post ``search``, or
+    ``None`` for an empty pattern, which always matches.
     """
 
-    def __init__(self, rules: list[Rule], labels: LabelRegistry):
+    def __init__(self, rules: list[Rule]):
         names = [r.name for r in rules]
         if len(set(names)) != len(names):
             dupe = next(n for n in names if names.count(n) > 1)
             raise RuleError(f"duplicate rule name: {dupe}")
         self.rules: tuple[Rule, ...] = tuple(sorted(rules, key=Rule.sort_key))
-        self.labels = labels
         self._matchers = tuple(
             (
                 rule,
@@ -82,7 +80,7 @@ class RuleSet:
 _RULE_FIELDS = {"priority", "context_len", "pre", "nsw", "post", "label"}
 
 
-def parse_rules(text: str, labels: LabelRegistry = DEFAULT_REGISTRY, source: str = "<rules>") -> RuleSet:
+def parse_rules(text: str, source: str = "<rules>") -> RuleSet:
     records: list[tuple[int, str, dict[str, str]]] = []
     current: dict[str, str] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -109,7 +107,7 @@ def parse_rules(text: str, labels: LabelRegistry = DEFAULT_REGISTRY, source: str
     rules = []
     for lineno, name, fields in records:
         label_name = fields.get("label", "")
-        if label_name not in labels:
+        if label_name not in DEFAULT_REGISTRY:
             raise RuleError(f"{source}:{lineno}: rule {name}: unknown label {label_name!r}")
         try:
             rules.append(
@@ -117,10 +115,12 @@ def parse_rules(text: str, labels: LabelRegistry = DEFAULT_REGISTRY, source: str
                     name=name,
                     priority=int(fields.get("priority", "0")),
                     pre_pattern=re.compile(fields.get("pre", "")),
-                    nsw_pattern=re.compile(fields.get("nsw") or labels.by_name(label_name).format),
+                    nsw_pattern=re.compile(
+                        fields.get("nsw") or DEFAULT_REGISTRY.by_name(label_name).format
+                    ),
                     post_pattern=re.compile(fields.get("post", "")),
                     context_len=int(fields.get("context_len", "0")),
-                    label=labels.id_of(label_name),
+                    label=DEFAULT_REGISTRY.id_of(label_name),
                 )
             )
         except re.error as exc:
@@ -129,12 +129,12 @@ def parse_rules(text: str, labels: LabelRegistry = DEFAULT_REGISTRY, source: str
             raise RuleError(f"{source}:{lineno}: rule {name}: {exc}") from exc
         if rules[-1].context_len < 0:
             raise RuleError(f"{source}:{lineno}: rule {name}: context_len must be >= 0")
-    return RuleSet(rules, labels)
+    return RuleSet(rules)
 
 
-def compile_rules(path: str, labels: LabelRegistry = DEFAULT_REGISTRY) -> RuleSet:
+def compile_rules(path: str) -> RuleSet:
     with open(path, encoding="utf-8") as fh:
-        return parse_rules(fh.read(), labels, source=path)
+        return parse_rules(fh.read(), source=path)
 
 
 def match_nsw(rs: RuleSet, sentence: LabeledSentence | str, span: NSWSpan) -> RuleMatch | None:

@@ -8,7 +8,6 @@ from mtnorm.neural.model import (
     ClassifierConfig,
     EncoderParams,
     TrainingBatch,
-    batch_loss,
     batch_loss_and_grads,
 )
 
@@ -37,9 +36,9 @@ def gradient_check(
         for idx in picks:
             original = flat[idx]
             flat[idx] = original + eps
-            up = batch_loss(params, batch, config)
+            up = batch_loss_and_grads(params, batch, config)[0]
             flat[idx] = original - eps
-            down = batch_loss(params, batch, config)
+            down = batch_loss_and_grads(params, batch, config)[0]
             flat[idx] = original
             numeric = (up - down) / (2.0 * eps)
             analytic = grads[name].reshape(-1)[idx]

@@ -7,6 +7,7 @@ no imports from the modules they verify) so a shared bug cannot hide.
 from __future__ import annotations
 
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -33,6 +34,18 @@ def parse_han_number(text: str) -> int:
         else:
             raise ValueError(f"not a numeral character: {ch!r}")
     return total + section + current
+
+
+def reference_focal_loss(p, alpha, gamma) -> float:
+    """Focal loss of a target-label probability, -alpha (1-p)^gamma ln p, in 60 digits.
+
+    The closed form the vectorized loss must meet; ``p``, ``alpha`` and
+    ``gamma`` are converted exactly (a float or a decimal string).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pd = Decimal(p)
+        return float(-Decimal(alpha) * (1 - pd) ** Decimal(gamma) * pd.ln())
 
 
 def reference_window(text, start, end, width):

@@ -94,7 +94,9 @@ class TestTrain:
         assert err.startswith("mtnorm train: ") and "pretrained_vectors" in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("field, value", [("batch_size", 0), ("heads", 0), ("epochs", -1)])
+    @pytest.mark.parametrize(
+        "field, value", [("batch_size", 0), ("heads", 0), ("epochs", -1), ("label_count", 12)]
+    )
     def test_config_that_breaks_training_fails_with_cause(
         self, workspace, tmp_path, capsys, field, value
     ):

@@ -4,7 +4,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from mtnorm import corpus as cm
 from mtnorm.corpus import (
     CorpusDistribution,
     CorpusError,
@@ -184,32 +183,29 @@ class TestOversampling:
         return corpus + [rare], rare
 
     def test_duplicate_factor(self):
+        # the rare sentence comes last, so its three jittered copies and then
+        # its three duplicates end the output
         corpus, rare = self.rare_corpus()
-        out = oversample_expand(corpus, {"duplicate"}, seed=1, factor=3)
-        assert sum(1 for s in out if s == rare) == 4
-
-    def test_no_strategies_is_identity(self):
-        corpus, _ = self.rare_corpus()
-        assert oversample_expand(corpus, set(), seed=1) == corpus
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(CorpusError, match="strategy"):
-            oversample_expand([], {"mixup"}, seed=1)
+        out = oversample_expand(corpus, seed=1)
+        assert out[: len(corpus)] == corpus
+        assert out[-3:] == [rare] * 3
+        assert all(s.spans == rare.spans for s in out[-6:-3])
 
     def test_digit_jitter_keeps_format(self):
         sentence = LabeledSentence("列车将在10:30准时发车", (NSWSpan(4, 9, label_id("B_Time")),))
-        out = oversample_expand([sentence], {"digit_jitter"}, seed=3, threshold=1.1, factor=10)
+        common = generate_synthetic_corpus(CorpusDistribution({"B_Percent": 1.0}), 40, seed=3)
+        out = oversample_expand(common + [sentence], seed=3)
+        assert len(out) == 47 and out[-3:] == [sentence] * 3
+        jittered = out[41:44]
+        assert any(s != sentence for s in jittered)
         formats = default_formats()
-        jittered = [s for s in out[1:]]
-        assert jittered
         for s in jittered:
+            assert s.spans == sentence.spans
             assert formats.verify(s.surface(s.spans[0]), s.spans[0].label)
 
     def test_all_strategies_preserve_label_format(self):
         corpus = generate_synthetic_corpus(DIST, 400, seed=5)
-        out = oversample_expand(
-            corpus, set(cm.OVERSAMPLE_STRATEGIES), seed=8, threshold=0.05, factor=2
-        )
+        out = oversample_expand(corpus, seed=8)
         assert len(out) > len(corpus)
         formats = default_formats()
         for sentence in out:
@@ -219,7 +215,7 @@ class TestOversampling:
     def test_labels_unchanged(self):
         corpus, _ = self.rare_corpus()
         before = Counter(s.label for sent in corpus for s in sent.spans)
-        out = oversample_expand(corpus, {"pad_prefix", "window_shift"}, seed=4)
+        out = oversample_expand(corpus, seed=4)
         after = Counter(s.label for sent in out for s in sent.spans)
         assert set(after) == set(before)
         for lab, count in before.items():

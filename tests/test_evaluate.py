@@ -7,7 +7,7 @@ from oracles import confusion_matrix_metrics
 
 from mtnorm import evaluate as ev
 from mtnorm.corpus import CorpusDistribution, generate_synthetic_corpus
-from mtnorm.labels import DEFAULT_REGISTRY, LabelRegistry
+from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.neural import ClassifierConfig
 
 DIST = CorpusDistribution.default()
@@ -178,24 +178,27 @@ class TestAblation:
         table = ev.format_ablation_rows(rows)
         assert "failed" in table
 
-    def test_registry_reaches_training_and_held_out_masks(self, tmp_path, monkeypatch):
-        path = tmp_path / "formats.txt"
-        path.write_text(r"B_Time: (?:[01]?\d|2[0-4]):[0-5]\d" + "\n", encoding="utf-8")
-        labels = LabelRegistry.from_file(str(path))
-        seen = []
+    def test_registry_reaches_training_and_held_out_masks(self, monkeypatch):
+        # both the training and the held-out batch take their legality masks
+        # from the label table
+        batches = []
         real = ev.make_training_batch
 
-        def spy(corpus, vocab, config, formats=DEFAULT_REGISTRY):
-            seen.append(formats)
-            return real(corpus, vocab, config, formats)
+        def spy(corpus, vocab, config):
+            batch = real(corpus, vocab, config)
+            batches.append((corpus, batch))
+            return batch
 
         monkeypatch.setattr(ev, "make_training_batch", spy)
         monkeypatch.setattr(sys.modules["mtnorm.neural.train"], "make_training_batch", spy)
         corpus = generate_synthetic_corpus(DIST, 120, seed=48)
-        rows = ev.run_ablation([{"name": "only"}], corpus, seed=2, base_config=self.BASE,
-                               labels=labels)
+        rows = ev.run_ablation([{"name": "only"}], corpus, seed=2, base_config=self.BASE)
         assert rows[0].error is None
-        assert len(seen) == 2 and all(formats is labels for formats in seen)
+        assert len(batches) == 2
+        for sentences, batch in batches:
+            want = [DEFAULT_REGISTRY.legal_labels(s.surface(span))
+                    for s in sentences for span in s.spans]
+            assert batch.legal_masks.tolist() == want
 
     def test_default_grid_covers_spec_rows(self):
         names = {entry["name"] for entry in ev.ABLATION_GRID}

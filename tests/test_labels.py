@@ -18,40 +18,11 @@ class TestRegister:
         assert lab.format.fullmatch("12h")
         assert reg.legal_labels("12h") == [True]
         assert reg.legal_labels("123h") == [False]
-        assert render("12h", "B_Hour", reg) == "12小时"
+        assert reg.by_name("B_Hour").read("12h") == "12小时"
 
     def test_bad_pattern_rejected(self):
         with pytest.raises(ValueError, match="bad pattern for B_Hour"):
             LabelRegistry().register("B_Hour", r"\d(", str)
-
-
-class TestFromFile:
-    def test_only_listed_formats_change(self, tmp_path):
-        path = tmp_path / "formats.txt"
-        path.write_text(
-            "# widen time, narrow dollars\n"
-            r"B_Time: (?:[01]?\d|2[0-4]):[0-5]\d" "\n"
-            r"B_Dollar: \$\d{1,3}" "\n",
-            encoding="utf-8",
-        )
-        reg = LabelRegistry.from_file(str(path))
-        assert len(reg) == len(DEFAULT_REGISTRY)
-        for old, new in zip(DEFAULT_REGISTRY, reg):
-            assert (new.id, new.name, new.read, new.description) == (
-                old.id, old.name, old.read, old.description
-            )
-            if new.name not in ("B_Time", "B_Dollar"):
-                assert new.format.pattern == old.format.pattern, new.name
-        assert not DEFAULT_REGISTRY.verify("24:00", reg.id_of("B_Time"))
-        assert reg.verify("24:00", reg.id_of("B_Time"))
-        assert not reg.verify("$1000", reg.id_of("B_Dollar"))
-        assert DEFAULT_REGISTRY.verify("$1000", reg.id_of("B_Dollar"))
-
-    def test_bad_pattern_in_file(self, tmp_path):
-        path = tmp_path / "formats.txt"
-        path.write_text("B_Time: \\d(\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="bad pattern for B_Time"):
-            LabelRegistry.from_file(str(path))
 
 
 class TestRuleFormatAgreement:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtnorm.labels import DEFAULT_REGISTRY
-from mtnorm.legality import FormatRegistry, default_formats
+from mtnorm.legality import default_formats
 from mtnorm.neural import masked_softmax
 
 TABLE_EXAMPLES = {
@@ -84,26 +84,3 @@ class TestMaskVerifierConsistency:
                 continue
             probs = masked_softmax(np_rng.normal(size=len(flags)), flags)[0]
             assert FORMATS.verify(surface, int(np.argmax(probs)))
-
-
-class TestRegistryFile:
-    def test_override_from_file(self, tmp_path):
-        path = tmp_path / "formats.txt"
-        path.write_text("# tighter time\nB_Time: \\d{2}:\\d{2}\n", encoding="utf-8")
-        reg = FormatRegistry.from_file(str(path))
-        assert reg.verify("10:30", lid("B_Time"))
-        assert not reg.verify("9:30", lid("B_Time"))
-        # untouched labels keep their defaults
-        assert reg.verify("10%", lid("B_Percent"))
-
-    def test_unknown_label_in_file(self, tmp_path):
-        path = tmp_path / "formats.txt"
-        path.write_text("B_Hour: \\d+\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="B_Hour"):
-            FormatRegistry.from_file(str(path))
-
-    def test_malformed_line(self, tmp_path):
-        path = tmp_path / "formats.txt"
-        path.write_text("just words\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="expected"):
-            FormatRegistry.from_file(str(path))

@@ -15,7 +15,6 @@ from mtnorm.neural import (
     FrozenEncoder,
     TrainingBatch,
     TrainingDiverged,
-    batch_loss,
     batch_loss_and_grads,
     build_vocab,
     forward_batch,
@@ -154,14 +153,14 @@ class TestBatchLoss:
         nsw[0, 1:3] = True
         legal = np.asarray([[True, True, False, False]])
         batch = TrainingBatch(ids, nsw, legal, np.asarray([0]))
-        assert batch_loss(params, batch, config) == pytest.approx(0.021660849392498, abs=1e-9)
+        assert batch_loss_and_grads(params, batch, config)[0] == pytest.approx(0.021660849392498, abs=1e-9)
 
     def test_ce_configuration_is_mean_nll(self):
         config, params, batch = small_batch()
         from dataclasses import replace
 
         ce = replace(config, alpha=1.0, gamma=0.0)
-        loss = batch_loss(params, batch, ce)
+        loss = batch_loss_and_grads(params, batch, ce)[0]
         p = batch.probs[np.arange(4), batch.targets]
         assert loss == pytest.approx(float(-np.log(p).mean()), abs=1e-12)
 
@@ -173,20 +172,20 @@ class TestBatchLoss:
         legal = np.zeros((1, 4), dtype=bool)
         legal[0, 2] = True  # single legal label: p = 1
         batch = TrainingBatch(ids, nsw, legal, np.asarray([2]))
-        assert batch_loss(params, batch, config) < 1e-25
+        assert batch_loss_and_grads(params, batch, config)[0] < 1e-25
 
     def test_illegal_target_rejected(self):
         config, params, batch = small_batch()
         batch.legal_masks[0, batch.targets[0]] = False
         with pytest.raises(ValueError, match="illegal"):
-            batch_loss(params, batch, config)
+            batch_loss_and_grads(params, batch, config)[0]
 
     @pytest.mark.parametrize("target", [-1, -4, 4])
     def test_target_outside_label_range_rejected(self, target):
         config, params, batch = small_batch()
         batch.targets[2] = target
         with pytest.raises(ValueError, match=rf"label {target} of sample 2 is outside \[0, 4\)"):
-            batch_loss(params, batch, config)
+            batch_loss_and_grads(params, batch, config)[0]
 
 
 class TestGradients:
@@ -215,7 +214,7 @@ class TestGradients:
         delta = 1e-5
         g = grads["ff_w1"][2, 3]
         params.ff_w1[2, 3] += delta
-        loss1 = batch_loss(params, batch, config)
+        loss1 = batch_loss_and_grads(params, batch, config)[0]
         assert loss1 - loss0 == pytest.approx(g * delta, rel=1e-3, abs=1e-12)
 
     def test_symmetric_labels_get_symmetric_gradients(self):
@@ -418,11 +417,11 @@ class TestAdam:
 
 
 class TestBatchAssembly:
-    def test_shapes_and_masks(self, formats):
+    def test_shapes_and_masks(self):
         corpus = separable_corpus(20)
         config = toy_config(use_mask=True, label_count=11)
         vocab = build_vocab(corpus)
-        batch = make_training_batch(corpus, vocab, config, formats)
+        batch = make_training_batch(corpus, vocab, config)
         assert batch.ids.shape == (20, config.window)
         assert batch.legal_masks.shape == (20, 11)
         assert batch.nsw_masks.sum(axis=1).min() == 4

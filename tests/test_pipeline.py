@@ -1,18 +1,16 @@
 import json
 import random
 from dataclasses import replace
-from importlib import resources
 
 import numpy as np
 import pytest
 from oracles import reference_window
 
-from mtnorm.legality import FormatRegistry
 from mtnorm.corpus import CorpusDistribution, LabeledSentence, generate_synthetic_corpus
 from mtnorm.extractor import extract_nsw, priority_check
-from mtnorm.labels import LabelRegistry
+from mtnorm.labels import DEFAULT_REGISTRY, LabelRegistry
 from mtnorm.neural import model
-from mtnorm.rules import compile_rules, parse_rules
+from mtnorm.rules import parse_rules
 from mtnorm.pipeline import (
     ROUTE_FALLBACK,
     ROUTE_NEURAL,
@@ -22,12 +20,10 @@ from mtnorm.pipeline import (
     normalize,
     normalize_many,
     routing_stats,
-    split_sentences,
     write_traces,
 )
 
 DIST = CorpusDistribution.default()
-SHIPPED_RULES = str(resources.files("mtnorm").joinpath("data/rules.txt"))
 
 
 def classify_alone(system, text, span, legal):
@@ -69,7 +65,7 @@ class TestNormalize:
                 continue
             span = trace.span
             surface = text[span.start:span.end]
-            legal = tiny_system.formats.legal_labels(surface)
+            legal = DEFAULT_REGISTRY.legal_labels(surface)
             probs, label = classify_alone(tiny_system, text, span, legal)
             assert label == trace.label
             assert np.allclose(probs, trace.probabilities)
@@ -147,13 +143,13 @@ class TestNormalize:
             for trace in traces:
                 if trace.label is not None:
                     surface = sentence.text[trace.span.start:trace.span.end]
-                    assert system.formats.verify(surface, trace.label)
+                    assert DEFAULT_REGISTRY.verify(surface, trace.label)
         assert ROUTE_NEURAL in routes
 
     def test_no_mask_illegal_choice_falls_back(self, tiny_system):
         # the unmasked classifier picks A_Two_Liang for 3; its reader would
         # say 两, but the label is not legal for 3, so the rules decide
-        liang = tiny_system.formats.id_of("A_Two_Liang")
+        liang = DEFAULT_REGISTRY.id_of("A_Two_Liang")
         params = tiny_system.params.copy()
         params.cls_w[:] = 0.0
         params.cls_b[:] = 0.0
@@ -175,7 +171,7 @@ class TestSentenceBatching:
         return [
             span for span in extract_nsw(text)
             if not priority_check(text[span.start:span.end], system.priority)
-            and sum(system.formats.legal_labels(text[span.start:span.end])) >= least
+            and sum(DEFAULT_REGISTRY.legal_labels(text[span.start:span.end])) >= least
         ]
 
     def test_one_forward_pass_per_sentence(self, tiny_system, monkeypatch):
@@ -210,7 +206,7 @@ class TestSentenceBatching:
             assert [t.span for t in classified] == expected
             for trace in classified:
                 surface = text[trace.span.start:trace.span.end]
-                legal = tiny_system.formats.legal_labels(surface)
+                legal = DEFAULT_REGISTRY.legal_labels(surface)
                 probs, label = classify_alone(tiny_system, text, trace.span, legal)
                 assert np.allclose(trace.probabilities, probs, rtol=0.0, atol=1e-12)
                 if trace.route == ROUTE_NEURAL:
@@ -234,7 +230,7 @@ class TestOneLabelSpans:
         assert out == "只有百分之十的学生，今天是二零一九年十月一日"
         assert [t.route for t in traces] == [ROUTE_NEURAL, ROUTE_NEURAL]
         for trace in traces:
-            legal = tiny_system.formats.legal_labels(text[trace.span.start:trace.span.end])
+            legal = DEFAULT_REGISTRY.legal_labels(text[trace.span.start:trace.span.end])
             assert sum(legal) == 1
             probs, label = classify_alone(tiny_system, text, trace.span, legal)
             assert trace.probabilities.dtype == probs.dtype
@@ -275,20 +271,28 @@ class TestNormalizeMany:
         assert [t.route for t in many[-1][1]] == [ROUTE_PRIORITY, ROUTE_NEURAL, ROUTE_UNMATCHED]
         assert many[-1][1][2].sfw is None and many[-1][1][2].probabilities is None
 
-    def test_reader_refusal_keeps_probabilities(self, tiny_system, tmp_path):
-        # a format wider than its reader: the classifier picks the only legal
-        # label, the reader refuses 10^12, the rules find nothing either
-        path = tmp_path / "formats.txt"
-        path.write_text(r"A_Read_No_Zero: \d{1,3}(?:,\d{3})+|\d{1,12}" "\n", encoding="utf-8")
-        formats = LabelRegistry.from_file(str(path))
-        system = replace(tiny_system, rules=compile_rules(SHIPPED_RULES, formats),
-                         formats=formats)
-        for out, traces in normalize_many([self.MIXED, self.MIXED], system):
-            assert out.endswith("总额1,000,000,000,000元")
-            assert [t.route for t in traces] == [ROUTE_PRIORITY, ROUTE_NEURAL, ROUTE_UNMATCHED]
-            assert traces[2].sfw is None and traces[2].label is None
-            probs = traces[2].probabilities
-            assert probs is not None and int(np.argmax(probs)) == system.formats.id_of("A_Read_No_Zero")
+    def test_reader_refusal_keeps_probabilities(self, tiny_system, monkeypatch):
+        # the reader of the label the classifier picks for 10:30 refuses:
+        # the span takes the rule fallback with its probabilities kept
+        _, before = normalize(self.MIXED, tiny_system)
+        assert before[1].route == ROUTE_NEURAL
+        picked = DEFAULT_REGISTRY.by_id(before[1].label)
+
+        def refuse(surface):
+            raise ValueError(f"cannot read {surface!r}")
+
+        refusing = replace(picked, read=refuse)
+        labels = list(DEFAULT_REGISTRY)
+        labels[picked.id] = refusing
+        monkeypatch.setattr(DEFAULT_REGISTRY, "_labels", labels)
+        monkeypatch.setattr(
+            DEFAULT_REGISTRY, "_by_name", {**DEFAULT_REGISTRY._by_name, picked.name: refusing}
+        )
+        for _, traces in normalize_many([self.MIXED, self.MIXED], tiny_system):
+            assert traces[1].route in (ROUTE_FALLBACK, ROUTE_UNMATCHED)
+            assert traces[1].label != picked.id
+            probs = traces[1].probabilities
+            assert np.allclose(probs, before[1].probabilities, rtol=0.0, atol=1e-12)
 
     def test_empty_input(self, tiny_system):
         assert normalize_many([], tiny_system) == []
@@ -301,37 +305,23 @@ class TestNormalizeMany:
 
 
 class TestFormatOverride:
-    def test_widened_format_holds_at_render_time(self, rules_system, tmp_path):
-        path = tmp_path / "formats.txt"
-        path.write_text(r"B_Time: (?:[01]?\d|2[0-4]):[0-5]\d" + "\n", encoding="utf-8")
+    def test_widened_format_holds_at_render_time(self, rules_system):
+        # a rule's NSW pattern wider than its label's format matches 24:00,
+        # but rendering checks B_Time's format, so the span stays verbatim
         text = "rule: clock\n" r"nsw: \d{1,2}:\d{2}" "\nlabel: B_Time\n"
-        formats = FormatRegistry.from_file(str(path))
-        system = replace(rules_system, rules=parse_rules(text, formats), formats=formats)
+        system = replace(rules_system, rules=parse_rules(text))
         out, traces = normalize("晚上24:00关门", system)
-        assert out == "晚上二十四点关门"
-        assert traces[0].route == ROUTE_FALLBACK
-        # the default registry rejects 24:00, so the span stays verbatim there
-        defaults = rules_system.formats
-        out, traces = normalize(
-            "晚上24:00关门", replace(system, rules=parse_rules(text, defaults), formats=defaults)
-        )
         assert out == "晚上24:00关门"
         assert traces[0].route == ROUTE_UNMATCHED
-
-    def test_rules_must_share_the_systems_registry(self, rules_system, tmp_path):
-        # shipped rules take B_Time's shape from the registry they were
-        # compiled against; run with a wider one, they would miss 24:00
-        path = tmp_path / "formats.txt"
-        path.write_text(r"B_Time: (?:[01]?\d|2[0-4]):[0-5]\d" + "\n", encoding="utf-8")
-        formats = LabelRegistry.from_file(str(path))
-        with pytest.raises(ValueError, match="registry"):
-            replace(rules_system, formats=formats)
-        system = replace(
-            rules_system, rules=compile_rules(SHIPPED_RULES, formats), formats=formats
-        )
-        out, traces = normalize("晚上24:00关门", system)
-        assert out == "晚上二十四点关门"
+        out, traces = normalize("晚上23:00关门", system)
+        assert out == "晚上二十三点关门"
         assert traces[0].route == ROUTE_FALLBACK
+
+    def test_rules_must_share_the_systems_registry(self, rules_system):
+        # rules, mask and readers all read the shipped label table, and the
+        # system takes no other
+        with pytest.raises(ValueError, match="label table"):
+            replace(rules_system, formats=LabelRegistry())
 
 
 class TestRoutingStats:
@@ -376,16 +366,6 @@ class TestTraceOutput:
         assert record["text"] == text
         assert record["route"] in {ROUTE_PRIORITY, ROUTE_NEURAL, ROUTE_FALLBACK, ROUTE_UNMATCHED}
         assert record["start"] == 6 and record["end"] == 11
-
-
-class TestSplitSentences:
-    def test_splits_on_final_punctuation(self):
-        parts = split_sentences("今天下雨。明天放晴！后天呢？")
-        assert parts == ["今天下雨。", "明天放晴！", "后天呢？"]
-        assert "".join(parts) == "今天下雨。明天放晴！后天呢？"
-
-    def test_trailing_fragment_kept(self):
-        assert split_sentences("没有标点的结尾") == ["没有标点的结尾"]
 
 
 class TestSystemValidation:

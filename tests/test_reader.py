@@ -6,7 +6,6 @@ from oracles import parse_han_number
 
 from mtnorm.corpus import _gen_surface
 from mtnorm.extractor import NSW_SYMBOLS
-from mtnorm.legality import FormatRegistry
 from mtnorm.reader import (
     read_decimal,
     read_number_positional,
@@ -125,14 +124,6 @@ class TestRender:
     def test_illegal_pairing_rejected(self):
         with pytest.raises(ValueError, match="not legal"):
             render("10%", "B_Time")
-
-    def test_callers_registry_is_the_one_checked(self, tmp_path):
-        path = tmp_path / "formats.txt"
-        path.write_text(r"B_Time: (?:[01]?\d|2[0-4]):[0-5]\d" + "\n", encoding="utf-8")
-        widened = FormatRegistry.from_file(str(path))
-        assert render("24:00", "B_Time", widened) == "二十四点"
-        with pytest.raises(ValueError, match="not legal"):
-            render("24:00", "B_Time")
 
     def test_precondition_documented_examples(self):
         assert render("10:30", "B_Time") == "十点三十分"

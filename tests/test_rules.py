@@ -6,7 +6,7 @@ from oracles import brute_force_best_rule, reference_match_nsw
 
 from mtnorm.corpus import CorpusDistribution, NSWSpan, generate_synthetic_corpus
 from mtnorm.extractor import extract_nsw
-from mtnorm.labels import DEFAULT_REGISTRY, LabelRegistry
+from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.pipeline import normalize
 from mtnorm.rules import RuleError, RuleMatch, match_nsw, parse_rules
 
@@ -71,13 +71,6 @@ class TestCompile:
             assert matched == {s for s in surfaces if lab.format.fullmatch(s)}, lab.name
             assert matched, lab.name
 
-    def test_missing_nsw_takes_overridden_format(self, tmp_path):
-        path = tmp_path / "formats.txt"
-        path.write_text(r"B_Time: (?:[01]?\d|2[0-4]):[0-5]\d" "\n", encoding="utf-8")
-        text = "rule: clock\nlabel: B_Time\n"
-        widened = parse_rules(text, labels=LabelRegistry.from_file(str(path)))
-        assert match_nsw(widened, "晚上24:00关门", NSWSpan(2, 7)) is not None
-        assert match_nsw(parse_rules(text), "晚上24:00关门", NSWSpan(2, 7)) is None
 
 
 class TestMatch:
