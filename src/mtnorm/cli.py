@@ -17,7 +17,7 @@ from . import pipeline
 from .extractor import PriorityList, load_priority_list
 from .labels import DEFAULT_REGISTRY
 from .neural import ClassifierConfig, load_params, save_params, train
-from .rules import compile_rules
+from .rules import RuleSet, compile_rules
 
 
 def _data_path(name: str) -> str:
@@ -68,8 +68,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    # With no priority surfaces every span with a legal label is scored, 911 too.
-    system = _build_system(args, args.model, PriorityList())
+    # With no priority surfaces and no rules, every span with a legal label is
+    # scored: 911 and the year in 1998年 too.
+    system = _build_system(args, args.model, PriorityList(), RuleSet([]))
     texts = [args.text] if args.text is not None else _read_lines(args.infile)
     for text, (_, traces) in zip(texts, pipeline.normalize_many(texts, system)):
         for trace in traces:
@@ -87,13 +88,15 @@ def cmd_classify(args) -> int:
 
 
 def _build_system(
-    args, model: str | None, priority: PriorityList | None = None
+    args, model: str | None, priority: PriorityList | None = None, rules: RuleSet | None = None
 ) -> pipeline.HybridSystem:
     params, config, vocab = load_params(model) if model else (None, None, None)
     if priority is None:
         priority = load_priority_list(args.priority or _data_path("priority.txt"))
+    if rules is None:
+        rules = compile_rules(args.rules or _data_path("rules.txt"))
     return pipeline.HybridSystem(
-        rules=compile_rules(args.rules or _data_path("rules.txt")),
+        rules=rules,
         priority=priority,
         params=params,
         config=config,
@@ -161,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--text")
     p.add_argument("--in", dest="infile", help="input file, one sentence per line")
-    p.set_defaults(func=cmd_classify, rules=None, priority=None)
+    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("normalize", help="run the full pipeline (or rules only)")
     p.add_argument("--model")

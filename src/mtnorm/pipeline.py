@@ -5,10 +5,14 @@ classifier-routed spans against the original text (replacements would
 shift the context other spans depend on; ``Vocabulary.windows`` cuts
 their windows from the text in one call), then splice the spoken forms
 right-to-left so earlier indices stay valid. Routing per span: priority
-surfaces go straight to the rules, and so does a span with no legal
-label. A span with one legal label needs no classifier: its masked
-softmax could only return that label's one-hot, so it gets that one-hot
-directly. Every other span's window goes to the classifier. Each span's
+surfaces go straight to the rules. With a classifier, so does a span
+whose ``match_nsw`` rule is a context rule (a ``pre:`` or ``post:``
+pattern; ``rules.match_definite``), if that rule's reader accepts the
+surface; these take the priority route too, before legality, windows and
+the classifier. A span with no legal label takes the rule fallback. A
+span with one legal label needs no classifier: its masked softmax could
+only return that label's one-hot, so it gets that one-hot directly.
+Every other span's window goes to the classifier. Each span's
 legal labels are computed once, from the shipped label table
 (``labels.DEFAULT_REGISTRY``): the chosen label is rendered by its
 reader if the surface is legal for it, and otherwise, or if the reader
@@ -40,7 +44,7 @@ from .corpus import NSWSpan
 from .extractor import PriorityList, extract_nsw, priority_check
 from .labels import DEFAULT_REGISTRY, LabelRegistry
 from .neural import ClassifierConfig, EncoderParams, FrozenEncoder, Vocabulary, predict_probs
-from .rules import RuleSet, match_nsw
+from .rules import RuleSet, match_definite, match_nsw
 
 ROUTE_PRIORITY = "priority_rule"
 ROUTE_NEURAL = "neural"
@@ -151,6 +155,15 @@ def normalize_many(
             if sys.encoder is None:
                 traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
                 continue
+            definite = match_definite(sys.rules, text, span)
+            if definite is not None:
+                try:
+                    sfw = reader.render(surface, definite.label)
+                except ValueError:
+                    pass  # the classifier decides, as for any other span
+                else:
+                    traces[i] = NormalizationTrace(span, ROUTE_PRIORITY, definite.label, sfw)
+                    continue
             legal = DEFAULT_REGISTRY.legal_labels(surface)
             mask = legal if sys.config.use_mask else [True] * len(legal)
             choices = sum(mask)
@@ -195,12 +208,12 @@ def routing_stats(corpus, sys: HybridSystem) -> tuple[float, float, float]:
     """(priority, neural, fallback) fractions over all extracted spans.
 
     ``corpus`` is a list of sentences (labeled or raw strings). Read from
-    the traces: priority is the ``priority_rule`` share and neural the
-    share that was scored (the traces with probabilities, a one-hot for a
-    span with one legal label); fallback is the sub-fraction of the scored
-    spans that the neural route did not render. Spans with no legal label,
-    and every non-priority span of a system without a classifier, are in
-    neither.
+    the traces: priority is the ``priority_rule`` share (with a classifier,
+    context-rule spans too) and neural the share that was scored (the
+    traces with probabilities, a one-hot for a span with one legal label);
+    fallback is the sub-fraction of the scored spans that the neural route
+    did not render. Spans with no legal label, and every non-priority span
+    of a system without a classifier, are in neither.
     """
     texts = [item if isinstance(item, str) else item.text for item in corpus]
     traces = [trace for _, traced in normalize_many(texts, sys) for trace in traced]

@@ -8,6 +8,12 @@ order is derived from the rule fields, never from file position.
 A rule's ``label:`` names a label of the shipped label table, and its NSW
 shape defaults to that label's format, so rules, classifier mask and
 readers share one surface domain; an explicit ``nsw:`` narrows it.
+
+A rule with a ``pre:`` or ``post:`` pattern is a context rule and needs a
+positive ``context_len`` to search in. When ``match_nsw``'s answer is a
+context rule, the hybrid takes it as definite and skips the classifier;
+``match_definite`` finds exactly those answers while walking only the
+match-order prefix that ends at the last context rule.
 """
 
 from __future__ import annotations
@@ -45,12 +51,18 @@ class RuleMatch:
     label: int
 
 
+def _has_context(rule: Rule) -> bool:
+    return bool(rule.pre_pattern.pattern or rule.post_pattern.pattern)
+
+
 class RuleSet:
     """Rules indexed in match order; immutable after construction.
 
     ``match_nsw`` walks ``_matchers``: per rule in match order, its NSW
     ``fullmatch``, its context length and its pre and post ``search``, or
     ``None`` for an empty pattern, which always matches.
+    ``_context_prefix`` is the shortest prefix of ``_matchers`` that holds
+    every context rule, the part ``match_definite`` walks.
     """
 
     def __init__(self, rules: list[Rule]):
@@ -69,6 +81,8 @@ class RuleSet:
             )
             for rule in self.rules
         )
+        last = max((i for i, rule in enumerate(self.rules) if _has_context(rule)), default=-1)
+        self._context_prefix = self._matchers[: last + 1]
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -129,6 +143,10 @@ def parse_rules(text: str, source: str = "<rules>") -> RuleSet:
             raise RuleError(f"{source}:{lineno}: rule {name}: {exc}") from exc
         if rules[-1].context_len < 0:
             raise RuleError(f"{source}:{lineno}: rule {name}: context_len must be >= 0")
+        if rules[-1].context_len == 0 and _has_context(rules[-1]):
+            raise RuleError(
+                f"{source}:{lineno}: rule {name}: a pre or post pattern needs context_len >= 1"
+            )
     return RuleSet(rules)
 
 
@@ -153,5 +171,28 @@ def match_nsw(rs: RuleSet, sentence: LabeledSentence | str, span: NSWSpan) -> Ru
             continue
         if post is not None and post(text[end : end + context_len]) is None:
             continue
+        return RuleMatch(rule, span, rule.label)
+    return None
+
+
+def match_definite(rs: RuleSet, text: str, span: NSWSpan) -> RuleMatch | None:
+    """``match_nsw``'s answer if it is a context rule, else ``None``.
+
+    ``match_nsw``'s loop over ``_context_prefix`` only: every context rule
+    lies in it, so a match past it, or no match, is never a context rule.
+    The loop is kept apart from ``match_nsw`` so the rules-only path pays
+    no extra call per span.
+    """
+    start, end = span.start, span.end
+    surface = text[start:end]
+    for rule, fullmatch, context_len, pre, post in rs._context_prefix:
+        if fullmatch(surface) is None:
+            continue
+        if pre is not None and pre(text[max(0, start - context_len) : start]) is None:
+            continue
+        if post is not None and post(text[end : end + context_len]) is None:
+            continue
+        if pre is None and post is None:
+            return None
         return RuleMatch(rule, span, rule.label)
     return None

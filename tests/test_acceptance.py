@@ -139,6 +139,9 @@ def test_c5_rule_engine_laws():
                     "label": "A_Read_No_Zero",
                 }
             )
+            if specs[-1]["pre"] or specs[-1]["post"]:
+                # a context pattern needs a window: parse_rules rejects context_len 0
+                specs[-1]["context_len"] = max(1, specs[-1]["context_len"])
         text_parts = (
             rng.choice(["", "比分", "气温是", "在", "编号共计", "热线"]),
             rng.choice(bodies),

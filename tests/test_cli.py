@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import reference_window
 
 from mtnorm import evaluate as ev
 from mtnorm.cli import main
 from mtnorm.corpus import CorpusDistribution, generate_synthetic_corpus, load_corpus
+from mtnorm.extractor import extract_nsw
 from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.neural import (
     ClassifierConfig,
@@ -15,6 +17,7 @@ from mtnorm.neural import (
     build_vocab,
     init_params,
     load_params,
+    predict_probs,
     save_params,
 )
 
@@ -254,6 +257,69 @@ class TestClassify:
             assert [name for name, _ in shown] == [name for _, name in top]
             for (_, p_shown), (p_trace, _) in zip(shown, top):
                 assert abs(float(p_shown) - p_trace) < 1e-4
+
+
+def dense_file_lines(n_lines, seed):
+    """Lines of 2-8 generated sentences joined by '，' and ended by '。'."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(2, 8) for _ in range(n_lines)]
+    sentences = iter(generate_synthetic_corpus(CorpusDistribution.default(), sum(sizes), seed))
+    return [
+        "，".join(next(sentences).text for _ in range(size)) + "。" for size in sizes
+    ]
+
+
+def classifier_view(model, texts):
+    """``classify``'s lines computed from the classifier alone.
+
+    Every span with a legal label is scored: a one-hot for one legal label,
+    and otherwise its window, with every ambiguous window of ``texts`` in one
+    ``predict_probs`` call in text order. Rules and priority surfaces play
+    no part.
+    """
+    params, config, vocab = load_params(str(model))
+    encoder = FrozenEncoder.freeze(params)
+    spans, ids, nsw, masks = [], [], [], []
+    for text in texts:
+        for span in extract_nsw(text):
+            surface = text[span.start : span.end]
+            legal = DEFAULT_REGISTRY.legal_labels(surface)
+            spans.append((surface, legal))
+            if sum(legal) > 1:
+                chars, mask = reference_window(text, span.start, span.end, config.window)
+                ids.append([vocab.id_of(ch) for ch in chars])
+                nsw.append(mask)
+                masks.append(legal)
+    probs = iter(predict_probs(encoder, np.array(ids), np.array(nsw), masks) if ids else [])
+    lines = []
+    for surface, legal in spans:
+        if not any(legal):
+            lines.append(f"{surface}\t<no legal label>")
+            continue
+        p = next(probs) if sum(legal) > 1 else np.array(legal, dtype=np.float64)
+        top = sorted(((float(x), lab.name) for x, lab in zip(p, DEFAULT_REGISTRY)), reverse=True)[:3]
+        ranked = "  ".join(f"{name}={x:.4f}" for x, name in top)
+        lines.append(f"{surface}\t{DEFAULT_REGISTRY.by_id(int(p.argmax())).name}\t{ranked}")
+    return lines
+
+
+class TestClassifyScoresEverySpan:
+    def test_context_rule_surfaces_scored(self, workspace, capsys):
+        # the hybrid decides these by their context rules; classify still scores them
+        text = "他1998年毕业，主队3-1领先，买了2个苹果，气温10-15度"
+        assert main(["classify", "--model", str(workspace["model"]), "--text", text]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[0] for line in printed] == ["1998", "3-1", "2", "10-15"]
+        assert printed == classifier_view(workspace["model"], [text])
+
+    def test_dense_files(self, workspace, tmp_path, capsys):
+        lines = dense_file_lines(2000, seed=7)
+        for k in range(20):
+            chunk = lines[k * 100 : (k + 1) * 100]
+            path = tmp_path / f"in-{k}.txt"
+            path.write_text("".join(line + "\n" for line in chunk), encoding="utf-8")
+            assert main(["classify", "--model", str(workspace["model"]), "--in", str(path)]) == 0
+            assert capsys.readouterr().out.splitlines() == classifier_view(workspace["model"], chunk)
 
 
 class TestEvaluate:

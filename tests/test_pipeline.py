@@ -10,7 +10,8 @@ from mtnorm.corpus import CorpusDistribution, LabeledSentence, generate_syntheti
 from mtnorm.extractor import extract_nsw, priority_check
 from mtnorm.labels import DEFAULT_REGISTRY, LabelRegistry
 from mtnorm.neural import model
-from mtnorm.rules import parse_rules
+from mtnorm.reader import render
+from mtnorm.rules import match_nsw, parse_rules
 from mtnorm.pipeline import (
     ROUTE_FALLBACK,
     ROUTE_NEURAL,
@@ -32,6 +33,18 @@ def classify_alone(system, text, span, legal):
     ids = [[system.vocab.id_of(ch) for ch in chars]]
     probs = model.predict_probs(system.encoder, ids, [mask], [legal])[0]
     return probs, int(np.argmax(probs))
+
+
+def definite(system, text, span):
+    """Whether the span's ``match_nsw`` rule is a context rule whose reader accepts it."""
+    match = match_nsw(system.rules, text, span)
+    if match is None or not (match.rule.pre_pattern.pattern or match.rule.post_pattern.pattern):
+        return False
+    try:
+        render(text[span.start:span.end], match.label)
+    except ValueError:
+        return False
+    return True
 
 
 class TestRuleBaselineSentence:
@@ -167,10 +180,11 @@ class TestSentenceBatching:
 
     @staticmethod
     def classifier_spans(text, system, least=1):
-        """Non-priority spans with at least ``least`` legal labels."""
+        """Non-priority, non-definite spans with at least ``least`` legal labels."""
         return [
             span for span in extract_nsw(text)
             if not priority_check(text[span.start:span.end], system.priority)
+            and not definite(system, text, span)
             and sum(DEFAULT_REGISTRY.legal_labels(text[span.start:span.end])) >= least
         ]
 
@@ -218,6 +232,72 @@ class TestSentenceBatching:
         # classifier never sees the span: verbatim, no probabilities
         assert traces[2].sfw is None and traces[2].label is None
         assert traces[2].probabilities is None
+
+
+class TestDefiniteRules:
+    """A span whose rule is a context rule takes that rule before the classifier."""
+
+    @pytest.fixture
+    def windows(self, monkeypatch, tiny_system):
+        """Per ``Vocabulary.windows`` call, the spans it cut windows for."""
+        calls = []
+        real_windows = type(tiny_system.vocab).windows
+
+        def counting_windows(vocab, text, spans, width):
+            calls.append(list(spans))
+            return real_windows(vocab, text, spans, width)
+
+        monkeypatch.setattr(type(tiny_system.vocab), "windows", counting_windows)
+        return calls
+
+    @pytest.mark.parametrize("text, sfw, rule", [
+        ("他1998年毕业", "他一九九八年毕业", "year_before_nian"),
+        ("主队3-1领先", "主队三比一领先", "score_keyword_after"),
+        ("我买了2个苹果", "我买了两个苹果", "liang_before_measure"),
+        ("气温10-15度", "气温十到十五度", "range_with_unit"),
+        ("本场比分是30-10", "本场比分是三十比十", "score_keyword_before"),
+    ])
+    def test_context_rule_takes_priority_route(self, tiny_system, windows, text, sfw, rule):
+        out, traces = normalize(text, tiny_system)
+        assert out == sfw
+        assert windows == []
+        [trace] = traces
+        assert trace.route == ROUTE_PRIORITY and trace.probabilities is None
+        assert trace.label == match_nsw(tiny_system.rules, text, trace.span).label
+        assert match_nsw(tiny_system.rules, text, trace.span).rule.name == rule
+
+    def test_year_without_nian_is_classified(self, tiny_system, windows):
+        text = "他在1998毕业"
+        _, traces = normalize(text, tiny_system)
+        assert windows == [[traces[0].span]]
+        assert traces[0].probabilities is not None
+        assert traces[0].route == ROUTE_NEURAL
+
+    def test_rules_only_route_unchanged(self, rules_system):
+        _, traces = normalize("他1998年毕业", rules_system)
+        assert traces[0].route == ROUTE_FALLBACK
+
+    def test_refused_context_rule_goes_to_the_classifier(self, tiny_system, windows):
+        # B_Time's reader refuses 1998, so the classifier decides the span
+        rules = parse_rules("rule: year_as_time\ncontext_len: 1\nnsw: \\d{4}\npost: 年\nlabel: B_Time\n")
+        system = replace(tiny_system, rules=rules)
+        _, traces = normalize("他1998年毕业", system)
+        assert len(windows) == 1
+        assert traces[0].probabilities is not None
+        assert traces[0].route in (ROUTE_NEURAL, ROUTE_UNMATCHED)
+
+    def test_context_free_rule_first_is_not_definite(self, tiny_system, windows):
+        # a context-free rule that sorts first answers match_nsw, so the
+        # context rule behind it decides nothing
+        rules = parse_rules(
+            "rule: any_year\ncontext_len: 2\nnsw: \\d{4}\nlabel: A_Read_No_Zero\n\n"
+            "rule: year_before_nian\ncontext_len: 1\nnsw: \\d{4}\npost: 年\n"
+            "label: A_Spell_Keep_Zero\n"
+        )
+        system = replace(tiny_system, rules=rules)
+        _, traces = normalize("他1998年毕业", system)
+        assert len(windows) == 1
+        assert traces[0].probabilities is not None
 
 
 class TestOneLabelSpans:

@@ -8,7 +8,7 @@ from mtnorm.corpus import CorpusDistribution, NSWSpan, generate_synthetic_corpus
 from mtnorm.extractor import extract_nsw
 from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.pipeline import normalize
-from mtnorm.rules import RuleError, RuleMatch, match_nsw, parse_rules
+from mtnorm.rules import RuleError, RuleMatch, match_definite, match_nsw, parse_rules
 
 
 def make_rule_text(specs):
@@ -61,6 +61,16 @@ class TestCompile:
         text = "rule: broken\nnsw: [unclosed\nlabel: A_Read_No_Zero\n"
         with pytest.raises(RuleError, match="broken"):
             parse_rules(text)
+
+    def test_context_pattern_needs_context_len(self):
+        # searched in an empty window, the pattern could never match
+        for field in ("pre: 比分", "post: 年"):
+            text = f"rule: ok\nlabel: A_Read_No_Zero\n\nrule: dead\ncontext_len: 0\n{field}\nlabel: A_Read_No_Zero\n"
+            with pytest.raises(RuleError, match=":4: rule dead: .*context_len >= 1"):
+                parse_rules(text)
+        text = "rule: dead\nnsw: \\d{4}\npost: 年\nlabel: A_Spell_Keep_Zero\n"
+        with pytest.raises(RuleError, match=":1: rule dead"):
+            parse_rules(text)  # context_len defaults to 0
 
     def test_missing_nsw_takes_label_format(self, fixture_rows):
         surfaces = {surface for surface, _, _ in fixture_rows}
@@ -128,6 +138,9 @@ def random_instance(rng):
                 "label": "A_Read_No_Zero",
             }
         )
+        if specs[-1]["pre"] or specs[-1]["post"]:
+            # a context pattern needs a window: parse_rules rejects context_len 0
+            specs[-1]["context_len"] = max(1, specs[-1]["context_len"])
     body = rng.choice(["30-10", "100", "15%", "10:30", "42"])
     left = rng.choice(["", "比分", "气温是", "在", "编号共计"])
     right = rng.choice(["", "领先", "度", "元整", "号房间"])
@@ -220,6 +233,63 @@ class TestAgainstReferenceLoop:
         for _ in range(300):
             specs, text, start, end = random_instance(rng)
             self.check(parse_rules(make_rule_text(specs)), text, NSWSpan(start, end))
+
+
+class TestMatchDefinite:
+    """``match_definite`` is ``match_nsw``'s answer exactly when that answer is a context rule."""
+
+    def check(self, rs, text, span):
+        match = match_nsw(rs, text, span)
+        got = match_definite(rs, text, span)
+        if match is not None and (match.rule.pre_pattern.pattern or match.rule.post_pattern.pattern):
+            assert got == match
+            assert got.rule is match.rule
+        else:
+            assert got is None
+        return got
+
+    def test_dense_lines(self, ruleset):
+        corpus = generate_synthetic_corpus(CorpusDistribution.default(), 600, seed=41)
+        rng = random.Random(41)
+        definite = []
+        for _ in range(150):
+            text = "，".join(s.text for s in rng.sample(corpus, rng.randint(2, 8))) + "。"
+            for span in extract_nsw(text):
+                definite.append(self.check(ruleset, text, span))
+                self.check(ruleset, text[span.start :], NSWSpan(0, span.end - span.start))
+                self.check(ruleset, text[: span.end], span)
+        names = {match.rule.name for match in definite if match is not None}
+        assert {"year_before_nian", "liang_before_measure", "range_with_unit"} <= names
+        assert None in definite
+
+    def test_random_rule_sets(self):
+        rng = random.Random(88)
+        shadowed = definite = 0
+        for _ in range(500):
+            specs, text, start, end = random_instance(rng)
+            rs = parse_rules(make_rule_text(specs))
+            definite += self.check(rs, text, NSWSpan(start, end)) is not None
+            flags = [bool(r.pre_pattern.pattern or r.post_pattern.pattern) for r in rs]
+            # a context-free rule sorts before a context rule
+            shadowed += any(not a and b for a, b in zip(flags, flags[1:]))
+        assert shadowed > 100 and definite > 10
+
+    def test_context_free_rule_first(self):
+        rs = parse_rules(make_rule_text([
+            {"name": "wide", "priority": 1, "context_len": 3, "pre": "", "nsw": r"\d+-\d+", "post": "", "label": "B_Range"},
+            {"name": "score", "priority": 1, "context_len": 2, "pre": "", "nsw": r"\d+-\d+", "post": "领先", "label": "B_Score_Ratio"},
+        ]))
+        assert match_definite(rs, "主队3-1领先", NSWSpan(2, 5)) is None
+        narrow = parse_rules(make_rule_text([
+            {"name": "wide", "priority": 1, "context_len": 3, "pre": "", "nsw": r"\d+:\d+", "post": "", "label": "B_Time"},
+            {"name": "score", "priority": 1, "context_len": 2, "pre": "", "nsw": r"\d+-\d+", "post": "领先", "label": "B_Score_Ratio"},
+        ]))
+        assert match_definite(narrow, "主队3-1领先", NSWSpan(2, 5)).rule.name == "score"
+
+    def test_no_context_rules(self):
+        rs = parse_rules("rule: r1\nlabel: A_Read_No_Zero\n")
+        assert match_nsw(rs, "共100人", NSWSpan(1, 4)) is not None
+        assert match_definite(rs, "共100人", NSWSpan(1, 4)) is None
 
 
 class TestNormalizeRuleBased:
