@@ -263,8 +263,8 @@ class TestDefiniteRules:
         assert windows == []
         [trace] = traces
         assert trace.route == ROUTE_PRIORITY and trace.probabilities is None
-        assert trace.label == match_nsw(tiny_system.rules, text, trace.span).label
-        assert match_nsw(tiny_system.rules, text, trace.span).rule.name == rule
+        match = match_nsw(tiny_system.rules, text, trace.span)
+        assert match.rule.name == rule and trace.label == match.label
 
     def test_year_without_nian_is_classified(self, tiny_system, windows):
         text = "他在1998毕业"
