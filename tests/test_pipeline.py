@@ -202,7 +202,7 @@ class TestSentenceBatching:
         lines = []
         while len(lines) < 200:
             lines.append("，".join(rng.sample(sentences, rng.randint(2, 8))))
-        long_line = "，".join(sentences[:40])
+        long_line = "，".join(sentences[:60])
         assert len(self.classifier_spans(long_line, tiny_system, least=2)) > 16
         lines.append(long_line)
         mixed = "遇到危险请拨打911，会议定于上午10:30开始，总额1,000,000,000,000元"
@@ -256,6 +256,11 @@ class TestDefiniteRules:
         ("我买了2个苹果", "我买了两个苹果", "liang_before_measure"),
         ("气温10-15度", "气温十到十五度", "range_with_unit"),
         ("本场比分是30-10", "本场比分是三十比十", "score_keyword_before"),
+        ("这座桥全长350米", "这座桥全长三百五十米", "quantity_before_unit"),
+        # 120 is on the priority list; a unit after it makes it a quantity
+        ("大桥全长120米", "大桥全长一百二十米", "quantity_before_unit"),
+        # the unit must follow the number directly: 个 decides, not 小时
+        ("他等了2个小时", "他等了两个小时", "liang_before_measure"),
     ])
     def test_context_rule_takes_priority_route(self, tiny_system, windows, text, sfw, rule):
         out, traces = normalize(text, tiny_system)
@@ -265,6 +270,14 @@ class TestDefiniteRules:
         assert trace.route == ROUTE_PRIORITY and trace.probabilities is None
         match = match_nsw(tiny_system.rules, text, trace.span)
         assert match.rule.name == rule and trace.label == match.label
+
+    def test_two_before_a_unit_is_classified(self, tiny_system, windows):
+        # 2 before a unit reads 两 (两米), so quantity_before_unit leaves it out
+        text = "大桥全长2米"
+        _, traces = normalize(text, tiny_system)
+        assert windows == [[traces[0].span]]
+        assert traces[0].probabilities is not None
+        assert match_nsw(tiny_system.rules, text, traces[0].span).rule.name == "plain_number"
 
     def test_year_without_nian_is_classified(self, tiny_system, windows):
         text = "他在1998毕业"

@@ -259,7 +259,7 @@ class TestMatchDefinite:
                 self.check(ruleset, text[span.start :], NSWSpan(0, span.end - span.start))
                 self.check(ruleset, text[: span.end], span)
         names = {match.rule.name for match in definite if match is not None}
-        assert {"year_before_nian", "liang_before_measure", "range_with_unit"} <= names
+        assert {"year_before_nian", "liang_before_measure", "range_with_unit", "quantity_before_unit"} <= names
         assert None in definite
 
     def test_random_rule_sets(self):
