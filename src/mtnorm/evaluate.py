@@ -249,7 +249,6 @@ def run_ablation(
     corpus: list[LabeledSentence],
     seed: int,
     base_config: ClassifierConfig | None = None,
-    log=None,
 ) -> list[AblationRow]:
     """Train and score one model per grid entry on a shared split."""
     base = base_config or ClassifierConfig(label_count=len(DEFAULT_REGISTRY))
@@ -278,8 +277,6 @@ def run_ablation(
         except Exception as exc:  # keep the grid running past a bad entry
             row = AblationRow(name, None, None, error=str(exc))
         rows.append(row)
-        if log is not None:
-            log(format_ablation_rows([row], header=False))
     return rows
 
 
@@ -291,10 +288,8 @@ def ablation_records(rows: list[AblationRow]) -> list[dict]:
     ]
 
 
-def format_ablation_rows(rows: list[AblationRow], header: bool = True) -> str:
-    lines = []
-    if header:
-        lines.append(f"{'setup':18s}  {'accuracy':>8s}  {'rare recall':>11s}")
+def format_ablation_rows(rows: list[AblationRow]) -> str:
+    lines = [f"{'setup':18s}  {'accuracy':>8s}  {'rare recall':>11s}"]
     for row in rows:
         if row.error is not None:
             lines.append(f"{row.name:18s}  {'failed':>8s}  ({row.error})")

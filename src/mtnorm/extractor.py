@@ -36,14 +36,10 @@ class PriorityList:
     exact_strings: frozenset[str] = frozenset()
     user_patterns: list[re.Pattern] = field(default_factory=list)
 
-    def matches(self, surface: str) -> bool:
-        if surface in self.exact_strings:
-            return True
-        return any(p.fullmatch(surface) for p in self.user_patterns)
-
 
 def priority_check(surface: str, pl: PriorityList) -> bool:
-    return pl.matches(surface)
+    """Whether the surface is one of the exact strings or fully matches a pattern."""
+    return surface in pl.exact_strings or any(p.fullmatch(surface) for p in pl.user_patterns)
 
 
 def load_priority_list(path: str) -> PriorityList:

@@ -5,8 +5,7 @@ Each label owns a full-match surface format and exactly one reader from
 rules, the classifier's softmax mask, the post-classification verifier,
 ``reader.render``, corpus IO and the metrics all read it directly, so they
 can never drift apart. The shipped set covers the ten core patterns plus a
-dollar-amount example of registry extension; a registry accepts up to
-``MAX_LABELS`` entries.
+dollar-amount example of registry extension.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import reader
-
-MAX_LABELS = 36
 
 # Full-match patterns over NSW surface strings. Deliberately overlapping:
 # a bare digit string is format-legal for several labels and only context
@@ -51,8 +48,6 @@ class LabelRegistry:
     ) -> PatternLabel:
         if name in self._by_name:
             raise ValueError(f"duplicate label name: {name}")
-        if len(self._labels) >= MAX_LABELS:
-            raise ValueError(f"label registry is full ({MAX_LABELS} entries)")
         try:
             compiled = re.compile(pattern)
         except re.error as exc:

@@ -12,6 +12,7 @@ embedding rows 0 and 1 swapped, an exact equivalent.
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -36,11 +37,13 @@ def save_params(path: str, params: EncoderParams, config: ClassifierConfig, voca
 
 
 def load_params(path: str) -> tuple[EncoderParams, ClassifierConfig, Vocabulary]:
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except Exception as exc:
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    with archive:
+    # np.load leaves a file it opened itself unclosed when the archive is bad
+    with ExitStack() as stack:
+        try:
+            fh = stack.enter_context(open(path, "rb"))
+            archive = stack.enter_context(np.load(fh, allow_pickle=False))
+        except Exception as exc:
+            raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
         try:
             version = int(archive["format_version"])
         except KeyError:

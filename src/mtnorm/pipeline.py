@@ -7,19 +7,20 @@ their windows from the text in one call), then splice the spoken forms
 right-to-left so earlier indices stay valid. Routing per span: priority
 surfaces go straight to the rules. With a classifier, so does a span
 whose ``match_nsw`` rule is a context rule (a ``pre:`` or ``post:``
-pattern; ``rules.match_definite``), if that rule's reader accepts the
-surface; these take the priority route too, before legality, windows and
-the classifier. A span with no legal label takes the rule fallback. A
-span with one legal label needs no classifier: its masked softmax could
-only return that label's one-hot, so it gets that one-hot directly.
-Every other span's window goes to the classifier. Each span's
-legal labels are computed once, from the shipped label table
-(``labels.DEFAULT_REGISTRY``): the chosen label is rendered by its
-reader if the surface is legal for it, and otherwise, or if the reader
-refuses, the span takes the rule fallback with its probabilities kept in
-the trace; a span nothing can handle stays verbatim. A system without a
-classifier is the rules-only baseline: every non-priority span takes the
-fallback route.
+pattern), if that rule's reader accepts the surface; these take the
+priority route too, before legality, windows and the classifier. The
+check runs ``match_nsw`` over ``RuleSet.context_prefix``, which gives a
+context rule exactly where the whole set does. A span with no legal
+label takes the rule fallback. A span with one legal label needs no
+classifier: its masked softmax could only return that label's one-hot,
+so it gets that one-hot directly. Every other span's window goes to the
+classifier. Each span's legal labels are computed once, from the
+shipped label table (``labels.DEFAULT_REGISTRY``): the chosen label is
+rendered by its reader if the surface is legal for it, and otherwise, or
+if the reader refuses, the span takes the rule fallback with its
+probabilities kept in the trace; a span nothing can handle stays
+verbatim. A system without a classifier is the rules-only baseline:
+every non-priority span takes the fallback route.
 
 The classifier decides each span from its own window, so nothing ties a
 forward pass to one sentence: ``normalize_many`` routes every span of
@@ -44,7 +45,7 @@ from .corpus import NSWSpan
 from .extractor import PriorityList, extract_nsw, priority_check
 from .labels import DEFAULT_REGISTRY, LabelRegistry
 from .neural import ClassifierConfig, EncoderParams, FrozenEncoder, Vocabulary, predict_probs
-from .rules import RuleSet, match_definite, match_nsw
+from .rules import RuleSet, match_nsw
 
 ROUTE_PRIORITY = "priority_rule"
 ROUTE_NEURAL = "neural"
@@ -111,11 +112,11 @@ class HybridSystem:
 
 
 def _rule_route(sys: HybridSystem, text: str, span: NSWSpan, surface: str, route: str, probs=None):
-    match = match_nsw(sys.rules, text, span)
-    if match is not None:
+    rule = match_nsw(sys.rules, text, span)
+    if rule is not None:
         try:
-            sfw = reader.render(surface, match.label)
-            return NormalizationTrace(span, route, match.label, sfw, probs)
+            sfw = reader.render(surface, rule.label)
+            return NormalizationTrace(span, route, rule.label, sfw, probs)
         except ValueError:
             pass
     return NormalizationTrace(span, ROUTE_UNMATCHED, None, None, probs)
@@ -155,14 +156,14 @@ def normalize_many(
             if sys.encoder is None:
                 traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
                 continue
-            definite = match_definite(sys.rules, text, span)
-            if definite is not None:
+            rule = match_nsw(sys.rules.context_prefix, text, span)
+            if rule is not None and rule.context:
                 try:
-                    sfw = reader.render(surface, definite.label)
+                    sfw = reader.render(surface, rule.label)
                 except ValueError:
                     pass  # the classifier decides, as for any other span
                 else:
-                    traces[i] = NormalizationTrace(span, ROUTE_PRIORITY, definite.label, sfw)
+                    traces[i] = NormalizationTrace(span, ROUTE_PRIORITY, rule.label, sfw)
                     continue
             legal = DEFAULT_REGISTRY.legal_labels(surface)
             mask = legal if sys.config.use_mask else [True] * len(legal)

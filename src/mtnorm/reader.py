@@ -5,8 +5,6 @@ under ``data/fixtures.tsv``):
 
 * positional reading groups by 万/亿, collapses interior zero runs to one
   零, keeps trailing zeros silent, and reduces a leading 一十 to 十;
-* with ``use_liang`` a 2 reads 两 directly before 百/千, and a whole group
-  of exactly 2 reads 两 before 万/亿 (二十二万 keeps 二);
 * digit spelling reads 0 as 零 and, with ``use_yao``, 1 as 幺;
 * hours of exactly 2 read 两点; minutes 00 are omitted, minutes 01-09 read
   零X分;
@@ -23,7 +21,7 @@ _GROUP_UNITS = ("", "十", "百", "千")
 MAX_POSITIONAL = 10**12
 
 
-def _read_group(value: int, use_liang: bool) -> str:
+def _read_group(value: int) -> str:
     """Read 1..9999 positionally with 千/百/十 units."""
     out = []
     pending_zero = False
@@ -36,16 +34,13 @@ def _read_group(value: int, use_liang: bool) -> str:
         if pending_zero:
             out.append("零")
             pending_zero = False
-        if d == 2 and use_liang and pos >= 2:
-            out.append("两")
-        else:
-            out.append(DIGIT_CHARS[d])
+        out.append(DIGIT_CHARS[d])
         out.append(_GROUP_UNITS[pos])
         started = True
     return "".join(out)
 
 
-def read_number_positional(digits: str, use_liang: bool = False) -> str:
+def read_number_positional(digits: str) -> str:
     """Standard Mandarin positional reading of a digit string below 10^12."""
     if not digits or not digits.isdigit():
         raise ValueError(f"not a digit string: {digits!r}")
@@ -61,10 +56,7 @@ def read_number_positional(digits: str, use_liang: bool = False) -> str:
             continue
         if out and value < 1000:
             out += "零"
-        if value == 2 and use_liang and unit:
-            out += "两" + unit
-        else:
-            out += _read_group(value, use_liang) + unit
+        out += _read_group(value) + unit
     if out.startswith("一十"):
         out = out[1:]
     return out
@@ -78,10 +70,10 @@ def spell_digits(digits: str, use_yao: bool = False) -> str:
     return "".join(table[int(d)] for d in digits)
 
 
-def read_decimal(number: str, use_liang: bool = False) -> str:
+def read_decimal(number: str) -> str:
     """Read ``123.45``-style strings: positional integer part, spelled fraction."""
     integer, dot, fraction = number.partition(".")
-    out = read_number_positional(integer, use_liang)
+    out = read_number_positional(integer)
     if dot:
         if not fraction:
             raise ValueError(f"dangling decimal point: {number!r}")

@@ -9,11 +9,13 @@ A rule's ``label:`` names a label of the shipped label table, and its NSW
 shape defaults to that label's format, so rules, classifier mask and
 readers share one surface domain; an explicit ``nsw:`` narrows it.
 
-A rule with a ``pre:`` or ``post:`` pattern is a context rule and needs a
-positive ``context_len`` to search in. When ``match_nsw``'s answer is a
-context rule, the hybrid takes it as definite and skips the classifier;
-``match_definite`` finds exactly those answers while walking only the
-match-order prefix that ends at the last context rule.
+A rule with a ``pre:`` or ``post:`` pattern is a context rule
+(``Rule.context``) and needs a positive ``context_len`` to search in. When
+``match_nsw``'s answer is a context rule, the hybrid takes it as definite
+and skips the classifier. It asks ``match_nsw`` over the set's
+``context_prefix``, the match-order prefix that ends at the last context
+rule: every context rule lies in it, so a match past it, or no match, is
+never a context rule, and the prefix gives the same answer for less walking.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .corpus import LabeledSentence, NSWSpan
+from .corpus import NSWSpan
 from .labels import DEFAULT_REGISTRY
 
 
@@ -43,16 +45,10 @@ class Rule:
         # Descending specificity, descending priority, stable by name.
         return (-self.context_len, -self.priority, self.name)
 
-
-@dataclass(frozen=True)
-class RuleMatch:
-    rule: Rule
-    span: NSWSpan
-    label: int
-
-
-def _has_context(rule: Rule) -> bool:
-    return bool(rule.pre_pattern.pattern or rule.post_pattern.pattern)
+    @property
+    def context(self) -> bool:
+        """Whether the rule has a ``pre:`` or ``post:`` pattern."""
+        return bool(self.pre_pattern.pattern or self.post_pattern.pattern)
 
 
 class RuleSet:
@@ -61,8 +57,9 @@ class RuleSet:
     ``match_nsw`` walks ``_matchers``: per rule in match order, its NSW
     ``fullmatch``, its context length and its pre and post ``search``, or
     ``None`` for an empty pattern, which always matches.
-    ``_context_prefix`` is the shortest prefix of ``_matchers`` that holds
-    every context rule, the part ``match_definite`` walks.
+    ``context_prefix`` holds the rules up to and including the last context
+    rule in match order: the set itself when that is its last rule (or it
+    is empty), else a new ``RuleSet`` of that prefix.
     """
 
     def __init__(self, rules: list[Rule]):
@@ -81,8 +78,10 @@ class RuleSet:
             )
             for rule in self.rules
         )
-        last = max((i for i, rule in enumerate(self.rules) if _has_context(rule)), default=-1)
-        self._context_prefix = self._matchers[: last + 1]
+        last = max((i for i, rule in enumerate(self.rules) if rule.context), default=-1)
+        self.context_prefix = (
+            self if last == len(self.rules) - 1 else RuleSet(self.rules[: last + 1])
+        )
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -143,7 +142,7 @@ def parse_rules(text: str, source: str = "<rules>") -> RuleSet:
             raise RuleError(f"{source}:{lineno}: rule {name}: {exc}") from exc
         if rules[-1].context_len < 0:
             raise RuleError(f"{source}:{lineno}: rule {name}: context_len must be >= 0")
-        if rules[-1].context_len == 0 and _has_context(rules[-1]):
+        if rules[-1].context_len == 0 and rules[-1].context:
             raise RuleError(
                 f"{source}:{lineno}: rule {name}: a pre or post pattern needs context_len >= 1"
             )
@@ -155,13 +154,12 @@ def compile_rules(path: str) -> RuleSet:
         return parse_rules(fh.read(), source=path)
 
 
-def match_nsw(rs: RuleSet, sentence: LabeledSentence | str, span: NSWSpan) -> RuleMatch | None:
+def match_nsw(rs: RuleSet, text: str, span: NSWSpan) -> Rule | None:
     """First rule in specificity order whose patterns all match at the span.
 
     The NSW pattern must match the whole surface; the pre and post patterns
     search the up to ``context_len`` characters before and after it.
     """
-    text = sentence if isinstance(sentence, str) else sentence.text
     start, end = span.start, span.end
     surface = text[start:end]
     for rule, fullmatch, context_len, pre, post in rs._matchers:
@@ -171,28 +169,5 @@ def match_nsw(rs: RuleSet, sentence: LabeledSentence | str, span: NSWSpan) -> Ru
             continue
         if post is not None and post(text[end : end + context_len]) is None:
             continue
-        return RuleMatch(rule, span, rule.label)
-    return None
-
-
-def match_definite(rs: RuleSet, text: str, span: NSWSpan) -> RuleMatch | None:
-    """``match_nsw``'s answer if it is a context rule, else ``None``.
-
-    ``match_nsw``'s loop over ``_context_prefix`` only: every context rule
-    lies in it, so a match past it, or no match, is never a context rule.
-    The loop is kept apart from ``match_nsw`` so the rules-only path pays
-    no extra call per span.
-    """
-    start, end = span.start, span.end
-    surface = text[start:end]
-    for rule, fullmatch, context_len, pre, post in rs._context_prefix:
-        if fullmatch(surface) is None:
-            continue
-        if pre is not None and pre(text[max(0, start - context_len) : start]) is None:
-            continue
-        if post is not None and post(text[end : end + context_len]) is None:
-            continue
-        if pre is None and post is None:
-            return None
-        return RuleMatch(rule, span, rule.label)
+        return rule
     return None

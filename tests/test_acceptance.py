@@ -160,7 +160,7 @@ def test_c5_rule_engine_laws():
         if want is None:
             assert got is None
         else:
-            assert got is not None and got.rule.name == want["name"]
+            assert got is not None and got.name == want["name"]
             checked += 1
     assert checked > 100  # the sampler must actually exercise matches
     print(f"\nACCEPTANCE C5 rule engine laws: PASS "

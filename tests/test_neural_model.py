@@ -648,12 +648,12 @@ class TestCheckpoint:
 
     def test_truncated_file_rejected(self, tmp_path):
         config, vocab, params = small_setup()
-        path = str(tmp_path / "model.npz")
-        save_params(path, params, config, vocab)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[: len(blob) // 2])
+        path = tmp_path / "model.npz"
+        save_params(str(path), params, config, vocab)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
-            load_params(path)
+            load_params(str(path))
 
     def test_pad_id_mismatch_rejected(self, tmp_path):
         config, vocab, params = small_setup()

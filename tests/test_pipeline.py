@@ -37,11 +37,11 @@ def classify_alone(system, text, span, legal):
 
 def definite(system, text, span):
     """Whether the span's ``match_nsw`` rule is a context rule whose reader accepts it."""
-    match = match_nsw(system.rules, text, span)
-    if match is None or not (match.rule.pre_pattern.pattern or match.rule.post_pattern.pattern):
+    rule = match_nsw(system.rules, text, span)
+    if rule is None or not rule.context:
         return False
     try:
-        render(text[span.start:span.end], match.label)
+        render(text[span.start:span.end], rule.label)
     except ValueError:
         return False
     return True
@@ -269,7 +269,7 @@ class TestDefiniteRules:
         [trace] = traces
         assert trace.route == ROUTE_PRIORITY and trace.probabilities is None
         match = match_nsw(tiny_system.rules, text, trace.span)
-        assert match.rule.name == rule and trace.label == match.label
+        assert match.name == rule and trace.label == match.label
 
     def test_two_before_a_unit_is_classified(self, tiny_system, windows):
         # 2 before a unit reads 两 (两米), so quantity_before_unit leaves it out
@@ -277,7 +277,7 @@ class TestDefiniteRules:
         _, traces = normalize(text, tiny_system)
         assert windows == [[traces[0].span]]
         assert traces[0].probabilities is not None
-        assert match_nsw(tiny_system.rules, text, traces[0].span).rule.name == "plain_number"
+        assert match_nsw(tiny_system.rules, text, traces[0].span).name == "plain_number"
 
     def test_year_without_nian_is_classified(self, tiny_system, windows):
         text = "他在1998毕业"

@@ -8,7 +8,7 @@ from mtnorm.corpus import CorpusDistribution, NSWSpan, generate_synthetic_corpus
 from mtnorm.extractor import extract_nsw
 from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.pipeline import normalize
-from mtnorm.rules import RuleError, RuleMatch, match_definite, match_nsw, parse_rules
+from mtnorm.rules import RuleError, RuleSet, match_nsw, parse_rules
 
 
 def make_rule_text(specs):
@@ -95,7 +95,7 @@ class TestMatch:
         sentence = "比分是30-10领先"
         span = extract_nsw(sentence)[0]
         match = match_nsw(rs, sentence, span)
-        assert match.rule.name == "score"
+        assert match.name == "score"
 
     def test_priority_breaks_context_ties(self):
         text = make_rule_text(
@@ -105,7 +105,7 @@ class TestMatch:
             ]
         )
         match = match_nsw(parse_rules(text), "共100人", NSWSpan(1, 4))
-        assert match.rule.name == "high"
+        assert match.name == "high"
 
     def test_no_match_returns_none(self):
         text = make_rule_text(
@@ -160,7 +160,7 @@ class TestAgainstBruteForce:
                 assert got is None
             else:
                 assert got is not None
-                assert got.rule.name == want["name"]
+                assert got.name == want["name"]
 
     def test_shuffle_invariance(self):
         rng = random.Random(99)
@@ -173,7 +173,7 @@ class TestAgainstBruteForce:
             if baseline is None:
                 assert permuted is None
             else:
-                assert permuted.rule.name == baseline.rule.name
+                assert permuted.name == baseline.name
 
     def test_strictly_longer_context_wins(self):
         rng = random.Random(5)
@@ -189,7 +189,7 @@ class TestAgainstBruteForce:
             ]
             longest = max(s["context_len"] for s in matching)
             if sum(1 for s in matching if s["context_len"] == longest) == 1:
-                assert got.rule.context_len == longest
+                assert got.context_len == longest
 
 
 class TestAgainstReferenceLoop:
@@ -198,11 +198,7 @@ class TestAgainstReferenceLoop:
     def check(self, rs, text, span):
         rule = reference_match_nsw(rs.rules, text, span.start, span.end)
         got = match_nsw(rs, text, span)
-        if rule is None:
-            assert got is None
-        else:
-            assert got == RuleMatch(rule, span, rule.label)
-            assert got.rule is rule
+        assert got is rule
         return rule
 
     def test_dense_lines_and_their_edges(self, ruleset):
@@ -235,15 +231,20 @@ class TestAgainstReferenceLoop:
             self.check(parse_rules(make_rule_text(specs)), text, NSWSpan(start, end))
 
 
+def definite(rs, text, span):
+    """The pipeline's definite check: ``match_nsw`` over the context prefix, kept if a context rule."""
+    rule = match_nsw(rs.context_prefix, text, span)
+    return rule if rule is not None and rule.context else None
+
+
 class TestMatchDefinite:
-    """``match_definite`` is ``match_nsw``'s answer exactly when that answer is a context rule."""
+    """Over ``context_prefix``, ``match_nsw`` gives a context rule exactly when the whole set does."""
 
     def check(self, rs, text, span):
-        match = match_nsw(rs, text, span)
-        got = match_definite(rs, text, span)
-        if match is not None and (match.rule.pre_pattern.pattern or match.rule.post_pattern.pattern):
-            assert got == match
-            assert got.rule is match.rule
+        rule = match_nsw(rs, text, span)
+        got = definite(rs, text, span)
+        if rule is not None and rule.context:
+            assert got is rule
         else:
             assert got is None
         return got
@@ -251,45 +252,57 @@ class TestMatchDefinite:
     def test_dense_lines(self, ruleset):
         corpus = generate_synthetic_corpus(CorpusDistribution.default(), 600, seed=41)
         rng = random.Random(41)
-        definite = []
+        found = []
         for _ in range(150):
             text = "，".join(s.text for s in rng.sample(corpus, rng.randint(2, 8))) + "。"
             for span in extract_nsw(text):
-                definite.append(self.check(ruleset, text, span))
+                found.append(self.check(ruleset, text, span))
                 self.check(ruleset, text[span.start :], NSWSpan(0, span.end - span.start))
                 self.check(ruleset, text[: span.end], span)
-        names = {match.rule.name for match in definite if match is not None}
+        names = {rule.name for rule in found if rule is not None}
         assert {"year_before_nian", "liang_before_measure", "range_with_unit", "quantity_before_unit"} <= names
-        assert None in definite
+        assert None in found
 
     def test_random_rule_sets(self):
         rng = random.Random(88)
-        shadowed = definite = 0
+        shadowed = found = 0
         for _ in range(500):
             specs, text, start, end = random_instance(rng)
             rs = parse_rules(make_rule_text(specs))
-            definite += self.check(rs, text, NSWSpan(start, end)) is not None
-            flags = [bool(r.pre_pattern.pattern or r.post_pattern.pattern) for r in rs]
+            found += self.check(rs, text, NSWSpan(start, end)) is not None
+            flags = [rule.context for rule in rs]
             # a context-free rule sorts before a context rule
             shadowed += any(not a and b for a, b in zip(flags, flags[1:]))
-        assert shadowed > 100 and definite > 10
+            prefix = rs.context_prefix.rules
+            assert rs.rules[: len(prefix)] == prefix and sum(flags) == sum(r.context for r in prefix)
+            assert not prefix or prefix[-1].context
+        assert shadowed > 100 and found > 10
 
     def test_context_free_rule_first(self):
         rs = parse_rules(make_rule_text([
             {"name": "wide", "priority": 1, "context_len": 3, "pre": "", "nsw": r"\d+-\d+", "post": "", "label": "B_Range"},
             {"name": "score", "priority": 1, "context_len": 2, "pre": "", "nsw": r"\d+-\d+", "post": "领先", "label": "B_Score_Ratio"},
         ]))
-        assert match_definite(rs, "主队3-1领先", NSWSpan(2, 5)) is None
+        assert match_nsw(rs.context_prefix, "主队3-1领先", NSWSpan(2, 5)).name == "wide"
+        assert definite(rs, "主队3-1领先", NSWSpan(2, 5)) is None
         narrow = parse_rules(make_rule_text([
             {"name": "wide", "priority": 1, "context_len": 3, "pre": "", "nsw": r"\d+:\d+", "post": "", "label": "B_Time"},
             {"name": "score", "priority": 1, "context_len": 2, "pre": "", "nsw": r"\d+-\d+", "post": "领先", "label": "B_Score_Ratio"},
         ]))
-        assert match_definite(narrow, "主队3-1领先", NSWSpan(2, 5)).rule.name == "score"
+        assert definite(narrow, "主队3-1领先", NSWSpan(2, 5)).name == "score"
 
     def test_no_context_rules(self):
         rs = parse_rules("rule: r1\nlabel: A_Read_No_Zero\n")
         assert match_nsw(rs, "共100人", NSWSpan(1, 4)) is not None
-        assert match_definite(rs, "共100人", NSWSpan(1, 4)) is None
+        assert len(rs.context_prefix) == 0
+        assert definite(rs, "共100人", NSWSpan(1, 4)) is None
+
+    def test_prefix_is_its_own_prefix(self, ruleset):
+        empty = RuleSet([])
+        assert empty.context_prefix is empty
+        prefix = ruleset.context_prefix
+        assert prefix is not ruleset and 0 < len(prefix) < len(ruleset)
+        assert prefix.context_prefix is prefix
 
 
 class TestNormalizeRuleBased:
