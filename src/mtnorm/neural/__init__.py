@@ -1,46 +1,25 @@
-"""Attention-based NSW pattern classifier: model, loss, training, IO."""
+"""Attention-based NSW pattern classifier: model, loss, training, IO.
+
+The package re-exports what the CLI, the pipeline and the benchmark harness
+call, plus its two error classes; everything else is imported from its
+submodule. ``train`` here is the function, which shadows the submodule
+``mtnorm.neural.train`` (reach the module through ``importlib``).
+"""
 
 from .checkpoint import CheckpointError, load_params, save_params
-from .loss import focal_loss_vec
-from .model import (
-    ClassifierConfig,
-    EncoderParams,
-    FrozenEncoder,
-    TrainingBatch,
-    batch_loss_and_grads,
-    forward_batch,
-    init_params,
-    masked_softmax,
-    predict_probs,
-)
-from .train import (
-    AdamState,
-    TrainingDiverged,
-    TrainResult,
-    make_training_batch,
-    predict_batch,
-    train,
-)
-from .vocab import Vocabulary, build_vocab
+from .model import ClassifierConfig, EncoderParams, FrozenEncoder, predict_probs
+from .train import TrainingDiverged, make_training_batch, predict_batch, train
+from .vocab import Vocabulary
 
 __all__ = [
-    "AdamState",
     "CheckpointError",
     "ClassifierConfig",
     "EncoderParams",
     "FrozenEncoder",
-    "TrainingBatch",
     "TrainingDiverged",
-    "TrainResult",
     "Vocabulary",
-    "batch_loss_and_grads",
-    "build_vocab",
-    "focal_loss_vec",
-    "forward_batch",
-    "init_params",
     "load_params",
     "make_training_batch",
-    "masked_softmax",
     "predict_batch",
     "predict_probs",
     "save_params",

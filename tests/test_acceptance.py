@@ -17,16 +17,9 @@ from mtnorm import pipeline
 from mtnorm.corpus import CorpusDistribution, NSWSpan, generate_synthetic_corpus
 from mtnorm.extractor import extract_nsw
 from mtnorm.labels import DEFAULT_REGISTRY
-from mtnorm.neural import (
-    ClassifierConfig,
-    TrainingBatch,
-    focal_loss_vec,
-    init_params,
-    make_training_batch,
-    masked_softmax,
-    predict_batch,
-    train,
-)
+from mtnorm.neural import ClassifierConfig, make_training_batch, predict_batch, train
+from mtnorm.neural.loss import focal_loss_vec
+from mtnorm.neural.model import TrainingBatch, init_params, masked_softmax
 from mtnorm.neural.vocab import PAD_ID
 from mtnorm.reader import read_number_positional, render
 from mtnorm.rules import match_nsw, parse_rules

@@ -11,15 +11,9 @@ from mtnorm.cli import main
 from mtnorm.corpus import CorpusDistribution, generate_synthetic_corpus, load_corpus
 from mtnorm.extractor import extract_nsw
 from mtnorm.labels import DEFAULT_REGISTRY
-from mtnorm.neural import (
-    ClassifierConfig,
-    FrozenEncoder,
-    build_vocab,
-    init_params,
-    load_params,
-    predict_probs,
-    save_params,
-)
+from mtnorm.neural import ClassifierConfig, FrozenEncoder, load_params, predict_probs, save_params
+from mtnorm.neural.model import init_params
+from mtnorm.neural.vocab import build_vocab
 
 TINY_CONFIG = {
     "model_dim": 16, "heads": 2, "ff_dim": 32, "epochs": 2,

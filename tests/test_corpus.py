@@ -17,7 +17,7 @@ from mtnorm.corpus import (
 )
 from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.legality import default_formats
-from mtnorm.neural import build_vocab
+from mtnorm.neural.vocab import build_vocab
 from mtnorm.neural.vocab import PAD_CHAR, PAD_ID
 
 DIST = CorpusDistribution.default()

@@ -5,7 +5,7 @@ import pytest
 
 from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.legality import default_formats
-from mtnorm.neural import masked_softmax
+from mtnorm.neural.model import masked_softmax
 
 TABLE_EXAMPLES = {
     "A_Read_No_Zero": "200",

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,21 +17,22 @@ from mtnorm.neural import (
     CheckpointError,
     ClassifierConfig,
     FrozenEncoder,
-    TrainingBatch,
     Vocabulary,
-    batch_loss_and_grads,
-    build_vocab,
-    forward_batch,
-    init_params,
     load_params,
-    masked_softmax,
     model,
     predict_probs,
     save_params,
     train,
 )
-from mtnorm.neural.model import backward_batch
-from mtnorm.neural.vocab import PAD_CHAR, PAD_ID, UNK_ID
+from mtnorm.neural.model import (
+    TrainingBatch,
+    backward_batch,
+    batch_loss_and_grads,
+    forward_batch,
+    init_params,
+    masked_softmax,
+)
+from mtnorm.neural.vocab import PAD_CHAR, PAD_ID, UNK_ID, build_vocab
 
 
 def frozen64(params):
@@ -118,12 +118,15 @@ class TestVocabulary:
 
     @pytest.mark.parametrize("pad_id, unk_id", [(1, 3), (5, 0), (0, 2), (1, 1)])
     def test_reserved_ids_are_zero_and_one(self, tmp_path, pad_id, unk_id):
-        # a vocabulary saved with other ids than 0 and 1 does not load: unk_id 3
-        # would read unknown characters as "b", and pad_id 5 has no row
-        config, _, params = small_setup(vocab_chars="ab")
+        # the ids are fixed, so a vocabulary that stores its own (the old layout)
+        # does not load, whatever they are: unk_id 3 would read unknown
+        # characters as "b", and pad_id 5 has no row
+        config, vocab, params = small_setup(vocab_chars="ab")
         path = str(tmp_path / "model.npz")
-        save_old_format(path, params, config, {"a": 2, "b": 3}, pad_id, pad_id, unk_id)
-        with pytest.raises(CheckpointError, match="reserved"):
+        save_params(path, params, config, vocab)
+        rewrite_json(path, "vocab_json", pad_id=pad_id, unk_id=unk_id)
+        # quoted, as no tmp_path (named after the test) can be
+        with pytest.raises(CheckpointError, match="'pad_id', 'unk_id'"):
             load_params(path)
 
 
@@ -571,26 +574,21 @@ class TestClassify:
             assert np.allclose(p1, p2)
 
 
-def rewrite_json(path, key, **fields):
-    """Set ``fields`` in the JSON entry ``key`` of a saved checkpoint."""
+def rewrite_entry(path, key, change):
+    """Replace entry ``key`` of a saved checkpoint by ``change(entry)``, or drop it for None."""
     archive = dict(np.load(path, allow_pickle=False))
-    payload = json.loads(str(archive[key]))
-    payload.update(fields)
-    archive[key] = np.asarray(json.dumps(payload, ensure_ascii=False))
+    if change is None:
+        del archive[key]
+    else:
+        archive[key] = change(archive[key])
     np.savez(path, **archive)
 
 
-def save_old_format(path, params, config, char_to_id, config_pad_id, pad_id, unk_id):
-    """A checkpoint as saved while the config and vocabulary held the reserved ids."""
-    np.savez(
-        path,
-        format_version=np.asarray(1),
-        config_json=np.asarray(json.dumps({**asdict(config), "pad_id": config_pad_id}, sort_keys=True)),
-        vocab_json=np.asarray(json.dumps(
-            {"char_to_id": char_to_id, "pad_id": pad_id, "unk_id": unk_id}, ensure_ascii=False
-        )),
-        **params.tensors(),
-    )
+def rewrite_json(path, key, **fields):
+    """Set ``fields`` in the JSON entry ``key`` of a saved checkpoint."""
+    rewrite_entry(path, key, lambda entry: np.asarray(
+        json.dumps({**json.loads(str(entry)), **fields}, ensure_ascii=False)
+    ))
 
 
 class TestConfig:
@@ -656,58 +654,21 @@ class TestCheckpoint:
             load_params(str(path))
 
     def test_pad_id_mismatch_rejected(self, tmp_path):
+        # an old-layout config holds pad_id, whichever id it names
         config, vocab, params = small_setup()
         path = str(tmp_path / "model.npz")
-        for config_pad_id, pad_id, unk_id in ((1, 0, 1), (0, 1, 0)):
-            save_old_format(path, params, config, vocab.char_to_id, config_pad_id, pad_id, unk_id)
-            with pytest.raises(CheckpointError, match="pad_id"):
+        for pad_id in (0, 1):
+            save_params(path, params, config, vocab)
+            rewrite_json(path, "config_json", pad_id=pad_id)
+            with pytest.raises(CheckpointError, match="'pad_id'"):
                 load_params(path)
-
-    def test_fixed_id_file_loads_unchanged(self, tmp_path):
-        config, vocab, params = small_setup()
-        path = str(tmp_path / "model.npz")
-        save_old_format(path, params, config, vocab.char_to_id, PAD_ID, PAD_ID, UNK_ID)
-        loaded, config2, vocab2 = load_params(path)
-        for name, tensor in params.tensors().items():
-            assert np.array_equal(loaded.tensors()[name], tensor), name
-        assert config2 == config
-        assert vocab2 == vocab
-
-    def test_pad_zero_file_loads_with_rows_swapped(self, tmp_path):
-        # padding 0 and unknown 1 is the fixed pair with embedding rows 0 and 1 swapped
-        config, params, rng = oracle_setup()
-        char_to_id = {ch: i + 2 for i, ch in enumerate("0123456789共人元:今天点分")}
-        path = str(tmp_path / "model.npz")
-        save_old_format(path, params, config, char_to_id, 0, 0, 1)
-        loaded, _, vocab = load_params(path)
-        assert np.array_equal(loaded.embedding[[0, 1]], params.embedding[[1, 0]])
-        assert np.array_equal(loaded.embedding[2:], params.embedding[2:])
-        old_codes = {**char_to_id, PAD_CHAR: 0}
-        ids, nsw, old_ids, old_nsw = [], [], [], []
-        for text in ("共12人", "今天10:30分开始", "温度25度左右很热", "元旦1月1日放假"):
-            spans = extract_nsw(text)
-            window_ids, window_nsw = vocab.windows(text, spans, config.window)
-            ids += window_ids.tolist()
-            nsw += window_nsw.tolist()
-            for span in spans:
-                chars, mask = reference_window(text, span.start, span.end, config.window)
-                old_ids.append([old_codes.get(ch, 1) for ch in chars])
-                old_nsw.append(mask)
-        old_ids = np.asarray(old_ids)
-        assert (old_ids == 0).any() and (old_ids == 1).any()  # padding and unknown characters
-        legal = rng.random((len(ids), config.label_count)) < 0.6
-        legal[:, 0] = True
-        got = predict_probs(FrozenEncoder.freeze(loaded), ids, nsw, legal)
-        want = reference_forward(params.tensors(), old_ids, np.asarray(old_nsw), legal, 0)
-        assert np.abs(got - want).max() <= 1e-6
-        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
     def test_reserved_ids_violation_rejected(self, tmp_path):
         config, vocab, params = small_setup()
         path = str(tmp_path / "model.npz")
         save_params(path, params, config, vocab)
         rewrite_json(path, "vocab_json", unk_id=3)
-        with pytest.raises(CheckpointError, match="reserved"):
+        with pytest.raises(CheckpointError, match=r"\['char_to_id', 'unk_id'\]"):
             load_params(path)
 
     def test_unknown_config_field_rejected(self, tmp_path):
@@ -726,20 +687,40 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="batch_size must be >= 1"):
             load_params(path)
 
-    def test_legacy_pretrained_vectors_key_loads(self, tmp_path):
-        # every checkpoint saved while the config had this field holds it as null
+    def test_pretrained_vectors_key_rejected(self, tmp_path):
+        # a removed config field, null in every file saved with it
         config, vocab, params = small_setup()
         path = str(tmp_path / "model.npz")
         save_params(path, params, config, vocab)
         rewrite_json(path, "config_json", pretrained_vectors=None)
-        loaded, config2, vocab2 = load_params(path)
-        assert config2 == config
-        assert vocab2 == vocab
-        rng = np.random.default_rng(4)
-        ids, nsw, legal = ragged_windows(rng, [1, 3, 8, 2], window=8, vocab_size=vocab.size)
-        want = predict_probs(FrozenEncoder.freeze(params), ids, nsw, legal)
-        got = predict_probs(FrozenEncoder.freeze(loaded), ids, nsw, legal)
-        assert np.array_equal(got, want)
+        with pytest.raises(CheckpointError, match="'pretrained_vectors'"):
+            load_params(path)
+
+    @pytest.mark.parametrize(
+        "key, change",
+        [
+            ("format_version", lambda _: np.asarray([1, 1])),
+            ("config_json", lambda _: np.asarray("{window: 30}")),
+            ("config_json", lambda _: np.asarray("[30, 8]")),
+            ("config_json", None),
+            ("vocab_json", lambda _: np.asarray("[]")),
+            ("vocab_json", lambda _: np.asarray("{}")),
+            ("vocab_json", lambda e: np.asarray(str(e).replace('"零": 2,', '"零": 2.5,'))),
+            ("ff_b2", lambda t: t.astype(str)),
+            ("ff_b2", lambda t: np.full_like(t, np.nan)),
+        ],
+        ids=[
+            "version-vector", "config-not-json", "config-list", "config-missing",
+            "vocab-list", "vocab-empty", "vocab-float-id", "tensor-strings", "tensor-nan",
+        ],
+    )
+    def test_malformed_file_rejected(self, tmp_path, key, change):
+        config, vocab, params = small_setup()
+        path = str(tmp_path / "model.npz")
+        save_params(path, params, config, vocab)
+        rewrite_entry(path, key, change)
+        with pytest.raises(CheckpointError):
+            load_params(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = str(tmp_path / "junk.npz")

@@ -13,20 +13,22 @@ from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.neural import (
     ClassifierConfig,
     FrozenEncoder,
-    TrainingBatch,
     TrainingDiverged,
-    batch_loss_and_grads,
-    build_vocab,
-    forward_batch,
-    init_params,
     make_training_batch,
     predict_batch,
     train,
 )
 from mtnorm.neural.loss import focal_loss_grad, focal_loss_vec
-from mtnorm.neural.model import _split_by_nsw_count, backward_batch
+from mtnorm.neural.model import (
+    TrainingBatch,
+    _split_by_nsw_count,
+    backward_batch,
+    batch_loss_and_grads,
+    forward_batch,
+    init_params,
+)
 from mtnorm.neural.train import AdamState
-from mtnorm.neural.vocab import PAD_ID
+from mtnorm.neural.vocab import PAD_ID, build_vocab
 
 
 def separable_corpus(n=200, trigger=("甲", "乙")):
