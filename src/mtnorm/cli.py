@@ -51,7 +51,7 @@ def cmd_gen_corpus(args) -> int:
     corpus_mod.save_corpus(generated, args.out)
     print(f"wrote {len(generated)} sentences to {args.out}")
     if args.golden_out:
-        eval_mod.save_records(eval_mod.build_golden(generated), args.golden_out)
+        eval_mod.save_golden(eval_mod.build_golden(generated), args.golden_out)
         print(f"wrote golden pairs to {args.golden_out}")
     return 0
 
@@ -121,11 +121,10 @@ def cmd_normalize(args) -> int:
 
 def cmd_evaluate(args) -> int:
     system = _build_system(args, args.model)
-    records = eval_mod.load_golden(args.golden)
-    report = eval_mod.evaluate_golden(records, system)
+    report = eval_mod.evaluate_golden(eval_mod.load_golden(args.golden), system)
     print(eval_mod.format_golden_report(report))
     if args.report:
-        eval_mod.save_records(eval_mod.golden_report_records(report), args.report)
+        corpus_mod.write_jsonl(args.report, eval_mod.golden_report_records(report))
     return 0
 
 
@@ -136,7 +135,7 @@ def cmd_ablate(args) -> int:
     rows = eval_mod.run_ablation(grid, data, args.seed, base_config=base)
     print(eval_mod.format_ablation_rows(rows))
     if args.report:
-        eval_mod.save_records(eval_mod.ablation_records(rows), args.report)
+        corpus_mod.write_jsonl(args.report, eval_mod.ablation_records(rows))
     return 0
 
 

@@ -1,7 +1,8 @@
-"""Labeled-sentence data model, corpus IO, synthesis and oversampling.
+"""Labeled-sentence data model, record files, synthesis and oversampling.
 
-Corpus line format: one JSON object per line, UTF-8,
-``{"text": "...", "spans": [[start, end, "LabelName"], ...]}`` with
+Record files hold one JSON object per line, UTF-8 (``read_jsonl``,
+``write_jsonl``). A corpus record is ``{"text": "...", "spans": [[start,
+end, "LabelName"], ...]}`` (``decode_sentence``, ``encode_spans``), with
 character offsets over Unicode scalar values (never bytes, never substring
 search — repeated surfaces stay unambiguous).
 """
@@ -12,6 +13,7 @@ import json
 import random
 import re
 from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from importlib import resources
 
@@ -63,51 +65,77 @@ def validate_span_surface(surface: str) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Line-format IO
+# Record files: JSON lines holding a text and its spans
 # --------------------------------------------------------------------------
 
-def load_corpus(path: str) -> list[LabeledSentence]:
-    sentences = []
-    with open(path, encoding="utf-8") as fh:
+def encode_spans(sentence: LabeledSentence) -> list[list]:
+    """``[start, end, LabelName]`` per span, the layout ``decode_sentence`` reads."""
+    if any(span.label is None for span in sentence.spans):
+        raise CorpusError(f"cannot save unlabeled span in {sentence.text!r}")
+    return [[s.start, s.end, DEFAULT_REGISTRY.by_id(s.label).name] for s in sentence.spans]
+
+
+def decode_sentence(record, text_key: str = "text") -> LabeledSentence:
+    """The sentence of a record: its ``text_key`` string and optional ``spans``."""
+    if not isinstance(record, dict) or not isinstance(record.get(text_key), str):
+        raise CorpusError(f"record needs a string {text_key!r}: {record!r}")
+    raw = record.get("spans", [])
+    if not isinstance(raw, list):
+        raise CorpusError(f"'spans' must be a list: {raw!r}")
+    spans = []
+    for item in raw:
+        if not (isinstance(item, list) and len(item) == 3 and all(type(x) is int for x in item[:2])
+                and isinstance(item[2], str) and item[2] in DEFAULT_REGISTRY):
+            raise CorpusError(f"span is not [int start, int end, known LabelName]: {item!r}")
+        spans.append(NSWSpan(item[0], item[1], DEFAULT_REGISTRY.id_of(item[2])))
+    return LabeledSentence(record[text_key], tuple(spans))
+
+
+def read_jsonl(path: str, decode: Callable) -> list:
+    """``decode`` of each non-blank line's JSON; a ``ValueError`` names ``path:line``."""
+    items = []
+    with open(path, "rb") as fh:  # json.loads decodes each line, so bad UTF-8 names its line
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                text = record["text"]
-                spans = tuple(
-                    NSWSpan(int(s), int(e), DEFAULT_REGISTRY.id_of(name))
-                    for s, e, name in record.get("spans", [])
-                )
-                sentence = LabeledSentence(text, spans)
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+                items.append(decode(json.loads(line)))
+            except ValueError as exc:  # CorpusError, JSONDecodeError and UnicodeDecodeError
                 raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-            for span in sentence.spans:
-                if not validate_span_surface(sentence.surface(span)):
-                    raise CorpusError(
-                        f"{path}:{lineno}: span surface {sentence.surface(span)!r} "
-                        "does not look like an NSW"
-                    )
-            sentences.append(sentence)
-    return sentences
+    return items
+
+
+def write_jsonl(path: str, records: Iterable[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def splice(text: str, replacements: Iterable[tuple[NSWSpan, str]]) -> str:
+    """``text`` with each span replaced; spans in text order, not overlapping."""
+    parts, pos = [], 0
+    for span, replacement in replacements:
+        parts.append(text[pos : span.start])
+        parts.append(replacement)
+        pos = span.end
+    parts.append(text[pos:])
+    return "".join(parts)
+
+
+def load_corpus(path: str) -> list[LabeledSentence]:
+    def decode(record):
+        sentence = decode_sentence(record)
+        for surface in map(sentence.surface, sentence.spans):
+            if not validate_span_surface(surface):
+                raise CorpusError(f"span surface {surface!r} does not look like an NSW")
+        return sentence
+
+    return read_jsonl(path, decode)
 
 
 def save_corpus(corpus: list[LabeledSentence], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sentence in corpus:
-            for span in sentence.spans:
-                if span.label is None:
-                    raise CorpusError(
-                        f"cannot save unlabeled span at {span.start} in {sentence.text!r}"
-                    )
-            record = {
-                "text": sentence.text,
-                "spans": [
-                    [s.start, s.end, DEFAULT_REGISTRY.by_id(s.label).name] for s in sentence.spans
-                ],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({"text": s.text, "spans": encode_spans(s)} for s in corpus))
 
 
 # --------------------------------------------------------------------------
@@ -279,11 +307,10 @@ def oversample_expand(corpus: list[LabeledSentence], seed: int) -> list[LabeledS
 def _jitter_rare_spans(
     sentence: LabeledSentence, rare: set[int], rng: random.Random
 ) -> LabeledSentence:
-    text = sentence.text
-    for span in sorted(sentence.spans, key=lambda s: s.start, reverse=True):
-        if span.label not in rare:
-            continue
-        label_format = DEFAULT_REGISTRY.by_id(span.label).format
-        jittered = _jitter_digits(sentence.surface(span), label_format, rng)
-        text = text[: span.start] + jittered + text[span.end :]
-    return LabeledSentence(text, sentence.spans)
+    # digits are redrawn right to left, the order the seeded draws follow
+    jittered = []
+    for span in reversed(sentence.spans):
+        if span.label in rare:
+            label_format = DEFAULT_REGISTRY.by_id(span.label).format
+            jittered.append((span, _jitter_digits(sentence.surface(span), label_format, rng)))
+    return LabeledSentence(splice(sentence.text, reversed(jittered)), sentence.spans)

@@ -3,17 +3,20 @@
 Per-label precision/recall/F1 with zero denominators scored 0, exact-match
 pattern accuracy, character-exact sentence accuracy, the deterministic
 80/10/10 split, golden-set comparison of the hybrid system against the
-rule-only baseline, and the ablation grid runner.
+rule-only baseline, and the ablation grid runner. A golden set is a list
+of (``LabeledSentence``, reference output) pairs, stored as corpus records
+whose text key is ``"input"``, plus a ``"reference"`` string.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import pipeline, reader
-from .corpus import LabeledSentence, oversample_expand, rare_labels
+from .corpus import CorpusError, LabeledSentence, decode_sentence, encode_spans, oversample_expand
+from .corpus import rare_labels, read_jsonl, splice, write_jsonl
 from .labels import DEFAULT_REGISTRY
 from .neural import ClassifierConfig, make_training_batch, predict_batch, train
 
@@ -72,47 +75,37 @@ def split_corpus(
 
 
 # --------------------------------------------------------------------------
-# Golden sets: (input, reference) sentence pairs with gold spans
+# Golden sets: labelled input sentences with reference outputs
 # --------------------------------------------------------------------------
+
+Golden = list[tuple[LabeledSentence, str]]  # (input with gold spans, reference) per record
+
 
 def reference_sfw(sentence: LabeledSentence) -> str:
     """Reference output: every gold span rendered by its own label's reader."""
-    out = sentence.text
-    for span in sorted(sentence.spans, key=lambda s: s.start, reverse=True):
-        sfw = reader.render(sentence.surface(span), span.label)
-        out = out[: span.start] + sfw + out[span.end :]
-    return out
+    sfws = ((span, reader.render(sentence.surface(span), span.label)) for span in sentence.spans)
+    return splice(sentence.text, sfws)
 
 
-def build_golden(corpus: list[LabeledSentence]) -> list[dict]:
-    records = []
-    for sentence in corpus:
-        records.append(
-            {
-                "input": sentence.text,
-                "reference": reference_sfw(sentence),
-                "spans": [
-                    [s.start, s.end, DEFAULT_REGISTRY.by_id(s.label).name] for s in sentence.spans
-                ],
-            }
-        )
-    return records
+def build_golden(corpus: list[LabeledSentence]) -> Golden:
+    return [(sentence, reference_sfw(sentence)) for sentence in corpus]
 
 
-def load_golden(path: str) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                record["input"], record["reference"]
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad golden record: {exc}") from exc
-            records.append(record)
-    return records
+def save_golden(golden: Golden, path: str) -> None:
+    records = ({"input": s.text, "reference": ref, "spans": encode_spans(s)} for s, ref in golden)
+    write_jsonl(path, records)
+
+
+def load_golden(path: str) -> Golden:
+    """Gold span surfaces are not shape-checked, so spans the extractor never finds load."""
+
+    def decode(record):
+        sentence = decode_sentence(record, "input")
+        if not isinstance(record.get("reference"), str):
+            raise CorpusError(f"record needs a string 'reference': {record!r}")
+        return sentence, record["reference"]
+
+    return read_jsonl(path, decode)
 
 
 @dataclass
@@ -122,32 +115,33 @@ class GoldenReport:
     hybrid_pattern_accuracy: float
     rules_pattern_accuracy: float
     per_label: dict[str, LabelMetrics]
+    unextracted_gold_spans: int
 
 
-def evaluate_golden(records: list[dict], sys: pipeline.HybridSystem) -> GoldenReport:
+def evaluate_golden(golden: Golden, sys: pipeline.HybridSystem) -> GoldenReport:
     """Hybrid vs rule-only on a golden set; pattern metrics from hybrid traces.
 
-    The baseline is the same system with the classifier removed.
+    The baseline is the same system with the classifier removed. Gold spans
+    at offsets no extracted span has are counted, not scored.
     """
     rules_sys = replace(sys, params=None, config=None, vocab=None)
-    texts = [record["input"] for record in records]
+    texts = [sentence.text for sentence, _ in golden]
     hybrid_pairs, rule_pairs = [], []
     hybrid_span_pairs, rule_span_pairs = [], []
-    for record, (hybrid_out, hybrid_traces), (rules_out, rule_traces) in zip(
-        records, pipeline.normalize_many(texts, sys), pipeline.normalize_many(texts, rules_sys)
+    unextracted = 0
+    for (sentence, reference), (hybrid_out, hybrid_traces), (rules_out, rule_traces) in zip(
+        golden, pipeline.normalize_many(texts, sys), pipeline.normalize_many(texts, rules_sys)
     ):
-        reference = record["reference"]
         hybrid_pairs.append((hybrid_out, reference))
         rule_pairs.append((rules_out, reference))
-        gold_by_span = {
-            (int(s), int(e)): DEFAULT_REGISTRY.id_of(name)
-            for s, e, name in record.get("spans", [])
-        }
-        for traces, sink in ((hybrid_traces, hybrid_span_pairs), (rule_traces, rule_span_pairs)):
-            for trace in traces:
-                gold = gold_by_span.get((trace.span.start, trace.span.end))
-                if gold is not None:
-                    sink.append((gold, -1 if trace.label is None else trace.label))
+        gold_by_span = {(s.start, s.end): s.label for s in sentence.spans}
+        # both systems extract the same spans; only their labels differ
+        for hybrid, rules in zip(hybrid_traces, rule_traces):
+            gold = gold_by_span.pop((hybrid.span.start, hybrid.span.end), None)
+            if gold is not None:
+                hybrid_span_pairs.append((gold, -1 if hybrid.label is None else hybrid.label))
+                rule_span_pairs.append((gold, -1 if rules.label is None else rules.label))
+        unextracted += len(gold_by_span)
     if hybrid_span_pairs:
         per_label, hybrid_acc = pattern_metrics(hybrid_span_pairs)
         _, rules_acc = pattern_metrics(rule_span_pairs)
@@ -159,6 +153,7 @@ def evaluate_golden(records: list[dict], sys: pipeline.HybridSystem) -> GoldenRe
         hybrid_pattern_accuracy=hybrid_acc,
         rules_pattern_accuracy=rules_acc,
         per_label=per_label,
+        unextracted_gold_spans=unextracted,
     )
 
 
@@ -171,19 +166,11 @@ def golden_report_records(report: GoldenReport) -> list[dict]:
         {"record": "system", "name": "hybrid",
          "sentence_accuracy": report.hybrid_sentence_accuracy,
          "pattern_accuracy": report.hybrid_pattern_accuracy},
+        {"record": "unextracted_gold_spans", "count": report.unextracted_gold_spans},
     ]
-    for name, m in report.per_label.items():
-        records.append(
-            {"record": "label", "name": name, "precision": m.precision,
-             "recall": m.recall, "f1": m.f1, "support": m.support}
-        )
-    return records
-
-
-def save_records(records: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    return records + [
+        {"record": "label", "name": name, **asdict(m)} for name, m in report.per_label.items()
+    ]
 
 
 def format_golden_report(report: GoldenReport) -> str:
@@ -193,15 +180,15 @@ def format_golden_report(report: GoldenReport) -> str:
         f"{report.rules_pattern_accuracy:11.4f}",
         f"{'hybrid system':24s}  {report.hybrid_sentence_accuracy:12.4f}  "
         f"{report.hybrid_pattern_accuracy:11.4f}",
+        f"gold spans no extracted span matches (not scored): {report.unextracted_gold_spans}",
         "",
         f"{'pattern':20s}  {'precision':>9s}  {'recall':>7s}  {'F1':>7s}  {'support':>7s}",
     ]
-    for name, m in report.per_label.items():
-        if m.support == 0:
-            continue
-        lines.append(
-            f"{name:20s}  {m.precision:9.3f}  {m.recall:7.3f}  {m.f1:7.3f}  {m.support:7d}"
-        )
+    lines += [
+        f"{name:20s}  {m.precision:9.3f}  {m.recall:7.3f}  {m.f1:7.3f}  {m.support:7d}"
+        for name, m in report.per_label.items()
+        if m.support
+    ]
     return "\n".join(lines)
 
 
@@ -281,11 +268,7 @@ def run_ablation(
 
 
 def ablation_records(rows: list[AblationRow]) -> list[dict]:
-    return [
-        {"record": "ablation", "name": r.name, "accuracy": r.accuracy,
-         "rare_recall": r.rare_recall, "error": r.error}
-        for r in rows
-    ]
+    return [{"record": "ablation", **asdict(row)} for row in rows]
 
 
 def format_ablation_rows(rows: list[AblationRow]) -> str:

@@ -4,7 +4,7 @@ Per sentence: extract NSW spans, route each one, classify the
 classifier-routed spans against the original text (replacements would
 shift the context other spans depend on; ``Vocabulary.windows`` cuts
 their windows from the text in one call), then splice the spoken forms
-right-to-left so earlier indices stay valid. Routing per span: priority
+in with ``corpus.splice``. Routing per span: priority
 surfaces go straight to the rules. With a classifier, so does a span
 whose ``match_nsw`` rule is a context rule (a ``pre:`` or ``post:``
 pattern), if that rule's reader accepts the surface; these take the
@@ -35,13 +35,12 @@ of its parameters, frozen once when the system is built.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import reader
-from .corpus import NSWSpan
+from .corpus import NSWSpan, splice, write_jsonl
 from .extractor import PriorityList, extract_nsw, priority_check
 from .labels import DEFAULT_REGISTRY, LabelRegistry
 from .neural import ClassifierConfig, EncoderParams, FrozenEncoder, Vocabulary, predict_probs
@@ -188,21 +187,15 @@ def normalize_many(
         for (traces, i, text, span, surface, legal), p in zip(pending, probs):
             traces[i] = _neural_route(sys, text, span, surface, legal, p)
 
-    return [(_splice(text, traces), traces) for text, traces in traced]
+    return [
+        (splice(text, ((t.span, t.sfw) for t in traces if t.sfw is not None)), traces)
+        for text, traces in traced
+    ]
 
 
 def normalize(text: str, sys: HybridSystem) -> tuple[str, list[NormalizationTrace]]:
     """Normalize one sentence; returns the output text and per-NSW traces."""
     return normalize_many([text], sys)[0]
-
-
-def _splice(text: str, traces: list[NormalizationTrace]) -> str:
-    """Replace spans right-to-left so earlier indices stay valid."""
-    out = text
-    for trace in reversed(traces):
-        if trace.sfw is not None:
-            out = out[: trace.span.start] + trace.sfw + out[trace.span.end :]
-    return out
 
 
 def routing_stats(corpus, sys: HybridSystem) -> tuple[float, float, float]:
@@ -228,8 +221,5 @@ def routing_stats(corpus, sys: HybridSystem) -> tuple[float, float, float]:
 
 def write_traces(path: str, traced: list[tuple[str, list[NormalizationTrace]]]) -> None:
     """Line-delimited audit records, one JSON object per NSW."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for text, traces in traced:
-            for trace in traces:
-                record = {"text": text, **trace.to_record()}
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = ({"text": text, **trace.to_record()} for text, traces in traced for trace in traces)
+    write_jsonl(path, records)

@@ -11,6 +11,7 @@ silently zero a layer's numbers.
 import dataclasses
 import importlib
 import inspect
+import json
 from importlib import resources
 
 import pytest
@@ -135,6 +136,19 @@ def test_normalize_options(mode):
         ["normalize", "--in", "in.txt", "--out", "out.txt", *mode, "--trace", "t.jsonl"]
     )
     assert (args.infile, args.out, args.trace) == ("in.txt", "out.txt", "t.jsonl")
+
+
+def test_trace_record_keys(tmp_path, capsys):
+    # workloads.py groups --trace records by "text" and scores pattern
+    # accuracy by comparing "start", "end" and the "label" name to gold spans
+    from mtnorm.cli import main
+    from mtnorm.labels import DEFAULT_REGISTRY
+
+    text, trace = "会议定于上午10:30开始", tmp_path / "trace.jsonl"
+    assert main(["normalize", "--rules-only", "--text", text, "--trace", str(trace)]) == 0
+    [record] = [json.loads(line) for line in trace.read_text("utf-8").splitlines()]
+    assert (record["text"], record["start"], record["end"]) == (text, 6, 11)
+    assert record["label"] in DEFAULT_REGISTRY
 
 
 @pytest.mark.parametrize("name", ["rules.txt", "priority.txt"])

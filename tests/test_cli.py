@@ -8,7 +8,12 @@ from oracles import reference_window
 
 from mtnorm import evaluate as ev
 from mtnorm.cli import main
-from mtnorm.corpus import CorpusDistribution, generate_synthetic_corpus, load_corpus
+from mtnorm.corpus import (
+    CorpusDistribution,
+    LabeledSentence,
+    generate_synthetic_corpus,
+    load_corpus,
+)
 from mtnorm.extractor import extract_nsw
 from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.neural import ClassifierConfig, FrozenEncoder, load_params, predict_probs, save_params
@@ -181,8 +186,8 @@ class TestNormalize:
         assert len(outputs) == len(lines)
         params, config, vocab = load_params(str(workspace["model"]))
         system = replace(rules_system, params=params, config=config, vocab=vocab)
-        records = [{"input": i, "reference": o} for i, o in zip(lines, outputs)]
-        assert ev.evaluate_golden(records, system).rules_sentence_accuracy == 1.0
+        golden = [(LabeledSentence(i), o) for i, o in zip(lines, outputs)]
+        assert ev.evaluate_golden(golden, system).rules_sentence_accuracy == 1.0
 
     def test_model_required_without_rules_only(self, capsys):
         assert main(["normalize", "--text", "共100人"]) == 2
@@ -332,6 +337,8 @@ class TestEvaluate:
         systems = [r for r in records if r["record"] == "system"]
         assert {r["name"] for r in systems} == {"rules", "hybrid"}
         assert any(r["record"] == "label" for r in records)
+        [unextracted] = [r for r in records if r["record"] == "unextracted_gold_spans"]
+        assert isinstance(unextracted["count"], int)
 
 
 class TestAblate:

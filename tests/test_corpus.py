@@ -14,6 +14,7 @@ from mtnorm.corpus import (
     load_templates,
     oversample_expand,
     save_corpus,
+    splice,
 )
 from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.legality import default_formats
@@ -50,6 +51,37 @@ class TestLineFormat:
         with pytest.raises(CorpusError, match=":2"):
             load_corpus(str(path))
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"text": 5, "spans": []}',
+            '{"spans": []}',
+            '[1, 2]',
+            '{"text": "共35人", "spans": [[1, 2.9, "A_Read_No_Zero"]]}',
+            '{"text": "共35人", "spans": [["1", 3, "A_Read_No_Zero"]]}',
+            '{"text": "共35人", "spans": [[true, 3, "A_Read_No_Zero"]]}',
+            '{"text": "共35人", "spans": [[1, 3]]}',
+            '{"text": "共35人", "spans": [[1, 3, "No_Such_Label"]]}',
+            '{"text": "共35人", "spans": [[1, 3, 0]]}',
+            '{"text": "共35人", "spans": {"1": 3}}',
+            '{"text": "共35人", "spans": 7}',
+            '{"text": "共35人", "spans": [[1, 3, "A_Read_No_Zero", 0]]}',
+            b'{"text": "caf\xe9 35", "spans": []}',
+        ],
+        ids=[
+            "text-not-string", "no-text", "not-object", "float-end", "string-start",
+            "bool-start", "two-element-span", "unknown-label", "label-id", "spans-dict",
+            "spans-int", "four-element-span", "not-utf-8",
+        ],
+    )
+    def test_bad_record_rejected(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        good = '{"text": "共35人", "spans": [[1, 3, "A_Read_No_Zero"]]}'
+        record = record if isinstance(record, bytes) else record.encode()
+        path.write_bytes(good.encode() + b"\n" + record + b"\n")
+        with pytest.raises(CorpusError, match=r"bad\.jsonl:2: "):
+            load_corpus(str(path))
+
     def test_span_beyond_text_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"text": "共3人", "spans": [[1, 9, "A_Read_No_Zero"]]}\n', encoding="utf-8")
@@ -70,6 +102,13 @@ class TestLineFormat:
         sentence = LabeledSentence("共100人", (NSWSpan(1, 4),))
         with pytest.raises(CorpusError, match="unlabeled"):
             save_corpus([sentence], str(tmp_path / "x.jsonl"))
+
+
+def test_splice_replaces_spans_in_text_order():
+    text = "从10:30到11点，共3人"
+    spans = [NSWSpan(1, 6), NSWSpan(7, 9), NSWSpan(12, 13)]
+    assert splice(text, zip(spans, ["十点半", "十一", ""])) == "从十点半到十一点，共人"
+    assert splice(text, []) == text
 
 
 def decoded_window(sentence, span, width):

@@ -1,0 +1,76 @@
+"""Rules-only behaviour pinned as sha256 digests over seeded dense lines.
+
+The lines are the benchmark's file inputs in miniature: 2-8 generated
+sentences joined by '，' and ended by '。', seed 7. Three things are hashed:
+the ``normalize_many`` outputs with their ``to_record()`` traces, the
+``reference_sfw`` gold outputs, and the bytes ``write_traces`` writes for
+those traces. Rules-only traces hold no floats, so the digests do not
+depend on the machine or the numpy version, and no checkpoint is needed.
+
+A change that alters rules-only behaviour on purpose updates these digests
+and says what moved; any other change must leave them as they are.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from mtnorm import pipeline
+from mtnorm.corpus import CorpusDistribution, LabeledSentence, NSWSpan, generate_synthetic_corpus
+from mtnorm.evaluate import reference_sfw
+
+OUTPUTS_AND_TRACES = "796578dfecc77cd04c6345eaac760f24122a7e10cbd091fcff7a39456bc5fda1"
+REFERENCES = "56713d41bbcf5421622ac77f87cd69340950051f32e6a2d19079b723a55f8931"
+TRACE_FILE = "4c796a0013f8e946f19714c27934cc3062c2225299c0de06e01d2760aa3fd6b4"
+
+
+def dense_lines(n_lines, seed):
+    """Labelled lines of 2-8 generated sentences, gold spans shifted to line offsets."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(2, 8) for _ in range(n_lines)]
+    sentences = iter(generate_synthetic_corpus(CorpusDistribution.default(), sum(sizes), seed))
+    lines = []
+    for size in sizes:
+        text, spans = "", []
+        for k in range(size):
+            sentence = next(sentences)
+            offset = len(text)
+            spans += [NSWSpan(s.start + offset, s.end + offset, s.label) for s in sentence.spans]
+            text += sentence.text + ("。" if k == size - 1 else "，")
+        lines.append(LabeledSentence(text, tuple(spans)))
+    return lines
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def lines():
+    return dense_lines(2000, seed=7)
+
+
+@pytest.fixture(scope="module")
+def traced(lines, rules_system):
+    texts = [line.text for line in lines]
+    return texts, pipeline.normalize_many(texts, rules_system)
+
+
+def test_outputs_and_traces(traced):
+    _, results = traced
+    payload = [[out, [trace.to_record() for trace in traces]] for out, traces in results]
+    assert sha256(json.dumps(payload, ensure_ascii=False).encode()) == OUTPUTS_AND_TRACES
+
+
+def test_references(lines):
+    payload = "\n".join(reference_sfw(line) for line in lines)
+    assert sha256(payload.encode()) == REFERENCES
+
+
+def test_trace_file_bytes(traced, tmp_path):
+    texts, results = traced
+    path = tmp_path / "trace.jsonl"
+    pipeline.write_traces(str(path), [(text, traces) for text, (_, traces) in zip(texts, results)])
+    assert sha256(path.read_bytes()) == TRACE_FILE

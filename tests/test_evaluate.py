@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 
@@ -6,7 +7,13 @@ import pytest
 from oracles import confusion_matrix_metrics
 
 from mtnorm import evaluate as ev
-from mtnorm.corpus import CorpusDistribution, generate_synthetic_corpus
+from mtnorm.corpus import (
+    CorpusDistribution,
+    CorpusError,
+    LabeledSentence,
+    NSWSpan,
+    generate_synthetic_corpus,
+)
 from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.neural import ClassifierConfig
 
@@ -122,22 +129,52 @@ class TestSplit:
 class TestGolden:
     def test_build_and_reload(self, tmp_path):
         corpus = generate_synthetic_corpus(DIST, 30, seed=42)
-        records = ev.build_golden(corpus)
+        golden = ev.build_golden(corpus)
+        assert [sentence for sentence, _ in golden] == corpus
         path = tmp_path / "golden.jsonl"
-        ev.save_records(records, str(path))
-        assert ev.load_golden(str(path)) == records
+        ev.save_golden(golden, str(path))
+        assert ev.load_golden(str(path)) == golden
+        first = json.loads(path.read_text("utf-8").splitlines()[0])
+        assert list(first) == ["input", "reference", "spans"]
 
     def test_reference_has_no_nsw(self):
         from mtnorm.extractor import extract_nsw
 
-        for record in ev.build_golden(generate_synthetic_corpus(DIST, 50, seed=43)):
-            assert extract_nsw(record["reference"]) == []
+        for _, reference in ev.build_golden(generate_synthetic_corpus(DIST, 50, seed=43)):
+            assert extract_nsw(reference) == []
 
     def test_bad_golden_line(self, tmp_path):
+        # every fault is a CorpusError naming the file and line, raised by the loader
+        ok = '{"input": "共3人", "reference": "共三人", "spans": [[1, 2, "A_Read_No_Zero"]]}'
+        bad_lines = [
+            '{"input": "只有输入"}',
+            "[1, 2]",
+            "not json",
+            '{"input": 5, "reference": "五"}',
+            '{"input": "共3人", "reference": 3}',
+            '{"input": "共3人", "reference": "共三人", "spans": "1-2"}',
+            '{"input": "共3人", "reference": "共三人", "spans": [[1, 2]]}',
+            '{"input": "共3人", "reference": "共三人", "spans": [[1, 2, "No_Such_Label"]]}',
+            '{"input": "共3人", "reference": "共三人", "spans": [[1, 2.0, "A_Read_No_Zero"]]}',
+            '{"input": "共3人", "reference": "共三人", "spans": [[1, 9, "A_Read_No_Zero"]]}',
+        ]
         path = tmp_path / "golden.jsonl"
-        path.write_text('{"input": "只有输入"}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="golden"):
-            ev.load_golden(str(path))
+        for bad in bad_lines:
+            path.write_text(f"{ok}\n\n{bad}\n", encoding="utf-8")
+            with pytest.raises(CorpusError, match=r"golden\.jsonl:3: "):
+                ev.load_golden(str(path))
+
+    def test_gold_surfaces_not_shape_checked(self, tmp_path):
+        # a per-unit gold span loads, though the extractor never produces it
+        path = tmp_path / "golden.jsonl"
+        path.write_text(
+            '{"input": "每天5人/组", "reference": "每天五人每组", "spans": [[2, 6, "B_Slash_Per"]]}\n'
+            '{"input": "共＃人", "reference": "共＃人", "spans": [[1, 2, "A_Read_No_Zero"]]}\n',
+            encoding="utf-8",
+        )
+        [(per_unit, _), (symbol, _)] = ev.load_golden(str(path))
+        assert per_unit.surface(per_unit.spans[0]) == "5人/组"
+        assert symbol.surface(symbol.spans[0]) == "＃"
 
     def test_evaluate_golden_reports_both_systems(self, tiny_system):
         corpus = generate_synthetic_corpus(DIST, 60, seed=44)
@@ -147,6 +184,24 @@ class TestGolden:
         assert report.per_label
         text = ev.format_golden_report(report)
         assert "rule-based baseline" in text and "hybrid system" in text
+
+    def test_unextracted_gold_spans_counted_not_scored(self, rules_system):
+        # the extractor stops at Han characters, so it finds 5, not 5人/组
+        per_unit = LabeledSentence(
+            "每天5人/组，共3人",
+            (
+                NSWSpan(2, 6, DEFAULT_REGISTRY.id_of("B_Slash_Per")),
+                NSWSpan(8, 9, DEFAULT_REGISTRY.id_of("A_Read_No_Zero")),
+            ),
+        )
+        golden = [(per_unit, ev.reference_sfw(per_unit))]
+        report = ev.evaluate_golden(golden, rules_system)
+        assert report.unextracted_gold_spans == 1
+        assert report.per_label["B_Slash_Per"].support == 0
+        assert sum(m.support for m in report.per_label.values()) == 1
+        assert "no extracted span matches (not scored): 1" in ev.format_golden_report(report)
+        records = ev.golden_report_records(report)
+        assert {"record": "unextracted_gold_spans", "count": 1} in records
 
 
 class TestAblation:
