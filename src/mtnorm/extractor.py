@@ -1,9 +1,9 @@
 """Find digit/symbol NSW spans in raw text, plus the priority check.
 
 The scan pattern takes maximal left-to-right runs of digits interleaved
-with the symbol set ``. : - ~ — / % , $``. A span must start with a digit
-(optionally a leading $) and end with a digit or %, so adjacent
-punctuation never leaks in; pure-symbol runs are never spans.
+with the symbols of ``NSW_SYMBOLS`` (``. : - ~ — / % , $``). A span must
+start with a digit (optionally a leading $) and end with a digit or %, so
+adjacent punctuation never leaks in; pure-symbol runs are never spans.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .corpus import NSWSpan
 
 NSW_SYMBOLS = ".:-~—/%,$"
 
-NSW_SCAN = re.compile(r"\$?\d(?:[\d.:\-~—/%,$]*[\d%])?")
+NSW_SCAN = re.compile(rf"\$?\d(?:[\d{re.escape(NSW_SYMBOLS)}]*[\d%])?")
 
 # Corpus spans may additionally carry a per-unit tail (5人/组); the scanner
 # itself never crosses Han characters.

@@ -517,13 +517,12 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
 
 @dataclass
 class TrainingBatch:
-    """Windows, masks and targets; ``probs`` is filled by the forward pass."""
+    """Windows, masks and targets, one row per span."""
 
     ids: np.ndarray          # (B, W) int
     nsw_masks: np.ndarray    # (B, W) bool
     legal_masks: np.ndarray  # (B, L) bool
     targets: np.ndarray      # (B,) int
-    probs: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.ids.shape[0]
@@ -531,24 +530,6 @@ class TrainingBatch:
     def take(self, index: np.ndarray) -> "TrainingBatch":
         return TrainingBatch(
             self.ids[index], self.nsw_masks[index], self.legal_masks[index], self.targets[index]
-        )
-
-
-def _check_targets_legal(batch: TrainingBatch) -> None:
-    rows = np.arange(len(batch))
-    label_count = batch.legal_masks.shape[1]
-    in_range = (batch.targets >= 0) & (batch.targets < label_count)
-    if not in_range.all():
-        bad = int(rows[~in_range][0])
-        raise ValueError(
-            f"target label {int(batch.targets[bad])} of sample {bad} is outside "
-            f"[0, {label_count})"
-        )
-    if not batch.legal_masks[rows, batch.targets].all():
-        bad = int(rows[~batch.legal_masks[rows, batch.targets]][0])
-        raise ValueError(
-            f"target label {int(batch.targets[bad])} of sample {bad} is masked illegal; "
-            "training data and format registry disagree"
         )
 
 
@@ -574,65 +555,54 @@ def _split_by_nsw_count(counts: np.ndarray) -> list[np.ndarray]:
     return [order[:cut], order[cut:]]
 
 
-def _training_forward(params: EncoderParams, batch: TrainingBatch, config: ClassifierConfig):
-    """Mean focal loss, target-label probabilities and a (rows, cache) pair per forward call.
+def batch_loss_and_grads(
+    params: EncoderParams, batch: TrainingBatch, config: ClassifierConfig
+) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    """Mean focal loss, its gradients and every row's label probabilities.
 
-    Sets ``batch.probs``. A row with one legal label needs no forward: its
-    masked softmax is exactly one-hot on that label, whatever the logits,
-    so its target probability is 1.0 and its logit gradient exactly zero.
-    Only the ambiguous rows (two or more legal labels) run the encoder:
-    sorted by NSW count and split at most once, where that saves the most
-    padded query rows (``_split_by_nsw_count``), one ``forward_batch`` per
-    part. No part is returned when no row is ambiguous. A window's result
-    does not depend on the other windows of its call, so the split changes
-    only the float summation order, and the loss is still the mean over
-    every row. The tables are frozen in float64 afresh on every call,
-    because optimizer steps and finite-difference probes change ``params``
-    in place.
+    A row with one legal label needs no forward pass: its masked softmax
+    is exactly one-hot on that label, whatever the logits, so its target
+    probability is 1.0 and its logit gradient exactly zero. Only the
+    ambiguous rows (two or more legal labels) run the encoder: sorted by
+    NSW count and split at most once, where that saves the most padded
+    query rows (``_split_by_nsw_count``), each part one ``forward_batch``
+    and one ``backward_batch``, and the gradients are the parts' sum. A
+    window's result does not depend on the other windows of its call, so
+    the split changes only the float summation order, and the loss is
+    still the mean over every row. The tables are frozen in float64 afresh
+    on every call, because optimizer steps and finite-difference probes
+    change ``params`` in place. The targets are not checked here:
+    ``make_training_batch`` checks each once, as it builds its row.
     """
-    _check_targets_legal(batch)
-    ambiguous = np.flatnonzero(batch.legal_masks.sum(axis=1) > 1)
     probs = batch.legal_masks.astype(np.float64)  # one-hot on the one-label rows
-    parts = []
+    ambiguous = np.flatnonzero(batch.legal_masks.sum(axis=1) > 1)
+    grads = None
     if len(ambiguous):
         encoder = FrozenEncoder.freeze(params, np.float64)
         nsw = batch.nsw_masks[ambiguous]
         for part in _split_by_nsw_count(nsw.sum(axis=1)):
             rows = ambiguous[part]
-            probs[rows], cache = forward_batch(
+            part_probs, cache = forward_batch(
                 encoder, batch.ids[rows], nsw[part], batch.legal_masks[rows]
             )
-            parts.append((rows, cache))
-    batch.probs = probs
-    p_target = probs[np.arange(len(batch)), batch.targets]
-    loss = float(focal_loss_vec(p_target, config.alpha, config.gamma).mean())
-    return loss, p_target, parts
-
-
-def batch_loss_and_grads(
-    params: EncoderParams, batch: TrainingBatch, config: ClassifierConfig
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean focal loss and its gradients: the sum of each forward part's backward pass.
-
-    The one-label rows contribute none.
-    """
-    loss, p_target, parts = _training_forward(params, batch, config)
-    grads = None
-    for rows, cache in parts:
-        probs = batch.probs[rows]
-        dp = focal_loss_grad(p_target[rows], config.alpha, config.gamma) / len(batch)
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(len(rows)), batch.targets[rows]] = 1.0
-        dlogits = (dp * p_target[rows])[:, None] * (onehot - probs)
-        part_grads = backward_batch(params, cache, dlogits)
-        if grads is None:
-            grads = part_grads
-        else:
-            for name, grad in part_grads.items():
-                grads[name] += grad
+            probs[rows] = part_probs
+            target = np.arange(len(rows)), batch.targets[rows]
+            p_target = part_probs[target]
+            onehot = np.zeros_like(part_probs)
+            onehot[target] = 1.0
+            dp = focal_loss_grad(p_target, config.alpha, config.gamma) / len(batch)
+            dlogits = (dp * p_target)[:, None] * (onehot - part_probs)
+            part_grads = backward_batch(params, cache, dlogits)
+            if grads is None:
+                grads = part_grads
+            else:
+                for name, grad in part_grads.items():
+                    grads[name] += grad
     if grads is None:
         grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
-    return loss, grads
+    p_target = probs[np.arange(len(batch)), batch.targets]
+    loss = float(focal_loss_vec(p_target, config.alpha, config.gamma).mean())
+    return loss, grads, probs
 
 
 # --------------------------------------------------------------------------

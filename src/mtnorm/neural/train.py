@@ -94,17 +94,36 @@ def make_training_batch(
     vocab: Vocabulary,
     config: ClassifierConfig,
 ) -> TrainingBatch:
-    """One sample per labeled span: window ids, NSW mask, legality mask, target."""
+    """One sample per labeled span: window ids, NSW mask, legality mask, target.
+
+    The one place targets are checked, once per span as its row is built:
+    the label must be set, lie in ``[0, label_count)`` and be admitted by
+    the span's legality mask. A ``ValueError`` names the span and its
+    sentence.
+    """
     windows = [vocab.windows("", (), config.window)]  # (0, W) arrays if no span follows
     legal, targets = [], []
     for sentence in corpus:
         for span in sentence.spans:
+            surface = sentence.surface(span)
             if span.label is None:
-                raise ValueError(f"unlabeled span in training sentence: {sentence.text!r}")
+                raise ValueError(f"unlabeled span {surface!r} in {sentence.text!r}")
+            if not 0 <= span.label < config.label_count:
+                raise ValueError(
+                    f"span label {span.label} outside [0, {config.label_count}) for the "
+                    f"configured label_count: {surface!r} in {sentence.text!r}"
+                )
             if config.use_mask:
-                legal.append(DEFAULT_REGISTRY.legal_labels(sentence.surface(span)))
+                mask = DEFAULT_REGISTRY.legal_labels(surface)
+                if not mask[span.label]:
+                    raise ValueError(
+                        f"span label {DEFAULT_REGISTRY.by_id(span.label).name} is masked "
+                        f"illegal for {surface!r} in {sentence.text!r}; training data and "
+                        "format registry disagree"
+                    )
             else:
-                legal.append([True] * config.label_count)
+                mask = [True] * config.label_count
+            legal.append(mask)
             targets.append(span.label)
         windows.append(vocab.windows(sentence.text, sentence.spans, config.window))
     ids, nsw = (np.concatenate(part) for part in zip(*windows))
@@ -127,13 +146,6 @@ def train(corpus: list[LabeledSentence], config: ClassifierConfig, log=None) -> 
         raise ValueError("training corpus is empty")
     if not any(sentence.spans for sentence in corpus):
         raise ValueError("training corpus has no NSW spans to learn from")
-    for sentence in corpus:
-        for span in sentence.spans:
-            if span.label is not None and not 0 <= span.label < config.label_count:
-                raise ValueError(
-                    f"span label {span.label} outside [0, {config.label_count}) "
-                    "for the configured label_count"
-                )
     vocab = build_vocab(corpus)
     _keep_freed_heap()
     rng = np.random.default_rng(config.seed)
@@ -149,14 +161,14 @@ def train(corpus: list[LabeledSentence], config: ClassifierConfig, log=None) -> 
         correct = 0
         for start in range(0, n, config.batch_size):
             minibatch = data.take(order[start : start + config.batch_size])
-            loss, grads = batch_loss_and_grads(params, minibatch, config)
+            loss, grads, probs = batch_loss_and_grads(params, minibatch, config)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, sample offset {start}"
                 )
             optimizer.step(params, grads)
             epoch_loss += loss * len(minibatch)
-            correct += int((minibatch.probs.argmax(axis=1) == minibatch.targets).sum())
+            correct += int((probs.argmax(axis=1) == minibatch.targets).sum())
         entry = {"epoch": epoch, "loss": epoch_loss / n, "accuracy": correct / n}
         history.append(entry)
         if log is not None:

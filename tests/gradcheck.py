@@ -27,7 +27,7 @@ def gradient_check(
     (L(th+eps) - L(th-eps)) / 2 eps at each.
     """
     rng = np.random.default_rng(seed)
-    _, grads = batch_loss_and_grads(params, batch, config)
+    _, grads, _ = batch_loss_and_grads(params, batch, config)
     worst = 0.0
     for name, tensor in params.tensors().items():
         flat = tensor.reshape(-1)

@@ -86,6 +86,22 @@ class TestTrain:
         assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "x.npz")]) == 1
         assert "mtnorm train: training corpus has no NSW spans" in capsys.readouterr().err
 
+    def test_illegal_gold_label_names_the_surface(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text(
+            workspace["corpus"].read_text("utf-8")
+            + '{"text": "会议在10:30开始", "spans": [[3, 8, "A_Read_No_Zero"]]}\n',
+            encoding="utf-8",
+        )
+        code = main(["train", "--corpus", str(corpus), "--config", str(workspace["config"]),
+                     "--out", str(tmp_path / "x.npz")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mtnorm train: span label A_Read_No_Zero is masked illegal")
+        assert "'10:30' in '会议在10:30开始'" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.npz").exists()
+
     def test_unknown_config_field_fails_with_cause(self, workspace, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**TINY_CONFIG, "pretrained_vectors": None}), "utf-8")

@@ -510,7 +510,7 @@ class TestFrozenForward:
             got, _ = forward_batch(FrozenEncoder.freeze(shifted, dtype), ids, nsw, legal)
             assert np.array_equal(got, want)
         batch = TrainingBatch(ids, nsw, legal, legal.argmax(axis=1))
-        _, grads = batch_loss_and_grads(params, batch, config)
+        _, grads, _ = batch_loss_and_grads(params, batch, config)
         assert np.all(grads["embedding"][PAD_ID] == 0.0)
         assert np.abs(grads["embedding"]).max() > 0.0
 

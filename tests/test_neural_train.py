@@ -2,13 +2,19 @@ import importlib
 import os
 import random
 import resource
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from gradcheck import gradient_check
 from oracles import reference_window
 
-from mtnorm.corpus import LabeledSentence, NSWSpan
+from mtnorm.corpus import (
+    CorpusDistribution,
+    LabeledSentence,
+    NSWSpan,
+    generate_synthetic_corpus,
+)
 from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.neural import (
     ClassifierConfig,
@@ -29,6 +35,8 @@ from mtnorm.neural.model import (
 )
 from mtnorm.neural.train import AdamState
 from mtnorm.neural.vocab import PAD_ID, build_vocab
+
+READ = DEFAULT_REGISTRY.id_of("A_Read_No_Zero")  # a label whose format rejects '10:30'
 
 
 def separable_corpus(n=200, trigger=("甲", "乙")):
@@ -105,6 +113,18 @@ class TestTraining:
         with pytest.raises(ValueError, match="label_count"):
             train(corpus, toy_config())
 
+    def test_illegal_label_rejected_before_any_step(self, monkeypatch):
+        train_module = importlib.import_module("mtnorm.neural.train")
+        steps = []
+        monkeypatch.setattr(train_module.AdamState, "step", lambda *args: steps.append(1))
+        # seven minibatches, so a check made per minibatch could step before it fails
+        corpus = generate_synthetic_corpus(CorpusDistribution.default(), 200, seed=3)
+        corpus.append(LabeledSentence("会议在10:30开始", (NSWSpan(3, 8, READ),)))
+        config = toy_config(use_mask=True, label_count=len(DEFAULT_REGISTRY), epochs=1)
+        with pytest.raises(ValueError, match="masked illegal for '10:30' in '会议在10:30开始'"):
+            train(corpus, config)
+        assert steps == []
+
     def test_negative_label_rejected(self):
         # a label of -1 would index the last label's legality mask and train toward it
         corpus = [LabeledSentence("共100人", (NSWSpan(1, 4, -1),))]
@@ -159,11 +179,9 @@ class TestBatchLoss:
 
     def test_ce_configuration_is_mean_nll(self):
         config, params, batch = small_batch()
-        from dataclasses import replace
-
         ce = replace(config, alpha=1.0, gamma=0.0)
-        loss = batch_loss_and_grads(params, batch, ce)[0]
-        p = batch.probs[np.arange(4), batch.targets]
+        loss, _, probs = batch_loss_and_grads(params, batch, ce)
+        p = probs[np.arange(4), batch.targets]
         assert loss == pytest.approx(float(-np.log(p).mean()), abs=1e-12)
 
     def test_perfectly_confident_batch_is_zero(self):
@@ -177,17 +195,29 @@ class TestBatchLoss:
         assert batch_loss_and_grads(params, batch, config)[0] < 1e-25
 
     def test_illegal_target_rejected(self):
-        config, params, batch = small_batch()
-        batch.legal_masks[0, batch.targets[0]] = False
-        with pytest.raises(ValueError, match="illegal"):
-            batch_loss_and_grads(params, batch, config)[0]
+        corpus = [LabeledSentence("会议在10:30开始", (NSWSpan(3, 8, READ),))]
+        vocab = build_vocab(corpus)
+        config = toy_config(use_mask=True, label_count=len(DEFAULT_REGISTRY))
+        with pytest.raises(
+            ValueError, match="A_Read_No_Zero is masked illegal for '10:30' in '会议在10:30开始'"
+        ):
+            make_training_batch(corpus, vocab, config)
+        # unmasked, every label in range is a legal target
+        batch = make_training_batch(corpus, vocab, replace(config, use_mask=False))
+        assert batch.targets.tolist() == [READ]
+        assert batch.legal_masks.all()
 
     @pytest.mark.parametrize("target", [-1, -4, 4])
     def test_target_outside_label_range_rejected(self, target):
-        config, params, batch = small_batch()
-        batch.targets[2] = target
-        with pytest.raises(ValueError, match=rf"label {target} of sample 2 is outside \[0, 4\)"):
-            batch_loss_and_grads(params, batch, config)[0]
+        # a negative label would index the mask from its end and train toward another label
+        corpus = [LabeledSentence("共100人", (NSWSpan(1, 4, target),))]
+        vocab = build_vocab(corpus)
+        for use_mask in (False, True):
+            config = toy_config(label_count=4, use_mask=use_mask)
+            with pytest.raises(
+                ValueError, match=rf"span label {target} outside \[0, 4\) .*'100' in '共100人'"
+            ):
+                make_training_batch(corpus, vocab, config)
 
 
 class TestGradients:
@@ -212,7 +242,7 @@ class TestGradients:
 
     def test_first_order_taylor(self):
         config, params, batch = small_batch()
-        loss0, grads = batch_loss_and_grads(params, batch, config)
+        loss0, grads, _ = batch_loss_and_grads(params, batch, config)
         delta = 1e-5
         g = grads["ff_w1"][2, 3]
         params.ff_w1[2, 3] += delta
@@ -228,7 +258,7 @@ class TestGradients:
         nsw[0, 2:4] = True
         legal = np.asarray([[True, True, True, False]])
         batch = TrainingBatch(ids, nsw, legal, np.asarray([0]))
-        _, grads = batch_loss_and_grads(params, batch, config)
+        _, grads, _ = batch_loss_and_grads(params, batch, config)
         # the two equally-probable non-target labels receive identical updates
         assert np.allclose(grads["cls_w"][:, 1], grads["cls_w"][:, 2])
         assert grads["cls_b"][1] == pytest.approx(grads["cls_b"][2])
@@ -264,13 +294,13 @@ class TestOneLabelRows:
         one_label = np.asarray([False, True, False, True, True, False])
         legal[one_label] = np.eye(4, dtype=bool)[targets[one_label]]
         batch = TrainingBatch(ids, nsw, legal, targets)
-        loss, grads = batch_loss_and_grads(params, batch, config)
+        loss, grads, probs = batch_loss_and_grads(params, batch, config)
         # the ambiguous rows' NSW counts, sorted and split where that saves padding
         assert forward_calls == [[1, 2], [4]]
-        assert np.array_equal(batch.probs[one_label], legal[one_label].astype(np.float64))
+        assert np.array_equal(probs[one_label], legal[one_label].astype(np.float64))
         want_loss, want_grads, want_probs = self.all_rows_reference(params, batch, config)
         assert loss == pytest.approx(want_loss, rel=0.0, abs=1e-12)
-        assert np.abs(batch.probs - want_probs).max() <= 1e-12
+        assert np.abs(probs - want_probs).max() <= 1e-12
         for name, grad in want_grads.items():
             assert grads[name].shape == grad.shape
             assert np.abs(grads[name] - grad).max() <= 1e-12, name
@@ -279,9 +309,9 @@ class TestOneLabelRows:
     def test_all_one_label_batch_runs_no_forward(self, forward_calls):
         config, params, batch = small_batch()
         batch.legal_masks[:] = np.eye(4, dtype=bool)[batch.targets]
-        loss, grads = batch_loss_and_grads(params, batch, config)
+        loss, grads, probs = batch_loss_and_grads(params, batch, config)
         assert forward_calls == []
-        assert np.array_equal(batch.probs, batch.legal_masks.astype(np.float64))
+        assert np.array_equal(probs, batch.legal_masks.astype(np.float64))
         assert loss < 1e-25
         for name, tensor in params.tensors().items():
             assert grads[name].shape == tensor.shape
@@ -455,10 +485,11 @@ class TestBatchAssembly:
 
     def test_unlabeled_span_rejected(self):
         corpus = [LabeledSentence("共100人", (NSWSpan(1, 4, None),))]
-        config = toy_config()
         vocab = build_vocab(corpus)
-        with pytest.raises(ValueError, match="unlabeled"):
-            make_training_batch(corpus, vocab, config)
+        for use_mask in (False, True):
+            config = toy_config(use_mask=use_mask, label_count=len(DEFAULT_REGISTRY))
+            with pytest.raises(ValueError, match="unlabeled span '100' in '共100人'"):
+                make_training_batch(corpus, vocab, config)
 
 
 class TestPredictBatch:
