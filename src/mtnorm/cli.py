@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 
 from . import corpus as corpus_mod
 from . import evaluate as eval_mod
@@ -20,15 +19,13 @@ from .neural import ClassifierConfig, load_params, save_params, train
 from .rules import RuleSet, compile_rules
 
 
-def _data_path(name: str) -> str:
-    return str(resources.files("mtnorm").joinpath(f"data/{name}"))
-
-
 def _read_lines(path: str | None) -> list[str]:
-    if path is None or path == "-":
-        return [line.rstrip("\n") for line in sys.stdin]
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    text = sys.stdin.read() if path is None or path == "-" else corpus_mod.read_text(path)
+    return text.removesuffix("\n").split("\n") if text else []
+
+
+def _read_config(path: str) -> ClassifierConfig:
+    return corpus_mod.read_json(path, lambda raw: ClassifierConfig(**raw))
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:
@@ -42,7 +39,7 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 def cmd_gen_corpus(args) -> int:
     dist = (
-        corpus_mod.CorpusDistribution.from_file(args.dist)
+        corpus_mod.read_json(args.dist, corpus_mod.CorpusDistribution)
         if args.dist
         else corpus_mod.CorpusDistribution.default()
     )
@@ -58,7 +55,7 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_train(args) -> int:
     data = corpus_mod.load_corpus(args.corpus)
-    config = ClassifierConfig.from_file(args.config) if args.config else ClassifierConfig()
+    config = _read_config(args.config) if args.config else ClassifierConfig()
     if args.seed is not None:
         config.seed = args.seed
     result = train(data, config, log=print)
@@ -92,9 +89,9 @@ def _build_system(
 ) -> pipeline.HybridSystem:
     params, config, vocab = load_params(model) if model else (None, None, None)
     if priority is None:
-        priority = load_priority_list(args.priority or _data_path("priority.txt"))
+        priority = load_priority_list(args.priority or corpus_mod.data_path("priority.txt"))
     if rules is None:
-        rules = compile_rules(args.rules or _data_path("rules.txt"))
+        rules = compile_rules(args.rules or corpus_mod.data_path("rules.txt"))
     return pipeline.HybridSystem(
         rules=rules,
         priority=priority,
@@ -106,10 +103,10 @@ def _build_system(
 
 
 def cmd_normalize(args) -> int:
-    if not args.rules_only and not args.model:
-        print("normalize: --model is required unless --rules-only", file=sys.stderr)
+    if args.rules_only == bool(args.model):
+        print("normalize: give exactly one of --model and --rules-only", file=sys.stderr)
         return 2
-    system = _build_system(args, None if args.rules_only else args.model)
+    system = _build_system(args, args.model)
     texts = [args.text] if args.text is not None else _read_lines(args.infile)
     results = pipeline.normalize_many(texts, system)
     _write_lines(args.out, [out for out, _ in results])
@@ -131,7 +128,7 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     data = corpus_mod.load_corpus(args.corpus)
     grid = eval_mod.load_grid(args.grid) if args.grid else list(eval_mod.ABLATION_GRID)
-    base = ClassifierConfig.from_file(args.config) if args.config else None
+    base = _read_config(args.config) if args.config else None
     rows = eval_mod.run_ablation(grid, data, args.seed, base_config=base)
     print(eval_mod.format_ablation_rows(rows))
     if args.report:

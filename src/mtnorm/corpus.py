@@ -1,27 +1,29 @@
-"""Labeled-sentence data model, record files, synthesis and oversampling.
+"""Labeled-sentence data model, input files, synthesis and oversampling.
 
-Record files hold one JSON object per line, UTF-8 (``read_jsonl``,
-``write_jsonl``). A corpus record is ``{"text": "...", "spans": [[start,
-end, "LabelName"], ...]}`` (``decode_sentence``, ``encode_spans``), with
-character offsets over Unicode scalar values (never bytes, never substring
-search — repeated surfaces stay unambiguous).
+Every input file but the checkpoint is read here, by ``read_jsonl`` (one
+JSON object per line, UTF-8), ``read_json`` or ``read_text``, and any
+fault raises ``CorpusError`` naming the file. A corpus record is
+``{"text": "...", "spans": [[start, end, "LabelName"], ...]}``
+(``decode_sentence``, ``encode_spans``), with character offsets over
+Unicode scalar values (never bytes, never substring search — repeated
+surfaces stay unambiguous).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from importlib import resources
 
 from .labels import DEFAULT_REGISTRY
 
 
 class CorpusError(ValueError):
-    """Malformed corpus data or misconfigured generation."""
+    """Malformed input file or corpus data, or misconfigured generation."""
 
 
 @dataclass(frozen=True)
@@ -58,15 +60,33 @@ class LabeledSentence:
         return self.text[span.start : span.end]
 
 
-def validate_span_surface(surface: str) -> bool:
-    from .extractor import NSW_SPAN_VALID
-
-    return NSW_SPAN_VALID.fullmatch(surface) is not None
-
-
 # --------------------------------------------------------------------------
-# Record files: JSON lines holding a text and its spans
+# Input files (JSON lines, JSON, text) and record files
 # --------------------------------------------------------------------------
+
+def data_path(name: str) -> str:
+    """Path of a file shipped under ``mtnorm/data``."""
+    return os.path.join(os.path.dirname(__file__), "data", name)
+
+
+def read_json(path: str, decode: Callable):
+    """``decode`` of the file's JSON; a ``ValueError`` or ``TypeError`` names ``path``."""
+    with open(path, "rb") as fh:  # decoded below, so bad UTF-8 is a ValueError the try names
+        raw = fh.read()
+    try:
+        return decode(json.loads(raw.decode("utf-8")))
+    except (ValueError, TypeError) as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
+
+
+def read_text(path: str) -> str:
+    """The file as UTF-8 text, newlines translated as text-mode ``open`` does."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: {exc}") from exc
+
 
 def encode_spans(sentence: LabeledSentence) -> list[list]:
     """``[start, end, LabelName]`` per span, the layout ``decode_sentence`` reads."""
@@ -124,11 +144,17 @@ def splice(text: str, replacements: Iterable[tuple[NSWSpan, str]]) -> str:
 
 
 def load_corpus(path: str) -> list[LabeledSentence]:
+    """Corpus records whose every span surface is legal for the span's label."""
+
     def decode(record):
         sentence = decode_sentence(record)
-        for surface in map(sentence.surface, sentence.spans):
-            if not validate_span_surface(surface):
-                raise CorpusError(f"span surface {surface!r} does not look like an NSW")
+        for span in sentence.spans:
+            surface = sentence.surface(span)
+            if not DEFAULT_REGISTRY.verify(surface, span.label):
+                raise CorpusError(
+                    f"span label {DEFAULT_REGISTRY.by_id(span.label).name} is illegal for "
+                    f"{surface!r} in {sentence.text!r}"
+                )
         return sentence
 
     return read_jsonl(path, decode)
@@ -144,27 +170,25 @@ def save_corpus(corpus: list[LabeledSentence], path: str) -> None:
 
 @dataclass(frozen=True)
 class CorpusDistribution:
-    """Per-label target proportions; must sum to 1."""
+    """Label name -> target proportion, as a JSON object; must sum to 1."""
 
     proportions: dict[str, float]
 
     def __post_init__(self):
+        if not isinstance(self.proportions, dict):
+            raise CorpusError(f"label distribution must be an object: {self.proportions!r}")
+        for name, p in self.proportions.items():
+            if name not in DEFAULT_REGISTRY:
+                raise CorpusError(f"unknown label name: {name}")
+            if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+                raise CorpusError(f"bad proportion for {name}: {p!r}")
         total = sum(self.proportions.values())
         if abs(total - 1.0) > 1e-9:
             raise CorpusError(f"label proportions sum to {total}, not 1")
-        for name, p in self.proportions.items():
-            if not 0.0 <= p <= 1.0:
-                raise CorpusError(f"bad proportion for {name}: {p}")
-
-    @classmethod
-    def from_file(cls, path: str) -> "CorpusDistribution":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
 
     @classmethod
     def default(cls) -> "CorpusDistribution":
-        text = resources.files("mtnorm").joinpath("data/distribution.json").read_text("utf-8")
-        return cls(json.loads(text))
+        return read_json(data_path("distribution.json"), cls)
 
 
 @dataclass(frozen=True)
@@ -174,21 +198,23 @@ class LabelTemplates:
 
 
 def load_templates(path: str | None = None) -> dict[str, LabelTemplates]:
-    """Template registry: label -> {NSW}-slotted templates + surface generator."""
-    if path is None:
-        text = resources.files("mtnorm").joinpath("data/templates.json").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    raw = json.loads(text)
-    registry = {}
-    for name, entry in raw.items():
-        templates = tuple(entry["templates"])
-        for tpl in templates:
-            if tpl.count("{NSW}") != 1:
-                raise CorpusError(f"template for {name} needs exactly one {{NSW}} slot: {tpl!r}")
-        registry[name] = LabelTemplates(entry["nsw"], templates)
-    return registry
+    """Template registry (default: shipped): label -> {NSW}-slotted templates + generator."""
+
+    def decode(raw):
+        if not isinstance(raw, dict):
+            raise CorpusError(f"template registry must be an object: {raw!r}")
+        registry = {}
+        for name, entry in raw.items():
+            if not (isinstance(entry, dict) and entry.keys() == {"nsw", "templates"}):
+                raise CorpusError(f"entry for {name} needs exactly the keys nsw and templates")
+            templates = tuple(entry["templates"])
+            for tpl in templates:
+                if not isinstance(tpl, str) or tpl.count("{NSW}") != 1:
+                    raise CorpusError(f"template for {name} needs exactly one {{NSW}} slot: {tpl!r}")
+            registry[name] = LabelTemplates(entry["nsw"], templates)
+        return registry
+
+    return read_json(path or data_path("templates.json"), decode)
 
 
 def _gen_surface(spec: str, rng: random.Random) -> str:
@@ -275,7 +301,7 @@ def _jitter_digits(surface: str, pattern: re.Pattern, rng: random.Random) -> str
         candidate = "".join(
             rng.choice("0123456789") if ch.isdigit() else ch for ch in surface
         )
-        if pattern.fullmatch(candidate) and validate_span_surface(candidate):
+        if pattern.fullmatch(candidate):
             return candidate
     return surface
 

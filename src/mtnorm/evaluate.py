@@ -10,13 +10,12 @@ whose text key is ``"input"``, plus a ``"reference"`` string.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass, replace
 
 from . import pipeline, reader
 from .corpus import CorpusError, LabeledSentence, decode_sentence, encode_spans, oversample_expand
-from .corpus import rare_labels, read_jsonl, splice, write_jsonl
+from .corpus import rare_labels, read_json, read_jsonl, splice, write_jsonl
 from .labels import DEFAULT_REGISTRY
 from .neural import ClassifierConfig, make_training_batch, predict_batch, train
 
@@ -97,7 +96,7 @@ def save_golden(golden: Golden, path: str) -> None:
 
 
 def load_golden(path: str) -> Golden:
-    """Gold span surfaces are not shape-checked, so spans the extractor never finds load."""
+    """Gold spans skip the label check, so spans the extractor never finds load."""
 
     def decode(record):
         sentence = decode_sentence(record, "input")
@@ -214,11 +213,12 @@ class AblationRow:
 
 
 def load_grid(path: str) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        grid = json.load(fh)
-    if not isinstance(grid, list) or not all(isinstance(e, dict) and "name" in e for e in grid):
-        raise ValueError(f"{path}: ablation grid must be a list of objects with a 'name'")
-    return grid
+    def decode(grid):
+        if not isinstance(grid, list) or not all(isinstance(e, dict) and "name" in e for e in grid):
+            raise CorpusError("ablation grid must be a list of objects with a 'name'")
+        return grid
+
+    return read_json(path, decode)
 
 
 def macro_recall(predictions: list[tuple[int, int]], label_ids: set[int]) -> float:

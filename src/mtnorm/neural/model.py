@@ -37,7 +37,7 @@ biases, residuals and the softmax update fresh arrays in place.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -46,6 +46,9 @@ from .vocab import PAD_ID
 
 ATTN_NEG = -1e9
 LN_EPS = 1e-5
+
+# The type each ClassifierConfig annotation admits; bool, an int subclass, only for bool.
+_CONFIG_TYPES = {"int": int, "float": (int, float), "bool": bool}
 
 
 @dataclass
@@ -64,6 +67,10 @@ class ClassifierConfig:
     use_mask: bool = True
 
     def __post_init__(self):
+        for field in fields(self):
+            value, kind = getattr(self, field.name), _CONFIG_TYPES[field.type]
+            if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                raise TypeError(f"{field.name} must be {field.type}, not {value!r}")
         if self.heads < 1 or self.batch_size < 1:
             raise ValueError("heads and batch_size must be >= 1")
         if self.model_dim < 1 or self.ff_dim < 0:
@@ -76,7 +83,7 @@ class ClassifierConfig:
             raise ValueError("model_dim must be divisible by heads")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ValueError("gamma must be >= 0")
         if self.window < 1 or self.label_count < 2:
             raise ValueError("window and label_count must be positive")
@@ -87,11 +94,6 @@ class ClassifierConfig:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ClassifierConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
 
 
 @dataclass

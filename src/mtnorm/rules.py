@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .corpus import NSWSpan
+from .corpus import NSWSpan, read_text
 from .labels import DEFAULT_REGISTRY
 
 
@@ -150,8 +150,7 @@ def parse_rules(text: str, source: str = "<rules>") -> RuleSet:
 
 
 def compile_rules(path: str) -> RuleSet:
-    with open(path, encoding="utf-8") as fh:
-        return parse_rules(fh.read(), source=path)
+    return parse_rules(read_text(path), source=path)
 
 
 def match_nsw(rs: RuleSet, text: str, span: NSWSpan) -> Rule | None:

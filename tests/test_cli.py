@@ -97,9 +97,10 @@ class TestTrain:
                      "--out", str(tmp_path / "x.npz")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("mtnorm train: span label A_Read_No_Zero is masked illegal")
-        assert "'10:30' in '会议在10:30开始'" in err
-        assert err.count("\n") == 1
+        assert err == (
+            f"mtnorm train: {corpus}:401: span label A_Read_No_Zero is illegal for '10:30' "
+            "in '会议在10:30开始'\n"
+        )
         assert not (tmp_path / "x.npz").exists()
 
     def test_unknown_config_field_fails_with_cause(self, workspace, tmp_path, capsys):
@@ -208,6 +209,19 @@ class TestNormalize:
     def test_model_required_without_rules_only(self, capsys):
         assert main(["normalize", "--text", "共100人"]) == 2
         assert "--model" in capsys.readouterr().err
+
+    def test_model_with_rules_only_rejected(self, capsys):
+        assert main(["normalize", "--rules-only", "--model", "/nonexistent.npz",
+                     "--text", "共100人"]) == 2
+        err = capsys.readouterr().err
+        assert "--model" in err and "--rules-only" in err and err.count("\n") == 1
+
+    def test_input_lines_split_as_text_mode(self, tmp_path):
+        # \r\n and a lone \r end lines; a blank line stays; a last newline adds none
+        infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
+        infile.write_bytes("共3人\r\n\r\n只有10%\r共5人\n".encode())
+        assert main(["normalize", "--rules-only", "--in", str(infile), "--out", str(outfile)]) == 0
+        assert outfile.read_text("utf-8").split("\n") == ["共三人", "", "只有百分之十", "共五人", ""]
 
 
 class TestClassify:
@@ -373,3 +387,60 @@ class TestAblate:
         assert main(["ablate", "--grid", str(grid), "--corpus", str(workspace["corpus"]),
                      "--seed", "3"]) == 1
         assert "mtnorm ablate:" in capsys.readouterr().err
+
+
+
+NOT_UTF8 = b'{"B_Percent": "caf\xe9"}\n'
+TRUNCATED = b'{"B_Percent": {"nsw": "percent", "templates": ["{NSW}"'
+TRAIN = ["train", "--out", "x.npz"]
+ABLATE = ["ablate", "--seed", "3"]
+GEN = ["gen-corpus", "--n", "5", "--seed", "1", "--out", "c.jsonl"]
+RULES_ONLY = ["normalize", "--rules-only"]
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize(
+        "argv, option, content",
+        [
+            (TRAIN, "--config", NOT_UTF8),
+            (TRAIN, "--config", TRUNCATED),
+            (TRAIN, "--config", b"[1, 2]"),
+            (TRAIN, "--config", b'{"window": "x"}'),
+            (TRAIN, "--config", b'{"use_mask": "no", "epochs": 1}'),
+            (ABLATE, "--config", TRUNCATED),
+            (GEN, "--dist", NOT_UTF8),
+            (GEN, "--dist", TRUNCATED),
+            (GEN, "--dist", b"[1, 2]"),
+            (GEN, "--dist", b'{"B_Percent": "1"}'),
+            (GEN, "--dist", b'{"Nope": 1.0}'),
+            (GEN, "--templates", NOT_UTF8),
+            (GEN, "--templates", TRUNCATED),
+            (GEN, "--templates", b'["{NSW}"]'),
+            (GEN, "--templates", b'{"B_Percent": {"nsw": "percent"}}'),
+            (GEN, "--templates", b'{"B_Percent": {"nsw": "percent", "templates": [5]}}'),
+            (ABLATE, "--grid", NOT_UTF8),
+            (ABLATE, "--grid", TRUNCATED),
+            (RULES_ONLY, "--in", b"caf\xe9 35\n"),
+            (RULES_ONLY, "--rules", b"rule: caf\xe9\nlabel: A_Read_No_Zero\n"),
+            (RULES_ONLY, "--priority", b"caf\xe9\n"),
+        ],
+        ids=[
+            "config-not-utf-8", "config-truncated", "config-list", "config-str-window",
+            "config-str-use-mask", "ablate-config-truncated", "dist-not-utf-8",
+            "dist-truncated", "dist-list", "dist-str-proportion", "dist-unknown-label",
+            "templates-not-utf-8", "templates-truncated", "templates-list",
+            "templates-no-templates-key", "templates-int-template", "grid-not-utf-8",
+            "grid-truncated", "in-not-utf-8", "rules-not-utf-8", "priority-not-utf-8",
+        ],
+    )
+    def test_bad_file_names_its_path(self, workspace, tmp_path, monkeypatch, capsys,
+                                     argv, option, content):
+        monkeypatch.chdir(tmp_path)  # where a command that got past its input would write
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        if argv in (TRAIN, ABLATE):
+            argv = [*argv, "--corpus", str(workspace["corpus"])]
+        assert main([*argv, option, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"mtnorm {argv[0]}: {path}: ")
+        assert err.count("\n") == 1

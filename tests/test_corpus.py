@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter, defaultdict
 from types import SimpleNamespace
 
@@ -16,10 +17,13 @@ from mtnorm.corpus import (
     save_corpus,
     splice,
 )
+from mtnorm.evaluate import load_grid
+from mtnorm.extractor import load_priority_list
 from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.legality import default_formats
 from mtnorm.neural.vocab import build_vocab
 from mtnorm.neural.vocab import PAD_CHAR, PAD_ID
+from mtnorm.rules import compile_rules
 
 DIST = CorpusDistribution.default()
 
@@ -67,11 +71,12 @@ class TestLineFormat:
             '{"text": "共35人", "spans": 7}',
             '{"text": "共35人", "spans": [[1, 3, "A_Read_No_Zero", 0]]}',
             b'{"text": "caf\xe9 35", "spans": []}',
+            '{"text": "会议在10:30开始", "spans": [[3, 8, "A_Read_No_Zero"]]}',
         ],
         ids=[
             "text-not-string", "no-text", "not-object", "float-end", "string-start",
             "bool-start", "two-element-span", "unknown-label", "label-id", "spans-dict",
-            "spans-int", "four-element-span", "not-utf-8",
+            "spans-int", "four-element-span", "not-utf-8", "surface-illegal-for-label",
         ],
     )
     def test_bad_record_rejected(self, tmp_path, record):
@@ -102,6 +107,29 @@ class TestLineFormat:
         sentence = LabeledSentence("共100人", (NSWSpan(1, 4),))
         with pytest.raises(CorpusError, match="unlabeled"):
             save_corpus([sentence], str(tmp_path / "x.jsonl"))
+
+
+@pytest.mark.parametrize(
+    "load, content",
+    [
+        (load_templates, b'{"B_Percent": {"nsw": "percent", "templates": ["caf\xe9{NSW}"]}}'),
+        (load_templates, b'{"B_Percent": {"nsw": "percent"'),
+        (load_templates, b'["{NSW}"]'),
+        (load_templates, b'{"B_Percent": {"nsw": "percent", "templates": [5]}}'),
+        (load_grid, b'[{"name": "proposed"'),
+        (compile_rules, b"rule: caf\xe9\nlabel: A_Read_No_Zero\n"),
+        (load_priority_list, b"caf\xe9\n"),
+    ],
+    ids=[
+        "templates-not-utf-8", "templates-truncated", "templates-list", "templates-int-template",
+        "grid-truncated", "rules-not-utf-8", "priority-not-utf-8",
+    ],
+)
+def test_input_fault_names_the_file(tmp_path, load, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    with pytest.raises(CorpusError, match="^" + re.escape(f"{path}: ")):
+        load(str(path))
 
 
 def test_splice_replaces_spans_in_text_order():

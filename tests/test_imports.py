@@ -62,6 +62,24 @@ def package_names_used(package: str) -> set[str]:
     return used
 
 
+def test_json_parsed_only_in_the_input_layer():
+    # every other module reads its files through corpus.read_json, read_jsonl or read_text
+    package = Path(mtnorm.__file__).parent
+    parsers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            called = (
+                isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name) and node.value.id == "json"
+            )
+            imported = isinstance(node, ast.ImportFrom) and node.module == "json" and any(
+                alias.name in ("load", "loads") for alias in node.names
+            )
+            if called or imported:
+                parsers.add(path.relative_to(package).as_posix())
+    assert parsers - {"corpus.py", "neural/checkpoint.py"} == set()
+
+
 def test_neural_exports_have_callers():
     # the package re-exports what the program calls, plus its error classes;
     # tests import everything else from its submodule

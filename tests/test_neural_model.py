@@ -605,11 +605,26 @@ class TestConfig:
             ("model_dim", 0, "model_dim must be >= 1"),
             ("model_dim", -8, "model_dim must be >= 1"),
             ("ff_dim", -1, "ff_dim >= 0"),
+            ("gamma", float("nan"), "gamma must be >= 0"),
         ],
     )
     def test_values_that_break_training_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             ClassifierConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("use_mask", "no"), ("use_mask", 1), ("window", 5.5), ("window", "x"),
+            ("epochs", True), ("seed", None), ("alpha", "0.5"), ("gamma", False),
+        ],
+    )
+    def test_field_of_wrong_type_rejected(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be "):
+            ClassifierConfig(**{field: value})
+
+    def test_real_fields_take_integers(self):
+        assert ClassifierConfig(alpha=1, gamma=0, learning_rate=1).alpha == 1
 
     def test_zero_epochs_allowed(self):
         assert ClassifierConfig(epochs=0).epochs == 0
@@ -685,6 +700,14 @@ class TestCheckpoint:
         save_params(path, params, config, vocab)
         rewrite_json(path, "config_json", batch_size=0)
         with pytest.raises(CheckpointError, match="batch_size must be >= 1"):
+            load_params(path)
+
+    def test_config_field_of_wrong_type_rejected(self, tmp_path):
+        config, vocab, params = small_setup()
+        path = str(tmp_path / "model.npz")
+        save_params(path, params, config, vocab)
+        rewrite_json(path, "config_json", use_mask="no")
+        with pytest.raises(CheckpointError, match="use_mask must be bool"):
             load_params(path)
 
     def test_pretrained_vectors_key_rejected(self, tmp_path):
