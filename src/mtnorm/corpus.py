@@ -1,12 +1,17 @@
 """Labeled-sentence data model, input files, synthesis and oversampling.
 
 Every input file but the checkpoint is read here, by ``read_jsonl`` (one
-JSON object per line, UTF-8), ``read_json`` or ``read_text``, and any
-fault raises ``CorpusError`` naming the file. A corpus record is
+JSON object per line, UTF-8), ``read_json`` or ``read_text``; each drops one
+leading UTF-8 byte-order mark, and any fault raises ``CorpusError`` naming
+the file. A corpus record is
 ``{"text": "...", "spans": [[start, end, "LabelName"], ...]}``
 (``decode_sentence``, ``encode_spans``), with character offsets over
 Unicode scalar values (never bytes, never substring search — repeated
 surfaces stay unambiguous).
+
+Synthesis fills a label's templates (``load_templates``: contexts only) with
+surfaces drawn by the label itself (``PatternLabel.draw``), so a label's
+format, reader and numeric domain all live in its row of the label table.
 """
 
 from __future__ import annotations
@@ -74,14 +79,14 @@ def read_json(path: str, decode: Callable):
     with open(path, "rb") as fh:  # decoded below, so bad UTF-8 is a ValueError the try names
         raw = fh.read()
     try:
-        return decode(json.loads(raw.decode("utf-8")))
+        return decode(json.loads(raw.decode("utf-8-sig")))
     except (ValueError, TypeError) as exc:
         raise CorpusError(f"{path}: {exc}") from exc
 
 
 def read_text(path: str) -> str:
     """The file as UTF-8 text, newlines translated as text-mode ``open`` does."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
@@ -191,104 +196,52 @@ class CorpusDistribution:
         return read_json(data_path("distribution.json"), cls)
 
 
-@dataclass(frozen=True)
-class LabelTemplates:
-    nsw_spec: str
-    templates: tuple[str, ...]
-
-
-def load_templates(path: str | None = None) -> dict[str, LabelTemplates]:
-    """Template registry (default: shipped): label -> {NSW}-slotted templates + generator."""
+def load_templates(path: str | None = None) -> dict[str, tuple[str, ...]]:
+    """Template registry (default: shipped): label name -> its {NSW}-slotted templates."""
 
     def decode(raw):
         if not isinstance(raw, dict):
             raise CorpusError(f"template registry must be an object: {raw!r}")
-        registry = {}
-        for name, entry in raw.items():
-            if not (isinstance(entry, dict) and entry.keys() == {"nsw", "templates"}):
-                raise CorpusError(f"entry for {name} needs exactly the keys nsw and templates")
-            templates = tuple(entry["templates"])
+        for name, templates in raw.items():
+            if name not in DEFAULT_REGISTRY:
+                raise CorpusError(f"unknown label name: {name}")
+            if not isinstance(templates, list):
+                raise CorpusError(f"templates for {name} must be a list: {templates!r}")
             for tpl in templates:
                 if not isinstance(tpl, str) or tpl.count("{NSW}") != 1:
                     raise CorpusError(f"template for {name} needs exactly one {{NSW}} slot: {tpl!r}")
-            registry[name] = LabelTemplates(entry["nsw"], templates)
-        return registry
+        return {name: tuple(templates) for name, templates in raw.items()}
 
     return read_json(path or data_path("templates.json"), decode)
-
-
-def _gen_surface(spec: str, rng: random.Random) -> str:
-    kind, _, arg = spec.partition(":")
-    if kind == "int":
-        lo, hi = (int(x) for x in arg.split("-"))
-        return str(rng.randint(lo, hi))
-    if kind == "digits":
-        lo, hi = (int(x) for x in arg.split("-"))
-        return "".join(rng.choice("0123456789") for _ in range(rng.randint(lo, hi)))
-    if kind == "year":
-        return str(rng.randint(1950, 2099))
-    if kind == "time":
-        return f"{rng.randint(0, 23)}:{rng.randint(0, 59):02d}"
-    if kind == "date":
-        return f"{rng.randint(1950, 2030)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"
-    if kind == "score":
-        sep = rng.choice("-:")
-        hi = 30 if sep == ":" else 150
-        return f"{rng.randint(0, hi)}{sep}{rng.randint(0, 59)}"
-    if kind == "range":
-        lo = rng.randint(0, 995)
-        hi = rng.randint(lo + 1, lo + 200)
-        if rng.random() < 0.2:
-            return f"{lo}.{rng.randint(0, 9)}{rng.choice('-~—')}{hi}.{rng.randint(0, 9)}"
-        return f"{lo}{rng.choice('-~—')}{hi}"
-    if kind == "percent":
-        if rng.random() < 0.3:
-            return f"{rng.randint(0, 99)}.{rng.randint(0, 9)}%"
-        return f"{rng.randint(0, 100)}%"
-    if kind == "phone":
-        return "1" + rng.choice("3456789") + "".join(rng.choice("0123456789") for _ in range(9))
-    if kind == "two":
-        return "2"
-    if kind == "per":
-        num = rng.randint(1, 99)
-        left_unit = rng.choice(["", "人", "件", "次", "元", "公里", "毫克"])
-        right_unit = rng.choice(["组", "天", "周", "小时", "人", "箱"])
-        return f"{num}{left_unit}/{right_unit}"
-    if kind == "dollar":
-        return f"${rng.randint(1, 9999)}"
-    raise CorpusError(f"unknown NSW generator spec: {spec!r}")
 
 
 def generate_synthetic_corpus(
     dist: CorpusDistribution,
     n: int,
     seed: int,
-    templates: dict[str, LabelTemplates] | None = None,
+    templates: dict[str, tuple[str, ...]] | None = None,
 ) -> list[LabeledSentence]:
-    """Deterministic template-based corpus following ``dist``."""
+    """Deterministic corpus following ``dist``: one template and one drawn surface a sentence."""
     if templates is None:
         templates = load_templates()
     names = [name for name, p in dist.proportions.items() if p > 0]
     weights = [dist.proportions[name] for name in names]
     by_name = {name: DEFAULT_REGISTRY.by_name(name) for name in names}
     for name in names:
-        if name not in templates:
+        if not templates.get(name):
             raise CorpusError(f"label {name} has nonzero proportion but no templates")
     rng = random.Random(seed)
     corpus = []
     for _ in range(n):
         name = rng.choices(names, weights=weights, k=1)[0]
-        entry = templates[name]
-        template = rng.choice(entry.templates)
-        surface = _gen_surface(entry.nsw_spec, rng)
-        if by_name[name].format.fullmatch(surface) is None:
-            raise CorpusError(
-                f"generator {entry.nsw_spec!r} produced {surface!r}, illegal for {name}"
-            )
+        template = rng.choice(templates[name])
+        label = by_name[name]
+        surface = label.draw(rng)
+        if label.format.fullmatch(surface) is None:
+            raise CorpusError(f"{name} drew {surface!r}, which its format rejects")
         start = template.index("{NSW}")
         text = template.replace("{NSW}", surface)
-        span = NSWSpan(start, start + len(surface), by_name[name].id)
-        corpus.append(LabeledSentence(text, (span,)))
+        corpus.append(LabeledSentence(text, (NSWSpan(start, start + len(surface), label.id),)))
     return corpus
 
 

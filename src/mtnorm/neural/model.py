@@ -37,6 +37,7 @@ biases, residuals and the softmax update fresh arrays in place.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -77,14 +78,14 @@ class ClassifierConfig:
             raise ValueError("model_dim must be >= 1 and ff_dim >= 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be > 0 and finite")
         if self.model_dim % self.heads != 0:
             raise ValueError("model_dim must be divisible by heads")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if not self.gamma >= 0.0:
-            raise ValueError("gamma must be >= 0")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be >= 0 and finite")
         if self.window < 1 or self.label_count < 2:
             raise ValueError("window and label_count must be positive")
 

@@ -67,6 +67,16 @@ class TestGenCorpus:
         assert code == 1
         assert "mtnorm gen-corpus:" in capsys.readouterr().err
 
+    def test_bad_templates_fail_with_no_sentences(self, tmp_path, capsys):
+        templates = tmp_path / "templates.json"
+        templates.write_text('{"B_Percent": {"nsw": "bogus", "templates": ["{NSW}"]}}',
+                             encoding="utf-8")
+        out = tmp_path / "x.jsonl"
+        assert main(["gen-corpus", "--templates", str(templates), "--n", "0", "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"mtnorm gen-corpus: {templates}: ")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_same_seed_identical_checkpoints(self, workspace):
@@ -391,7 +401,7 @@ class TestAblate:
 
 
 NOT_UTF8 = b'{"B_Percent": "caf\xe9"}\n'
-TRUNCATED = b'{"B_Percent": {"nsw": "percent", "templates": ["{NSW}"'
+TRUNCATED = b'{"B_Percent": ["{NSW}"'
 TRAIN = ["train", "--out", "x.npz"]
 ABLATE = ["ablate", "--seed", "3"]
 GEN = ["gen-corpus", "--n", "5", "--seed", "1", "--out", "c.jsonl"]
@@ -407,6 +417,7 @@ class TestInputFiles:
             (TRAIN, "--config", b"[1, 2]"),
             (TRAIN, "--config", b'{"window": "x"}'),
             (TRAIN, "--config", b'{"use_mask": "no", "epochs": 1}'),
+            (TRAIN, "--config", b'{"learning_rate": Infinity, "gamma": Infinity}'),
             (ABLATE, "--config", TRUNCATED),
             (GEN, "--dist", NOT_UTF8),
             (GEN, "--dist", TRUNCATED),
@@ -416,8 +427,10 @@ class TestInputFiles:
             (GEN, "--templates", NOT_UTF8),
             (GEN, "--templates", TRUNCATED),
             (GEN, "--templates", b'["{NSW}"]'),
-            (GEN, "--templates", b'{"B_Percent": {"nsw": "percent"}}'),
-            (GEN, "--templates", b'{"B_Percent": {"nsw": "percent", "templates": [5]}}'),
+            (GEN, "--templates", b'{"B_Percent": "{NSW}"}'),
+            (GEN, "--templates", b'{"B_Percent": [5]}'),
+            (GEN, "--templates", b'{"Nope": ["{NSW}"]}'),
+            (GEN, "--templates", b'{"B_Percent": {"nsw": "percent", "templates": ["{NSW}"]}}'),
             (ABLATE, "--grid", NOT_UTF8),
             (ABLATE, "--grid", TRUNCATED),
             (RULES_ONLY, "--in", b"caf\xe9 35\n"),
@@ -426,11 +439,12 @@ class TestInputFiles:
         ],
         ids=[
             "config-not-utf-8", "config-truncated", "config-list", "config-str-window",
-            "config-str-use-mask", "ablate-config-truncated", "dist-not-utf-8",
-            "dist-truncated", "dist-list", "dist-str-proportion", "dist-unknown-label",
-            "templates-not-utf-8", "templates-truncated", "templates-list",
-            "templates-no-templates-key", "templates-int-template", "grid-not-utf-8",
-            "grid-truncated", "in-not-utf-8", "rules-not-utf-8", "priority-not-utf-8",
+            "config-str-use-mask", "config-infinite-rates", "ablate-config-truncated",
+            "dist-not-utf-8", "dist-truncated", "dist-list", "dist-str-proportion",
+            "dist-unknown-label", "templates-not-utf-8", "templates-truncated", "templates-list",
+            "templates-entry-not-list", "templates-int-template", "templates-unknown-label",
+            "templates-old-layout", "grid-not-utf-8", "grid-truncated", "in-not-utf-8",
+            "rules-not-utf-8", "priority-not-utf-8",
         ],
     )
     def test_bad_file_names_its_path(self, workspace, tmp_path, monkeypatch, capsys,

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from collections import Counter, defaultdict
@@ -14,6 +15,7 @@ from mtnorm.corpus import (
     load_corpus,
     load_templates,
     oversample_expand,
+    read_json,
     save_corpus,
     splice,
 )
@@ -21,6 +23,7 @@ from mtnorm.evaluate import load_grid
 from mtnorm.extractor import load_priority_list
 from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.legality import default_formats
+from mtnorm.neural import ClassifierConfig
 from mtnorm.neural.vocab import build_vocab
 from mtnorm.neural.vocab import PAD_CHAR, PAD_ID
 from mtnorm.rules import compile_rules
@@ -112,16 +115,20 @@ class TestLineFormat:
 @pytest.mark.parametrize(
     "load, content",
     [
-        (load_templates, b'{"B_Percent": {"nsw": "percent", "templates": ["caf\xe9{NSW}"]}}'),
-        (load_templates, b'{"B_Percent": {"nsw": "percent"'),
+        (load_templates, b'{"B_Percent": ["caf\xe9{NSW}"]}'),
+        (load_templates, b'{"B_Percent": ["{NSW}"'),
         (load_templates, b'["{NSW}"]'),
-        (load_templates, b'{"B_Percent": {"nsw": "percent", "templates": [5]}}'),
+        (load_templates, b'{"B_Percent": [5]}'),
+        (load_templates, b'{"Nope": ["{NSW}"]}'),
+        (load_templates, b'{"B_Percent": {"nsw": "percent", "templates": ["{NSW}"]}}'),
+        (load_templates, b'{"B_Percent": ["{NSW}{NSW}"]}'),
         (load_grid, b'[{"name": "proposed"'),
         (compile_rules, b"rule: caf\xe9\nlabel: A_Read_No_Zero\n"),
         (load_priority_list, b"caf\xe9\n"),
     ],
     ids=[
         "templates-not-utf-8", "templates-truncated", "templates-list", "templates-int-template",
+        "templates-unknown-label", "templates-old-layout", "templates-two-slots",
         "grid-truncated", "rules-not-utf-8", "priority-not-utf-8",
     ],
 )
@@ -130,6 +137,23 @@ def test_input_fault_names_the_file(tmp_path, load, content):
     path.write_bytes(content)
     with pytest.raises(CorpusError, match="^" + re.escape(f"{path}: ")):
         load(str(path))
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_priority_list, "911\n"),
+        (lambda path: compile_rules(path).rules, "rule: quantity\nlabel: A_Read_No_Zero\n"),
+        (lambda path: read_json(path, lambda raw: ClassifierConfig(**raw)), '{"epochs": 2}'),
+        (load_corpus, '{"text": "共100人", "spans": [[1, 4, "A_Read_No_Zero"]]}\n'),
+    ],
+    ids=["priority", "rules", "config", "corpus"],
+)
+def test_leading_byte_order_mark_dropped(tmp_path, load, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load(str(marked)) == load(str(plain))
 
 
 def test_splice_replaces_spans_in_text_order():
@@ -233,6 +257,15 @@ class TestGeneration:
         templates = {k: v for k, v in load_templates().items() if k != "A_Read_No_Zero"}
         with pytest.raises(CorpusError, match="no templates"):
             generate_synthetic_corpus(dist, 5, seed=1, templates=templates)
+        with pytest.raises(CorpusError, match="no templates"):
+            generate_synthetic_corpus(dist, 5, seed=1, templates={"A_Read_No_Zero": ()})
+
+    def test_drawn_surface_outside_format_names_the_label(self, monkeypatch):
+        lab = DEFAULT_REGISTRY.by_name("B_Percent")
+        monkeypatch.setitem(DEFAULT_REGISTRY._by_name, lab.name,
+                            dataclasses.replace(lab, draw=lambda rng: "10"))
+        with pytest.raises(CorpusError, match="^B_Percent drew '10', which its format rejects$"):
+            generate_synthetic_corpus(CorpusDistribution({"B_Percent": 1.0}), 1, seed=1)
 
     def test_ambiguous_surface_pairs_present(self):
         corpus = generate_synthetic_corpus(DIST, 10000, seed=7)

@@ -1,4 +1,4 @@
-"""Rules-only behaviour pinned as sha256 digests over seeded dense lines.
+"""Rules-only behaviour and oversampling pinned as sha256 digests over seeded data.
 
 The lines are the benchmark's file inputs in miniature: 2-8 generated
 sentences joined by '，' and ended by '。', seed 7. Three things are hashed:
@@ -6,9 +6,12 @@ the ``normalize_many`` outputs with their ``to_record()`` traces, the
 ``reference_sfw`` gold outputs, and the bytes ``write_traces`` writes for
 those traces. Rules-only traces hold no floats, so the digests do not
 depend on the machine or the numpy version, and no checkpoint is needed.
+A fourth digest covers ``oversample_expand`` of the 3000-sentence seed-7
+corpus at seed 7, the training set's digit-jitter path.
 
-A change that alters rules-only behaviour on purpose updates these digests
-and says what moved; any other change must leave them as they are.
+A change that alters rules-only behaviour or the generated data on purpose
+updates these digests and says what moved; any other change must leave them
+as they are.
 """
 
 import hashlib
@@ -18,12 +21,20 @@ import random
 import pytest
 
 from mtnorm import pipeline
-from mtnorm.corpus import CorpusDistribution, LabeledSentence, NSWSpan, generate_synthetic_corpus
+from mtnorm.corpus import (
+    CorpusDistribution,
+    LabeledSentence,
+    NSWSpan,
+    encode_spans,
+    generate_synthetic_corpus,
+    oversample_expand,
+)
 from mtnorm.evaluate import reference_sfw
 
 OUTPUTS_AND_TRACES = "796578dfecc77cd04c6345eaac760f24122a7e10cbd091fcff7a39456bc5fda1"
 REFERENCES = "56713d41bbcf5421622ac77f87cd69340950051f32e6a2d19079b723a55f8931"
 TRACE_FILE = "4c796a0013f8e946f19714c27934cc3062c2225299c0de06e01d2760aa3fd6b4"
+OVERSAMPLED = "a88c89fff508779ab1de2629d361b62097b17391fc7a7a18bffec99da44303d7"
 
 
 def dense_lines(n_lines, seed):
@@ -74,3 +85,9 @@ def test_trace_file_bytes(traced, tmp_path):
     path = tmp_path / "trace.jsonl"
     pipeline.write_traces(str(path), [(text, traces) for text, (_, traces) in zip(texts, results)])
     assert sha256(path.read_bytes()) == TRACE_FILE
+
+
+def test_oversample_expand():
+    corpus = generate_synthetic_corpus(CorpusDistribution.default(), 3000, seed=7)
+    payload = [[s.text, encode_spans(s)] for s in oversample_expand(corpus, seed=7)]
+    assert sha256(json.dumps(payload, ensure_ascii=False).encode()) == OVERSAMPLED

@@ -606,6 +606,8 @@ class TestConfig:
             ("model_dim", -8, "model_dim must be >= 1"),
             ("ff_dim", -1, "ff_dim >= 0"),
             ("gamma", float("nan"), "gamma must be >= 0"),
+            ("learning_rate", float("inf"), "learning_rate must be > 0 and finite"),
+            ("gamma", float("inf"), "gamma must be >= 0 and finite"),
         ],
     )
     def test_values_that_break_training_rejected(self, field, value, message):

@@ -4,28 +4,14 @@ import pytest
 
 from oracles import parse_han_number
 
-from mtnorm.corpus import _gen_surface
 from mtnorm.extractor import NSW_SYMBOLS
+from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.reader import (
     read_decimal,
     read_number_positional,
     render,
     spell_digits,
 )
-
-GENERATOR_BY_LABEL = {
-    "A_Read_No_Zero": "int:0-99999",
-    "A_Spell_Keep_Zero": "year",
-    "B_Percent": "percent",
-    "B_Range": "range",
-    "B_Score_Ratio": "score",
-    "B_Slash_Per": "per",
-    "B_Time": "time",
-    "B_Date_YMD": "date",
-    "A_Two_Liang": "two",
-    "A_One_Yao_Spell": "phone",
-    "B_Dollar": "dollar",
-}
 
 
 class TestFixtureTable:
@@ -114,13 +100,13 @@ class TestRender:
         assert render("2019-10-01", "B_Date_YMD") == "二零一九年十月一日"
 
     def test_totality_and_purity_on_legal_surfaces(self):
-        # any generator-produced surface must render, and the rendering must
+        # any surface a label draws must render, and the rendering must
         # carry no digits and no extraction symbols
         rng = random.Random(23)
-        for name, spec in GENERATOR_BY_LABEL.items():
+        for lab in DEFAULT_REGISTRY:
             for _ in range(60):
-                surface = _gen_surface(spec, rng)
-                rendered = render(surface, name)
+                surface = lab.draw(rng)
+                rendered = render(surface, lab.name)
                 assert rendered
                 assert not any(ch.isdigit() for ch in rendered)
                 assert not any(ch in NSW_SYMBOLS for ch in rendered)
