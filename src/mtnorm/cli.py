@@ -20,7 +20,10 @@ from .rules import RuleSet, compile_rules
 
 
 def _read_lines(path: str | None) -> list[str]:
-    text = sys.stdin.read() if path is None or path == "-" else corpus_mod.read_text(path)
+    if path is None or path == "-":
+        text = corpus_mod.decode_text(sys.stdin.buffer.read(), "<stdin>")
+    else:
+        text = corpus_mod.read_text(path)
     return text.removesuffix("\n").split("\n") if text else []
 
 

@@ -85,12 +85,19 @@ def read_json(path: str, decode: Callable):
 
 
 def read_text(path: str) -> str:
-    """The file as UTF-8 text, newlines translated as text-mode ``open`` does."""
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"{path}: {exc}") from exc
+    """The file as ``decode_text`` decodes it; a decode fault names ``path``."""
+    with open(path, "rb") as fh:
+        return decode_text(fh.read(), path)
+
+
+def decode_text(data: bytes, source: str) -> str:
+    """UTF-8 bytes as text without a leading byte-order mark, newlines
+    translated as text-mode ``open`` does; a decode fault names ``source``."""
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{source}: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def encode_spans(sentence: LabeledSentence) -> list[list]:

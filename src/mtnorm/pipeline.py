@@ -19,8 +19,10 @@ shipped label table (``labels.DEFAULT_REGISTRY``): the chosen label is
 rendered by its reader if the surface is legal for it, and otherwise, or
 if the reader refuses, the span takes the rule fallback with its
 probabilities kept in the trace; a span nothing can handle stays
-verbatim. A system without a classifier is the rules-only baseline:
-every non-priority span takes the fallback route.
+verbatim. A rule renders with ``Rule.read``. A reader that raises any
+exception, not only ``ValueError``, refuses just its own span. A system
+without a classifier is the rules-only baseline: every non-priority span
+takes the fallback route.
 
 The classifier decides each span from its own window, so nothing ties a
 forward pass to one sentence: ``normalize_many`` routes every span of
@@ -39,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import reader
 from .corpus import NSWSpan, splice, write_jsonl
 from .extractor import PriorityList, extract_nsw, priority_check
 from .labels import DEFAULT_REGISTRY, LabelRegistry
@@ -114,10 +115,11 @@ def _rule_route(sys: HybridSystem, text: str, span: NSWSpan, surface: str, route
     rule = match_nsw(sys.rules, text, span)
     if rule is not None:
         try:
-            sfw = reader.render(surface, rule.label)
-            return NormalizationTrace(span, route, rule.label, sfw, probs)
-        except ValueError:
+            sfw = rule.read(surface)
+        except Exception:  # a reader fault stays inside its span
             pass
+        else:
+            return NormalizationTrace(span, route, rule.label, sfw, probs)
     return NormalizationTrace(span, ROUTE_UNMATCHED, None, None, probs)
 
 
@@ -129,9 +131,10 @@ def _neural_route(
     if legal[label]:
         try:
             sfw = DEFAULT_REGISTRY.by_id(label).read(surface)
-            return NormalizationTrace(span, ROUTE_NEURAL, label, sfw, probs)
-        except ValueError:
+        except Exception:  # a reader fault stays inside its span
             pass
+        else:
+            return NormalizationTrace(span, ROUTE_NEURAL, label, sfw, probs)
     return _rule_route(sys, text, span, surface, ROUTE_FALLBACK, probs)
 
 
@@ -158,8 +161,8 @@ def normalize_many(
             rule = match_nsw(sys.rules.context_prefix, text, span)
             if rule is not None and rule.context:
                 try:
-                    sfw = reader.render(surface, rule.label)
-                except ValueError:
+                    sfw = rule.read(surface)
+                except Exception:
                     pass  # the classifier decides, as for any other span
                 else:
                     traces[i] = NormalizationTrace(span, ROUTE_PRIORITY, rule.label, sfw)

@@ -7,7 +7,21 @@ order is derived from the rule fields, never from file position.
 
 A rule's ``label:`` names a label of the shipped label table, and its NSW
 shape defaults to that label's format, so rules, classifier mask and
-readers share one surface domain; an explicit ``nsw:`` narrows it.
+readers share one surface domain; an explicit ``nsw:`` narrows it. A rule
+reads the surfaces it matches (``Rule.read``): a rule on its label's format
+holds the label's reader, since the match checked that format; a rule with
+its own ``nsw:`` goes through ``reader.render``, which checks the label's
+format first.
+
+A ``RuleSet`` joins its rules' NSW patterns, in match order and each in
+one capturing group, into one alternation, whose ``fullmatch`` picks the
+first rule whose NSW matches the whole surface (``lastindex``). So every
+NSW pattern must be able to stand as one group of an alternation:
+``parse_rules`` refuses a capturing group (write ``(?:...)``) and a global
+inline flag such as ``(?i)`` (write ``(?i:...)``). Matching a span costs
+one alternation call, plus, after a context rule whose context fails, one
+call per rule tried up to the last context rule and one call of a second
+alternation over the rules after it.
 
 A rule with a ``pre:`` or ``post:`` pattern is a context rule
 (``Rule.context``) and needs a positive ``context_len`` to search in. When
@@ -21,8 +35,11 @@ never a context rule, and the prefix gives the same answer for less walking.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
+from typing import Callable
 
+from . import reader
 from .corpus import NSWSpan, read_text
 from .labels import DEFAULT_REGISTRY
 
@@ -33,6 +50,14 @@ class RuleError(ValueError):
 
 @dataclass(frozen=True)
 class Rule:
+    """One rule record; ``read`` gives the spoken form of a surface it matched.
+
+    On its label's format, ``read`` is the label's reader; with its own
+    ``nsw:`` pattern, which may admit surfaces the format does not, it is
+    ``reader.render``, which checks the format first. A surface the format
+    rejects, or that the reader cannot read, raises ``ValueError``.
+    """
+
     name: str
     priority: int
     pre_pattern: re.Pattern
@@ -40,6 +65,7 @@ class Rule:
     post_pattern: re.Pattern
     context_len: int
     label: int
+    read: Callable[[str], str] = field(repr=False, compare=False)
 
     def sort_key(self):
         # Descending specificity, descending priority, stable by name.
@@ -54,9 +80,13 @@ class Rule:
 class RuleSet:
     """Rules indexed in match order; immutable after construction.
 
-    ``match_nsw`` walks ``_matchers``: per rule in match order, its NSW
-    ``fullmatch``, its context length and its pre and post ``search``, or
-    ``None`` for an empty pattern, which always matches.
+    ``_first`` is the ``fullmatch`` of the alternation of every rule's NSW
+    pattern and ``_rest`` that of the rules from index ``_tail`` on, those
+    after the last context rule; a match's ``lastindex`` is the rule's
+    position in its alternation, counted from 1. ``_matchers`` holds per
+    rule in match order its NSW ``fullmatch``, its context length and its
+    pre and post ``search``, or ``None`` for an empty pattern, which always
+    matches.
     ``context_prefix`` holds the rules up to and including the last context
     rule in match order: the set itself when that is its last rule (or it
     is empty), else a new ``RuleSet`` of that prefix.
@@ -79,6 +109,9 @@ class RuleSet:
             for rule in self.rules
         )
         last = max((i for i, rule in enumerate(self.rules) if rule.context), default=-1)
+        self._tail = last + 1
+        self._first = _alternation(self.rules)
+        self._rest = _alternation(self.rules[self._tail :])
         self.context_prefix = (
             self if last == len(self.rules) - 1 else RuleSet(self.rules[: last + 1])
         )
@@ -88,6 +121,12 @@ class RuleSet:
 
     def __iter__(self):
         return iter(self.rules)
+
+
+def _alternation(rules) -> Callable[[str], re.Match | None]:
+    """``fullmatch`` of the rules' NSW patterns as one alternation, one group each."""
+    pattern = "|".join(f"({rule.nsw_pattern.pattern})" for rule in rules)
+    return re.compile(pattern or "(?!)").fullmatch  # (?!) never matches: no rules
 
 
 _RULE_FIELDS = {"priority", "context_len", "pre", "nsw", "post", "label"}
@@ -117,36 +156,51 @@ def parse_rules(text: str, source: str = "<rules>") -> RuleSet:
         else:
             raise RuleError(f"{source}:{lineno}: unknown field {key!r}")
 
-    rules = []
-    for lineno, name, fields in records:
-        label_name = fields.get("label", "")
-        if label_name not in DEFAULT_REGISTRY:
-            raise RuleError(f"{source}:{lineno}: rule {name}: unknown label {label_name!r}")
-        try:
-            rules.append(
-                Rule(
-                    name=name,
-                    priority=int(fields.get("priority", "0")),
-                    pre_pattern=re.compile(fields.get("pre", "")),
-                    nsw_pattern=re.compile(
-                        fields.get("nsw") or DEFAULT_REGISTRY.by_name(label_name).format
-                    ),
-                    post_pattern=re.compile(fields.get("post", "")),
-                    context_len=int(fields.get("context_len", "0")),
-                    label=DEFAULT_REGISTRY.id_of(label_name),
-                )
-            )
-        except re.error as exc:
-            raise RuleError(f"{source}:{lineno}: rule {name}: bad pattern: {exc}") from exc
-        except ValueError as exc:
-            raise RuleError(f"{source}:{lineno}: rule {name}: {exc}") from exc
-        if rules[-1].context_len < 0:
-            raise RuleError(f"{source}:{lineno}: rule {name}: context_len must be >= 0")
-        if rules[-1].context_len == 0 and rules[-1].context:
-            raise RuleError(
-                f"{source}:{lineno}: rule {name}: a pre or post pattern needs context_len >= 1"
-            )
-    return RuleSet(rules)
+    with warnings.catch_warnings():
+        # Python 3.10 only warns of a global inline flag off a pattern's
+        # start, where 3.11 raises: refuse it on both
+        warnings.simplefilter("error", DeprecationWarning)
+        return RuleSet([_parse_rule(source, *record) for record in records])
+
+
+def _parse_rule(source: str, lineno: int, name: str, fields: dict[str, str]) -> Rule:
+    where = f"{source}:{lineno}: rule {name}"
+    label_name = fields.get("label", "")
+    if label_name not in DEFAULT_REGISTRY:
+        raise RuleError(f"{where}: unknown label {label_name!r}")
+    lab = DEFAULT_REGISTRY.by_name(label_name)
+    nsw = fields.get("nsw")
+    try:
+        rule = Rule(
+            name=name,
+            priority=int(fields.get("priority", "0")),
+            pre_pattern=re.compile(fields.get("pre", "")),
+            nsw_pattern=re.compile(nsw) if nsw else lab.format,
+            post_pattern=re.compile(fields.get("post", "")),
+            context_len=int(fields.get("context_len", "0")),
+            label=lab.id,
+            read=(lambda surface: reader.render(surface, lab.id)) if nsw else lab.read,
+        )
+    except (re.error, DeprecationWarning) as exc:
+        raise RuleError(f"{where}: bad pattern: {exc}") from exc
+    except ValueError as exc:
+        raise RuleError(f"{where}: {exc}") from exc
+    if rule.context_len < 0:
+        raise RuleError(f"{where}: context_len must be >= 0")
+    if rule.context_len == 0 and rule.context:
+        raise RuleError(f"{where}: a pre or post pattern needs context_len >= 1")
+    # the NSW pattern must stand as one group of the set's alternation
+    pattern = rule.nsw_pattern.pattern
+    if rule.nsw_pattern.groups:
+        raise RuleError(f"{where}: nsw pattern {pattern!r} has a capturing group; write (?:...)")
+    try:
+        re.compile(f"({pattern})")
+    except (re.error, DeprecationWarning) as exc:
+        raise RuleError(
+            f"{where}: nsw pattern {pattern!r} has a global inline flag such as (?i);"
+            " write a scoped one, (?i:...)"
+        ) from exc
+    return rule
 
 
 def compile_rules(path: str) -> RuleSet:
@@ -157,16 +211,28 @@ def match_nsw(rs: RuleSet, text: str, span: NSWSpan) -> Rule | None:
     """First rule in specificity order whose patterns all match at the span.
 
     The NSW pattern must match the whole surface; the pre and post patterns
-    search the up to ``context_len`` characters before and after it.
+    search the up to ``context_len`` characters before and after it. The
+    set's alternation jumps to the first rule whose NSW matches; only when
+    that rule's context fails are the rules up to the last context rule
+    tried one by one, and the rules after it as their own alternation.
     """
     start, end = span.start, span.end
     surface = text[start:end]
-    for rule, fullmatch, context_len, pre, post in rs._matchers:
-        if fullmatch(surface) is None:
-            continue
-        if pre is not None and pre(text[max(0, start - context_len) : start]) is None:
-            continue
-        if post is not None and post(text[end : end + context_len]) is None:
-            continue
-        return rule
-    return None
+    found = rs._first(surface)
+    if found is None:
+        return None
+    matchers, tail = rs._matchers, rs._tail
+    i = found.lastindex - 1
+    while True:
+        rule, _, context_len, pre, post = matchers[i]
+        if (pre is None or pre(text[max(0, start - context_len) : start]) is not None) and (
+            post is None or post(text[end : end + context_len]) is not None
+        ):
+            return rule
+        # a context rule whose context failed: only a later rule can match
+        for i in range(i + 1, tail):
+            if matchers[i][1](surface) is not None:
+                break
+        else:
+            found = rs._rest(surface)
+            return None if found is None else rs.rules[tail + found.lastindex - 1]

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +236,37 @@ class TestNormalize:
         infile.write_bytes("共3人\r\n\r\n只有10%\r共5人\n".encode())
         assert main(["normalize", "--rules-only", "--in", str(infile), "--out", str(outfile)]) == 0
         assert outfile.read_text("utf-8").split("\n") == ["共三人", "", "只有百分之十", "共五人", ""]
+
+
+def normalize_stdin(data: bytes) -> subprocess.CompletedProcess:
+    """``mtnorm normalize --rules-only`` in a fresh process, ``data`` on its stdin."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"}
+    return subprocess.run(
+        [sys.executable, "-m", "mtnorm.cli", "normalize", "--rules-only"],
+        input=data, env=env, capture_output=True,
+    )
+
+
+class TestStdin:
+    """Standard input is decoded as an ``--in`` file is."""
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        data = b"\xef\xbb\xbf" + "共有35人\r\n只有10%\r共5人\n".encode()
+        result = normalize_stdin(data)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "共有三十五人\n只有百分之十\n共五人\n".encode()
+        infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
+        infile.write_bytes(data)
+        assert main(["normalize", "--rules-only", "--in", str(infile), "--out", str(outfile)]) == 0
+        assert outfile.read_bytes() == result.stdout
+
+    def test_bad_utf8_named(self):
+        result = normalize_stdin("共有35人".encode() + b"\xff\n")
+        assert result.returncode == 1 and result.stdout == b""
+        err = result.stderr.decode()
+        assert err.startswith("mtnorm normalize: <stdin>: ") and "can't decode byte 0xff" in err
+        assert err.count("\n") == 1
 
 
 class TestClassify:

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from oracles import reference_window
 
-from mtnorm.corpus import CorpusDistribution, LabeledSentence, generate_synthetic_corpus
+from mtnorm.corpus import CorpusDistribution, LabeledSentence, data_path, generate_synthetic_corpus
 from mtnorm.extractor import extract_nsw, priority_check
 from mtnorm.labels import DEFAULT_REGISTRY, LabelRegistry
 from mtnorm.neural import model
 from mtnorm.reader import render
-from mtnorm.rules import match_nsw, parse_rules
+from mtnorm.rules import compile_rules, match_nsw, parse_rules
 from mtnorm.pipeline import (
     ROUTE_FALLBACK,
     ROUTE_NEURAL,
@@ -45,6 +45,29 @@ def definite(system, text, span):
     except ValueError:
         return False
     return True
+
+
+@pytest.fixture
+def swap_reader(monkeypatch):
+    """Replace a shipped label's reader in the label table for one test.
+
+    ``swap(system, name, read)`` returns ``system`` with its rules parsed
+    afresh, so that the rules on the label's format hold ``read`` too.
+    """
+
+    def swap(system, name, read):
+        swapped = replace(DEFAULT_REGISTRY.by_name(name), read=read)
+        labels = list(DEFAULT_REGISTRY)
+        labels[swapped.id] = swapped
+        monkeypatch.setattr(DEFAULT_REGISTRY, "_labels", labels)
+        monkeypatch.setattr(DEFAULT_REGISTRY, "_by_name", {**DEFAULT_REGISTRY._by_name, name: swapped})
+        return replace(system, rules=compile_rules(data_path("rules.txt")))
+
+    return swap
+
+
+def divide_by_zero(surface):
+    return str(1 // 0)
 
 
 class TestRuleBaselineSentence:
@@ -364,7 +387,7 @@ class TestNormalizeMany:
         assert [t.route for t in many[-1][1]] == [ROUTE_PRIORITY, ROUTE_NEURAL, ROUTE_UNMATCHED]
         assert many[-1][1][2].sfw is None and many[-1][1][2].probabilities is None
 
-    def test_reader_refusal_keeps_probabilities(self, tiny_system, monkeypatch):
+    def test_reader_refusal_keeps_probabilities(self, tiny_system, swap_reader):
         # the reader of the label the classifier picks for 10:30 refuses:
         # the span takes the rule fallback with its probabilities kept
         _, before = normalize(self.MIXED, tiny_system)
@@ -374,14 +397,8 @@ class TestNormalizeMany:
         def refuse(surface):
             raise ValueError(f"cannot read {surface!r}")
 
-        refusing = replace(picked, read=refuse)
-        labels = list(DEFAULT_REGISTRY)
-        labels[picked.id] = refusing
-        monkeypatch.setattr(DEFAULT_REGISTRY, "_labels", labels)
-        monkeypatch.setattr(
-            DEFAULT_REGISTRY, "_by_name", {**DEFAULT_REGISTRY._by_name, picked.name: refusing}
-        )
-        for _, traces in normalize_many([self.MIXED, self.MIXED], tiny_system):
+        system = swap_reader(tiny_system, picked.name, refuse)
+        for _, traces in normalize_many([self.MIXED, self.MIXED], system):
             assert traces[1].route in (ROUTE_FALLBACK, ROUTE_UNMATCHED)
             assert traces[1].label != picked.id
             probs = traces[1].probabilities
@@ -395,6 +412,30 @@ class TestNormalizeMany:
         many = normalize_many(texts, rules_system)
         assert forward_calls == []
         assert many == [normalize(text, rules_system) for text in texts]
+
+
+class TestReaderFaults:
+    """A reader that raises anything fails only its own span, never the call."""
+
+    def test_rule_route(self, rules_system, swap_reader):
+        system = swap_reader(rules_system, "B_Percent", divide_by_zero)
+        [(out, traces), (other, _)] = normalize_many(["只有10%的学生", "共有35人"], system)
+        assert out == "只有10%的学生" and other == "共有三十五人"
+        assert traces[0].route == ROUTE_UNMATCHED and traces[0].label is None
+
+    def test_neural_route_takes_the_rule_fallback(self, tiny_system, swap_reader):
+        # 10% has one legal label, so the neural route reads it first
+        system = swap_reader(tiny_system, "B_Percent", divide_by_zero)
+        [(out, traces), (other, _)] = normalize_many(["只有10%的学生", "共有35人"], system)
+        assert out == "只有10%的学生" and other == "共有三十五人"
+        assert traces[0].route == ROUTE_UNMATCHED
+        assert traces[0].probabilities is not None
+
+    def test_definite_check_leaves_the_span_to_the_classifier(self, tiny_system, swap_reader):
+        system = swap_reader(tiny_system, "A_Spell_Keep_Zero", divide_by_zero)
+        [(_, traces), (other, _)] = normalize_many(["他1998年毕业", "共有35人"], system)
+        assert other == "共有三十五人"
+        assert traces[0].route != ROUTE_PRIORITY and traces[0].probabilities is not None
 
 
 class TestFormatOverride:

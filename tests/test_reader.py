@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from oracles import parse_han_number
+from oracles import boundary_surfaces, parse_han_number
 
+from mtnorm.corpus import NSWSpan
 from mtnorm.extractor import NSW_SYMBOLS
 from mtnorm.labels import DEFAULT_REGISTRY
 from mtnorm.reader import (
@@ -12,6 +13,7 @@ from mtnorm.reader import (
     render,
     spell_digits,
 )
+from mtnorm.rules import match_nsw, parse_rules
 
 
 class TestFixtureTable:
@@ -116,3 +118,34 @@ class TestRender:
 
         for surface, label, expected in fixture_rows:
             assert extract_nsw(expected) == []
+
+
+def read_or_refusal(read, surface):
+    try:
+        return read(surface)
+    except ValueError:
+        return ValueError
+
+
+class TestRuleRead:
+    """``Rule.read`` skips ``render``'s format check only where the match made it."""
+
+    def test_shipped_rules_read_as_render(self, ruleset, fixture_rows):
+        rng = random.Random(29)
+        surfaces = set(boundary_surfaces()) | {surface for surface, _, _ in fixture_rows}
+        for lab in DEFAULT_REGISTRY:
+            surfaces.update(lab.draw(rng) for _ in range(300))
+        for rule in ruleset:
+            accepted = sorted(s for s in surfaces if rule.nsw_pattern.fullmatch(s))
+            assert accepted, rule.name
+            for surface in accepted:
+                want = read_or_refusal(lambda s: render(s, rule.label), surface)
+                assert read_or_refusal(rule.read, surface) == want, (rule.name, surface)
+
+    def test_nsw_wider_than_the_format_still_refuses(self):
+        rs = parse_rules("rule: clock\nnsw: \\d+:\\d+\nlabel: B_Time\n")
+        [rule] = rs
+        assert match_nsw(rs, "25:99", NSWSpan(0, 5)) is rule
+        with pytest.raises(ValueError, match="not legal for label B_Time"):
+            rule.read("25:99")
+        assert rule.read("10:30") == "十点三十分"

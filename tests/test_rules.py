@@ -81,6 +81,39 @@ class TestCompile:
             assert matched == {s for s in surfaces if lab.format.fullmatch(s)}, lab.name
             assert matched, lab.name
 
+    @pytest.mark.parametrize(
+        "nsw, fault",
+        [
+            (r"(\d{4})", "capturing group"),
+            (r"(?P<y>\d{4})", "capturing group"),
+            (r"(?i)\d+", "global inline flag"),
+            (r"(?s)\d+", "global inline flag"),
+            # not at the start: Python 3.10 only warns, 3.11 raises; refused on both
+            (r"\d+(?i)", ""),
+        ],
+    )
+    def test_pattern_that_cannot_be_an_alternative_rejected(self, nsw, fault):
+        # each NSW pattern becomes one group of the set's alternation
+        text = f"rule: ok\nlabel: A_Read_No_Zero\n\nrule: grouped\nnsw: {nsw}\nlabel: A_Spell_Keep_Zero\n"
+        with pytest.raises(RuleError, match=f":4: rule grouped: .*{fault}"):
+            parse_rules(text)
+
+    def test_scoped_flag_and_non_capturing_group_accepted(self):
+        rs = parse_rules("rule: r1\nnsw: (?:\\d{4})|(?i:x)\\d+\nlabel: A_Spell_Keep_Zero\n")
+        assert match_nsw(rs, "X12", NSWSpan(0, 3)) is not None
+        assert match_nsw(rs, "1998", NSWSpan(0, 4)) is not None
+
+    def test_every_label_format_is_an_alternative(self, fixture_rows):
+        # any label can back a rule without nsw:, alone or beside the others
+        text = "".join(f"rule: {lab.name}\nlabel: {lab.name}\n\n" for lab in DEFAULT_REGISTRY)
+        rs = parse_rules(text)
+        assert [rule.nsw_pattern for rule in rs] == [
+            DEFAULT_REGISTRY.by_name(rule.name).format for rule in rs
+        ]
+        for surface, _, _ in fixture_rows:
+            span = NSWSpan(0, len(surface))
+            assert match_nsw(rs, surface, span) is reference_match_nsw(rs.rules, surface, 0, len(surface))
+
 
 
 class TestMatch:
@@ -121,29 +154,47 @@ class TestMatch:
         assert match_nsw(parse_rules(text), "20人", NSWSpan(0, 2)) is not None
 
 
-def random_instance(rng):
+RANDOM_NSW_PATTERNS = [
+    r"\d+", r"\d+-\d+", r"\d+%", r"\d{2}", r"\d+:\d+",
+    # a top-level alternation, and lookaheads like quantity_before_unit's
+    r"\d+%|\d{3}", r"\d{2}|\d+-\d+", r"(?!2$)\d+", r"(?!100$)\d+|\d+:\d+",
+]
+
+
+def random_instance(rng, kind=None):
+    """Up to 10 random rules and a sentence with one span.
+
+    ``kind`` is ``"mixed"``, ``"no_context"`` (no rule has a pre or post
+    pattern) or ``"context_only"`` (every rule has one); drawn if ``None``.
+    """
     keywords = ["比分", "气温", "时间", "票价", "编号"]
     tails = ["领先", "度", "点", "元", "号"]
-    nsw_patterns = [r"\d+", r"\d+-\d+", r"\d+%", r"\d{2}", r"\d+:\d+"]
+    kind = kind or rng.choice(["mixed", "mixed", "no_context", "context_only"])
     specs = []
-    for i in range(rng.randint(1, 8)):
+    for i in range(rng.randint(1, 10)):
+        pre = post = ""
+        if kind == "mixed":
+            pre, post = rng.choice([""] * 3 + keywords), rng.choice([""] * 3 + tails)
+        elif kind == "context_only":
+            while not (pre or post):
+                pre, post = rng.choice([""] + keywords), rng.choice([""] + tails)
         specs.append(
             {
                 "name": f"r{i:02d}",
                 "priority": rng.randint(0, 9),
                 "context_len": rng.randint(0, 4),
-                "pre": rng.choice([""] * 3 + keywords),
-                "nsw": rng.choice(nsw_patterns),
-                "post": rng.choice([""] * 3 + tails),
+                "pre": pre,
+                "nsw": rng.choice(RANDOM_NSW_PATTERNS),
+                "post": post,
                 "label": "A_Read_No_Zero",
             }
         )
-        if specs[-1]["pre"] or specs[-1]["post"]:
+        if pre or post:
             # a context pattern needs a window: parse_rules rejects context_len 0
             specs[-1]["context_len"] = max(1, specs[-1]["context_len"])
-    body = rng.choice(["30-10", "100", "15%", "10:30", "42"])
-    left = rng.choice(["", "比分", "气温是", "在", "编号共计"])
-    right = rng.choice(["", "领先", "度", "元整", "号房间"])
+    body = rng.choice(["30-10", "100", "15%", "10:30", "42", "2"])
+    left = rng.choice(["", "比分", "气温是", "在", "编号共计", "时间", "票价"])
+    right = rng.choice(["", "领先", "度", "元整", "号房间", "点"])
     text = left + body + right
     return specs, text, len(left), len(left) + len(body)
 
@@ -226,9 +277,42 @@ class TestAgainstReferenceLoop:
 
     def test_random_rule_sets(self):
         rng = random.Random(77)
-        for _ in range(300):
-            specs, text, start, end = random_instance(rng)
-            self.check(parse_rules(make_rule_text(specs)), text, NSWSpan(start, end))
+        past_failed_context = past_last_context = 0
+        kinds = {"mixed": 0, "no_context": 0, "context_only": 0}
+        for _ in range(2000):
+            kind = rng.choice(list(kinds))
+            specs, text, start, end = random_instance(rng, kind)
+            rs = parse_rules(make_rule_text(specs))
+            rule = self.check(rs, text, NSWSpan(start, end))
+            kinds[kind] += rule is not None
+            surface = text[start:end]
+            first = next((r for r in rs if r.nsw_pattern.fullmatch(surface)), None)
+            if rule is not None and first is not None and first is not rule:
+                # the first rule whose NSW matches is a context rule whose context failed
+                past_failed_context += 1
+                past_last_context += rs.rules.index(rule) >= len(rs.context_prefix)
+        assert min(kinds.values()) > 20, kinds
+        assert past_failed_context > 50 and past_last_context > 10
+
+    def test_context_rule_fails_then_later_rules(self):
+        specs = [
+            {"name": "a_score", "priority": 9, "context_len": 3, "pre": "比分", "nsw": r"\d+-\d+|\d+", "post": "", "label": "A_Read_No_Zero"},
+            {"name": "b_free", "priority": 8, "context_len": 2, "pre": "", "nsw": r"\d+:\d+", "post": "", "label": "A_Read_No_Zero"},
+            {"name": "c_year", "priority": 7, "context_len": 2, "pre": "", "nsw": r"\d{4}", "post": "年", "label": "A_Read_No_Zero"},
+            {"name": "d_plain", "priority": 1, "context_len": 0, "pre": "", "nsw": r"(?!2$)\d+", "post": "", "label": "A_Read_No_Zero"},
+            {"name": "e_two", "priority": 0, "context_len": 0, "pre": "", "nsw": r"2", "post": "", "label": "A_Two_Liang"},
+        ]
+        rs = parse_rules(make_rule_text(specs))
+        for text, want in [
+            ("比分3-1", "a_score"),
+            ("共1998年", "c_year"),  # a_score fails, b_free misses, c_year holds
+            ("共1998人", "d_plain"),  # both context rules fail: the rest's alternation
+            ("共2人", "e_two"),  # ... where the lookahead skips d_plain
+            ("共3-1人", None),
+        ]:
+            span = extract_nsw(text)[0]
+            got = self.check(rs, text, span)
+            assert (got and got.name) == want, text
 
 
 def definite(rs, text, span):
@@ -265,18 +349,19 @@ class TestMatchDefinite:
 
     def test_random_rule_sets(self):
         rng = random.Random(88)
-        shadowed = found = 0
+        shadowed = found = prefix_is_set = 0
         for _ in range(500):
             specs, text, start, end = random_instance(rng)
             rs = parse_rules(make_rule_text(specs))
             found += self.check(rs, text, NSWSpan(start, end)) is not None
+            prefix_is_set += rs.context_prefix is rs
             flags = [rule.context for rule in rs]
             # a context-free rule sorts before a context rule
             shadowed += any(not a and b for a, b in zip(flags, flags[1:]))
             prefix = rs.context_prefix.rules
             assert rs.rules[: len(prefix)] == prefix and sum(flags) == sum(r.context for r in prefix)
             assert not prefix or prefix[-1].context
-        assert shadowed > 100 and found > 10
+        assert shadowed > 100 and found > 10 and prefix_is_set > 50
 
     def test_context_free_rule_first(self):
         rs = parse_rules(make_rule_text([
