@@ -4,25 +4,25 @@ Per sentence: extract NSW spans, route each one, classify the
 classifier-routed spans against the original text (replacements would
 shift the context other spans depend on; ``Vocabulary.windows`` cuts
 their windows from the text in one call), then splice the spoken forms
-in with ``corpus.splice``. Routing per span: priority
-surfaces go straight to the rules. With a classifier, so does a span
-whose ``match_nsw`` rule is a context rule (a ``pre:`` or ``post:``
-pattern), if that rule's reader accepts the surface; these take the
-priority route too, before legality, windows and the classifier. The
-check runs ``match_nsw`` over ``RuleSet.context_prefix``, which gives a
-context rule exactly where the whole set does. A span with no legal
-label takes the rule fallback. A span with one legal label needs no
-classifier: its masked softmax could only return that label's one-hot,
-so it gets that one-hot directly. Every other span's window goes to the
-classifier. Each span's legal labels are computed once, from the
-shipped label table (``labels.DEFAULT_REGISTRY``): the chosen label is
-rendered by its reader if the surface is legal for it, and otherwise, or
-if the reader refuses, the span takes the rule fallback with its
-probabilities kept in the trace; a span nothing can handle stays
-verbatim. A rule renders with ``Rule.read``. A reader that raises any
-exception, not only ``ValueError``, refuses just its own span. A system
-without a classifier is the rules-only baseline: every non-priority span
-takes the fallback route.
+in with ``corpus.splice``. Each span's rule is matched once, by one
+``match_nsw`` call before routing, and every route that needs a rule
+takes that one. Routing per span: priority surfaces go straight to the
+rule. With a classifier, so does a span whose rule is a context rule (a
+``pre:`` or ``post:`` pattern), if that rule's reader accepts the
+surface; these take the priority route too, before legality, windows
+and the classifier. A span with no legal label takes the rule fallback.
+A span with one legal label needs no classifier: its masked softmax
+could only return that label's one-hot, so it gets that one-hot
+directly. Every other span's window goes to the classifier. Each span's
+legal labels are computed once, from the shipped label table
+(``labels.DEFAULT_REGISTRY``): the chosen label is rendered by its
+reader if the surface is legal for it, and otherwise, or if the reader
+refuses, the span takes the rule fallback with its probabilities kept in
+the trace; a span nothing can handle stays verbatim. A rule renders with
+``Rule.read``. A reader that raises any exception, not only
+``ValueError``, refuses just its own span. A system without a classifier
+is the rules-only baseline: every non-priority span takes the fallback
+route.
 
 The classifier decides each span from its own window, so nothing ties a
 forward pass to one sentence: ``normalize_many`` routes every span of
@@ -45,7 +45,7 @@ from .corpus import NSWSpan, splice, write_jsonl
 from .extractor import PriorityList, extract_nsw, priority_check
 from .labels import DEFAULT_REGISTRY, LabelRegistry
 from .neural import ClassifierConfig, EncoderParams, FrozenEncoder, Vocabulary, predict_probs
-from .rules import RuleSet, match_nsw
+from .rules import Rule, RuleSet, match_nsw
 
 ROUTE_PRIORITY = "priority_rule"
 ROUTE_NEURAL = "neural"
@@ -111,8 +111,7 @@ class HybridSystem:
         self.encoder = FrozenEncoder.freeze(self.params)
 
 
-def _rule_route(sys: HybridSystem, text: str, span: NSWSpan, surface: str, route: str, probs=None):
-    rule = match_nsw(sys.rules, text, span)
+def _rule_route(rule: Rule | None, span: NSWSpan, surface: str, route: str, probs=None):
     if rule is not None:
         try:
             sfw = rule.read(surface)
@@ -124,7 +123,7 @@ def _rule_route(sys: HybridSystem, text: str, span: NSWSpan, surface: str, route
 
 
 def _neural_route(
-    sys: HybridSystem, text: str, span: NSWSpan, surface: str, legal: list[bool], probs: np.ndarray
+    rule: Rule | None, span: NSWSpan, surface: str, legal: list[bool], probs: np.ndarray
 ):
     """Render the argmax label if ``legal`` admits it, else take the rule fallback."""
     label = int(probs.argmax())
@@ -135,7 +134,7 @@ def _neural_route(
             pass
         else:
             return NormalizationTrace(span, ROUTE_NEURAL, label, sfw, probs)
-    return _rule_route(sys, text, span, surface, ROUTE_FALLBACK, probs)
+    return _rule_route(rule, span, surface, ROUTE_FALLBACK, probs)
 
 
 def normalize_many(
@@ -143,7 +142,7 @@ def normalize_many(
 ) -> list[tuple[str, list[NormalizationTrace]]]:
     """Normalize many sentences; returns (output text, per-NSW traces) per input."""
     traced = []  # (text, traces) per input; classifier-routed traces are filled in below
-    pending = []  # (traces, index, text, span, surface, legal labels) for the classifier
+    pending = []  # (traces, index, rule, span, surface, legal labels) for the classifier
     windows = []  # (ids, NSW masks) of the classifier-routed spans, per input
     masks = []  # the classifier's label mask per pending span
     for text in texts:
@@ -152,13 +151,13 @@ def normalize_many(
         routed = []
         for i, span in enumerate(spans):
             surface = text[span.start : span.end]
+            rule = match_nsw(sys.rules, text, span)
             if priority_check(surface, sys.priority):
-                traces[i] = _rule_route(sys, text, span, surface, ROUTE_PRIORITY)
+                traces[i] = _rule_route(rule, span, surface, ROUTE_PRIORITY)
                 continue
             if sys.encoder is None:
-                traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
+                traces[i] = _rule_route(rule, span, surface, ROUTE_FALLBACK)
                 continue
-            rule = match_nsw(sys.rules.context_prefix, text, span)
             if rule is not None and rule.context:
                 try:
                     sfw = rule.read(surface)
@@ -171,14 +170,14 @@ def normalize_many(
             mask = legal if sys.config.use_mask else [True] * len(legal)
             choices = sum(mask)
             if choices == 0:
-                traces[i] = _rule_route(sys, text, span, surface, ROUTE_FALLBACK)
+                traces[i] = _rule_route(rule, span, surface, ROUTE_FALLBACK)
             elif choices == 1:
                 # the masked softmax of any logits: exactly 1.0 there, 0.0 elsewhere
                 onehot = np.array(mask, dtype=np.float64)
-                traces[i] = _neural_route(sys, text, span, surface, legal, onehot)
+                traces[i] = _neural_route(rule, span, surface, legal, onehot)
             else:
                 routed.append(span)
-                pending.append((traces, i, text, span, surface, legal))
+                pending.append((traces, i, rule, span, surface, legal))
                 masks.append(mask)
         if routed:
             windows.append(sys.vocab.windows(text, routed, sys.config.window))
@@ -187,8 +186,8 @@ def normalize_many(
     if pending:
         ids, nsw = windows[0] if len(windows) == 1 else map(np.concatenate, zip(*windows))
         probs = predict_probs(sys.encoder, ids, nsw, masks)
-        for (traces, i, text, span, surface, legal), p in zip(pending, probs):
-            traces[i] = _neural_route(sys, text, span, surface, legal, p)
+        for (traces, i, rule, span, surface, legal), p in zip(pending, probs):
+            traces[i] = _neural_route(rule, span, surface, legal, p)
 
     return [
         (splice(text, ((t.span, t.sfw) for t in traces if t.sfw is not None)), traces)

@@ -1,7 +1,7 @@
 """NSW-to-SFW readers; each pattern label in :mod:`mtnorm.labels` holds one.
 
-Numeral conventions pinned here (and frozen in the fixture table shipped
-under ``data/fixtures.tsv``):
+Numeral conventions pinned here (and frozen in the test suite's fixture
+table, ``tests/fixtures.tsv``):
 
 * positional reading groups by 万/亿, collapses interior zero runs to one
   零, keeps trailing zeros silent, and reduces a leading 一十 to 十;

@@ -14,22 +14,19 @@ its own ``nsw:`` goes through ``reader.render``, which checks the label's
 format first.
 
 A ``RuleSet`` joins its rules' NSW patterns, in match order and each in
-one capturing group, into one alternation, whose ``fullmatch`` picks the
-first rule whose NSW matches the whole surface (``lastindex``). So every
+one capturing group, into one alternation per start index: the one from
+index ``i`` holds the rules from ``i`` on, and its ``fullmatch`` picks the
+first of them whose NSW matches the whole surface (``lastindex``). So every
 NSW pattern must be able to stand as one group of an alternation:
 ``parse_rules`` refuses a capturing group (write ``(?:...)``) and a global
 inline flag such as ``(?i)`` (write ``(?i:...)``). Matching a span costs
-one alternation call, plus, after a context rule whose context fails, one
-call per rule tried up to the last context rule and one call of a second
-alternation over the rules after it.
+one alternation call, plus one more after each context rule whose NSW
+matches but whose context fails.
 
 A rule with a ``pre:`` or ``post:`` pattern is a context rule
 (``Rule.context``) and needs a positive ``context_len`` to search in. When
 ``match_nsw``'s answer is a context rule, the hybrid takes it as definite
-and skips the classifier. It asks ``match_nsw`` over the set's
-``context_prefix``, the match-order prefix that ends at the last context
-rule: every context rule lies in it, so a match past it, or no match, is
-never a context rule, and the prefix gives the same answer for less walking.
+and skips the classifier.
 """
 
 from __future__ import annotations
@@ -80,16 +77,11 @@ class Rule:
 class RuleSet:
     """Rules indexed in match order; immutable after construction.
 
-    ``_first`` is the ``fullmatch`` of the alternation of every rule's NSW
-    pattern and ``_rest`` that of the rules from index ``_tail`` on, those
-    after the last context rule; a match's ``lastindex`` is the rule's
-    position in its alternation, counted from 1. ``_matchers`` holds per
-    rule in match order its NSW ``fullmatch``, its context length and its
-    pre and post ``search``, or ``None`` for an empty pattern, which always
-    matches.
-    ``context_prefix`` holds the rules up to and including the last context
-    rule in match order: the set itself when that is its last rule (or it
-    is empty), else a new ``RuleSet`` of that prefix.
+    ``_alternations[i]`` is the ``fullmatch`` of the alternation of the NSW
+    patterns of the rules from index ``i`` on; a match's ``lastindex`` is
+    the rule's position in it, counted from 1. ``_contexts`` holds per rule
+    in match order the rule, its context length and its pre and post
+    ``search``, or ``None`` for an empty pattern, which always matches.
     """
 
     def __init__(self, rules: list[Rule]):
@@ -98,23 +90,16 @@ class RuleSet:
             dupe = next(n for n in names if names.count(n) > 1)
             raise RuleError(f"duplicate rule name: {dupe}")
         self.rules: tuple[Rule, ...] = tuple(sorted(rules, key=Rule.sort_key))
-        self._matchers = tuple(
+        self._contexts = tuple(
             (
                 rule,
-                rule.nsw_pattern.fullmatch,
                 rule.context_len,
                 rule.pre_pattern.search if rule.pre_pattern.pattern else None,
                 rule.post_pattern.search if rule.post_pattern.pattern else None,
             )
             for rule in self.rules
         )
-        last = max((i for i, rule in enumerate(self.rules) if rule.context), default=-1)
-        self._tail = last + 1
-        self._first = _alternation(self.rules)
-        self._rest = _alternation(self.rules[self._tail :])
-        self.context_prefix = (
-            self if last == len(self.rules) - 1 else RuleSet(self.rules[: last + 1])
-        )
+        self._alternations = tuple(_alternation(self.rules[i:]) for i in range(len(self.rules)))
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -125,8 +110,7 @@ class RuleSet:
 
 def _alternation(rules) -> Callable[[str], re.Match | None]:
     """``fullmatch`` of the rules' NSW patterns as one alternation, one group each."""
-    pattern = "|".join(f"({rule.nsw_pattern.pattern})" for rule in rules)
-    return re.compile(pattern or "(?!)").fullmatch  # (?!) never matches: no rules
+    return re.compile("|".join(f"({rule.nsw_pattern.pattern})" for rule in rules)).fullmatch
 
 
 _RULE_FIELDS = {"priority", "context_len", "pre", "nsw", "post", "label"}
@@ -212,27 +196,22 @@ def match_nsw(rs: RuleSet, text: str, span: NSWSpan) -> Rule | None:
 
     The NSW pattern must match the whole surface; the pre and post patterns
     search the up to ``context_len`` characters before and after it. The
-    set's alternation jumps to the first rule whose NSW matches; only when
-    that rule's context fails are the rules up to the last context rule
-    tried one by one, and the rules after it as their own alternation.
+    alternation from index 0 jumps to the first rule whose NSW matches; if
+    that rule's context fails, the alternation from the next index jumps to
+    the next such rule, and so on.
     """
     start, end = span.start, span.end
     surface = text[start:end]
-    found = rs._first(surface)
-    if found is None:
-        return None
-    matchers, tail = rs._matchers, rs._tail
-    i = found.lastindex - 1
-    while True:
-        rule, _, context_len, pre, post = matchers[i]
+    alternations, contexts = rs._alternations, rs._contexts
+    i = 0
+    while i < len(alternations):
+        found = alternations[i](surface)
+        if found is None:
+            return None
+        rule, context_len, pre, post = contexts[i + found.lastindex - 1]
         if (pre is None or pre(text[max(0, start - context_len) : start]) is not None) and (
             post is None or post(text[end : end + context_len]) is not None
         ):
             return rule
-        # a context rule whose context failed: only a later rule can match
-        for i in range(i + 1, tail):
-            if matchers[i][1](surface) is not None:
-                break
-        else:
-            found = rs._rest(surface)
-            return None if found is None else rs.rules[tail + found.lastindex - 1]
+        i += found.lastindex  # a context rule whose context failed: only a later rule can match
+    return None

@@ -46,7 +46,7 @@ def rules_system(ruleset, priority_list, formats):
 @pytest.fixture(scope="session")
 def fixture_rows():
     rows = []
-    text = resources.files("mtnorm").joinpath("data/fixtures.tsv").read_text("utf-8")
+    text = Path(__file__).with_name("fixtures.tsv").read_text("utf-8")
     for line in text.splitlines():
         if not line or line.startswith("#"):
             continue

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import random
 import re
 from collections import Counter, defaultdict
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +13,7 @@ from mtnorm.corpus import (
     CorpusError,
     LabeledSentence,
     NSWSpan,
+    data_path,
     generate_synthetic_corpus,
     load_corpus,
     load_templates,
@@ -154,6 +157,21 @@ def test_leading_byte_order_mark_dropped(tmp_path, load, text):
     plain.write_bytes(text.encode("utf-8"))
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
     assert load(str(marked)) == load(str(plain))
+
+
+def test_every_shipped_data_file_is_read():
+    # the package ships all of mtnorm/data: a file that no data_path("...")
+    # call in src/ names is never read by the program
+    src = Path(data_path("")).parents[1]
+    named = {
+        node.args[0].value
+        for path in src.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "data_path"
+        and isinstance(node.args[0], ast.Constant)
+    }
+    assert {path.name for path in Path(data_path("")).iterdir()} == named
 
 
 def test_splice_replaces_spans_in_text_order():

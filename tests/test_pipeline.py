@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import reference_window
+from oracles import reference_match_nsw, reference_window
 
+from mtnorm import pipeline
 from mtnorm.corpus import CorpusDistribution, LabeledSentence, data_path, generate_synthetic_corpus
 from mtnorm.extractor import extract_nsw, priority_check
 from mtnorm.labels import DEFAULT_REGISTRY, LabelRegistry
@@ -386,6 +387,63 @@ class TestNormalizeMany:
         assert many[-2] == ("大家好才是真的好", [])
         assert [t.route for t in many[-1][1]] == [ROUTE_PRIORITY, ROUTE_NEURAL, ROUTE_UNMATCHED]
         assert many[-1][1][2].sfw is None and many[-1][1][2].probabilities is None
+
+    def test_one_rule_match_per_span(self, tiny_system, rules_system, monkeypatch):
+        calls = []
+        real_match = pipeline.match_nsw
+
+        def counting_match(rs, text, span):
+            calls.append(span)
+            return real_match(rs, text, span)
+
+        monkeypatch.setattr(pipeline, "match_nsw", counting_match)
+        year_as_time = parse_rules(
+            "rule: year_as_time\ncontext_len: 1\nnsw: \\d{4}\npost: 年\nlabel: B_Time\n"
+        )
+        runs = [
+            # priority, neural and no-legal-label spans, and a definite one
+            (tiny_system, [self.MIXED, "他1998年毕业"]),
+            # a context rule whose reader refuses the span
+            (replace(tiny_system, rules=year_as_time), ["他1998年毕业"]),
+            (rules_system, self.dense_lines(n=50)),
+        ]
+        for system, texts in runs:
+            del calls[:]
+            spans = [t.span for _, traces in normalize_many(texts, system) for t in traces]
+            assert calls == spans
+
+    def test_routes_follow_the_reference_rule(self, tiny_system, rules_system):
+        texts = self.dense_lines() + [self.MIXED]
+        routes = {}
+        for name, system in (("hybrid", tiny_system), ("rules", rules_system)):
+            routes[name] = seen = set()
+            for text, (_, traces) in zip(texts, normalize_many(texts, system)):
+                for trace in traces:
+                    seen.add(trace.route)
+                    span = trace.span
+                    surface = text[span.start : span.end]
+                    rule = reference_match_nsw(system.rules.rules, text, span.start, span.end)
+                    try:
+                        sfw = rule and render(surface, rule.label)
+                    except ValueError:
+                        sfw = None
+                    legal = DEFAULT_REGISTRY.legal_labels(surface)
+                    decided = priority_check(surface, system.priority) or (
+                        system.encoder is not None and sfw is not None and rule.context
+                    )
+                    scored = system.encoder is not None and not decided and any(legal)
+                    assert (trace.route == ROUTE_PRIORITY) == (decided and sfw is not None)
+                    assert (trace.probabilities is None) == (not scored)
+                    if trace.route == ROUTE_NEURAL:
+                        assert trace.label == int(np.argmax(np.where(legal, trace.probabilities, -1)))
+                        assert trace.sfw == render(surface, trace.label)
+                    elif sfw is None:
+                        assert trace.route == ROUTE_UNMATCHED and trace.label is None
+                    else:
+                        assert trace.route != ROUTE_UNMATCHED
+                        assert (trace.label, trace.sfw) == (rule.label, sfw)
+        assert {ROUTE_PRIORITY, ROUTE_NEURAL, ROUTE_UNMATCHED} <= routes["hybrid"]
+        assert routes["rules"] == {ROUTE_PRIORITY, ROUTE_FALLBACK, ROUTE_UNMATCHED}
 
     def test_reader_refusal_keeps_probabilities(self, tiny_system, swap_reader):
         # the reader of the label the classifier picks for 10:30 refuses:
