@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import corpus as corpus_mod
 from . import evaluate as eval_mod
@@ -57,10 +58,10 @@ def cmd_gen_corpus(args) -> int:
 
 
 def cmd_train(args) -> int:
-    data = corpus_mod.load_corpus(args.corpus)
     config = _read_config(args.config) if args.config else ClassifierConfig()
     if args.seed is not None:
-        config.seed = args.seed
+        config = replace(config, seed=args.seed)
+    data = corpus_mod.load_corpus(args.corpus)
     result = train(data, config, log=print)
     save_params(args.out, result.params, config, result.vocab)
     print(f"saved checkpoint to {args.out}")

@@ -238,7 +238,7 @@ def run_ablation(
     base_config: ClassifierConfig | None = None,
 ) -> list[AblationRow]:
     """Train and score one model per grid entry on a shared split."""
-    base = base_config or ClassifierConfig(label_count=len(DEFAULT_REGISTRY))
+    base = replace(base_config or ClassifierConfig(label_count=len(DEFAULT_REGISTRY)), seed=seed)
     train_set, dev_set, test_set = split_corpus(corpus, seed)
     held_out = dev_set + test_set
     rare = rare_labels(corpus)
@@ -251,7 +251,7 @@ def run_ablation(
         if window == "max":
             window = max(len(s.text) for s in corpus)
         try:
-            config = replace(base, seed=seed, window=int(window), **entry)
+            config = replace(base, window=int(window), **entry)
             train_corpus = train_set
             if expand:
                 train_corpus = oversample_expand(train_set, seed)

@@ -34,7 +34,12 @@ class PriorityList:
 
 def priority_check(surface: str, pl: PriorityList) -> bool:
     """Whether the surface is one of the exact strings or fully matches a pattern."""
-    return surface in pl.exact_strings or any(p.fullmatch(surface) for p in pl.user_patterns)
+    if surface in pl.exact_strings:
+        return True
+    for pattern in pl.user_patterns:
+        if pattern.fullmatch(surface):
+            return True
+    return False
 
 
 def load_priority_list(path: str) -> PriorityList:

@@ -88,6 +88,8 @@ class ClassifierConfig:
             raise ValueError("gamma must be >= 0 and finite")
         if self.window < 1 or self.label_count < 2:
             raise ValueError("window and label_count must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def head_dim(self) -> int:

@@ -9,18 +9,30 @@ table, ``tests/fixtures.tsv``):
 * hours of exactly 2 read 两点; minutes 00 are omitted, minutes 01-09 read
   零X分;
 * per-unit quantities swap operands: 5人/组 reads 每组五人.
+
+Reading stays cheap without per-digit Python on the common input. An ASCII
+digit string is spelled with one ``str.translate`` through a module-level
+table (plain or 幺); other decimal digits, such as full-width ones, keep the
+per-character ``int()`` path, so they read as before. ``_read_group`` is
+memoized: its domain is 1..9,999, so the memo holds at most 9,999 entries.
+A value below 10^4 is read as its one group, before the three-group loop.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 DIGIT_CHARS = "零一二三四五六七八九"
+_YAO_CHARS = "零幺二三四五六七八九"
+_SPELL = str.maketrans("0123456789", DIGIT_CHARS)
+_SPELL_YAO = str.maketrans("0123456789", _YAO_CHARS)
 _GROUP_UNITS = ("", "十", "百", "千")
 
 MAX_POSITIONAL = 10**12
 
 
+@functools.cache
 def _read_group(value: int) -> str:
     """Read 1..9999 positionally with 千/百/十 units."""
     out = []
@@ -49,6 +61,9 @@ def read_number_positional(digits: str) -> str:
         raise ValueError(f"magnitude out of range for positional reading: {digits}")
     if n == 0:
         return "零"
+    if n < 10**4:
+        out = _read_group(n)
+        return out[1:] if out.startswith("一十") else out
     groups = (n // 10**8, (n // 10**4) % 10**4, n % 10**4)
     out = ""
     for value, unit in zip(groups, ("亿", "万", "")):
@@ -66,7 +81,9 @@ def spell_digits(digits: str, use_yao: bool = False) -> str:
     """Digit-by-digit reading; zeros kept, 1 read 幺 when ``use_yao``."""
     if not digits or not digits.isdigit():
         raise ValueError(f"not a digit string: {digits!r}")
-    table = "零幺二三四五六七八九" if use_yao else DIGIT_CHARS
+    if digits.isascii():
+        return digits.translate(_SPELL_YAO if use_yao else _SPELL)
+    table = _YAO_CHARS if use_yao else DIGIT_CHARS
     return "".join(table[int(d)] for d in digits)
 
 

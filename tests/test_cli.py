@@ -143,6 +143,22 @@ class TestTrain:
         assert err.count("\n") == 1
         assert not (tmp_path / "x.npz").exists()
 
+    def test_negative_seed_flag_refused_before_the_corpus(self, workspace, capsys):
+        # The corpus path does not exist: the seed is refused before it is read.
+        assert main(["train", "--corpus", "/nonexistent.jsonl", "--seed", "-1",
+                     "--out", str(workspace["root"] / "x.npz")]) == 1
+        assert capsys.readouterr().err == "mtnorm train: seed must be >= 0\n"
+        assert not (workspace["root"] / "x.npz").exists()
+
+    def test_negative_config_seed_names_the_config(self, workspace, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "seed": -3}), "utf-8")
+        code = main(["train", "--corpus", str(workspace["corpus"]), "--config", str(config),
+                     "--out", str(tmp_path / "x.npz")])
+        assert code == 1
+        assert capsys.readouterr().err == f"mtnorm train: {config}: seed must be >= 0\n"
+        assert not (tmp_path / "x.npz").exists()
+
     def test_missing_corpus_fails(self, workspace, capsys):
         assert main(["train", "--corpus", "/nonexistent.jsonl",
                      "--out", str(workspace["root"] / "x.npz")]) == 1
@@ -425,6 +441,17 @@ class TestAblate:
                      "--config", str(workspace["config"]), "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "proposed" in out and "ce" in out
+
+    def test_negative_seed_refused_before_training(self, workspace, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with a negative seed")
+
+        monkeypatch.setattr(ev, "train", no_training)
+        assert main(["ablate", "--corpus", str(workspace["corpus"]),
+                     "--config", str(workspace["config"]), "--seed", "-2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "mtnorm ablate: seed must be >= 0\n"
+        assert captured.out == ""
 
     def test_bad_grid_fails_cleanly(self, workspace, capsys):
         grid = workspace["root"] / "badgrid.json"

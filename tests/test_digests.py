@@ -7,7 +7,10 @@ the ``normalize_many`` outputs with their ``to_record()`` traces, the
 those traces. Rules-only traces hold no floats, so the digests do not
 depend on the machine or the numpy version, and no checkpoint is needed.
 A fourth digest covers ``oversample_expand`` of the 3000-sentence seed-7
-corpus at seed 7, the training set's digit-jitter path.
+corpus at seed 7, the training set's digit-jitter path. A fifth covers the
+numeral readers alone: ``read_number_positional`` and both ``spell_digits``
+tables over every value below 10^5, 10^12 - 1 and 20,000 seeded values
+below 10^12.
 
 A change that alters rules-only behaviour or the generated data on purpose
 updates these digests and says what moved; any other change must leave them
@@ -20,7 +23,7 @@ import random
 
 import pytest
 
-from mtnorm import pipeline
+from mtnorm import pipeline, reader
 from mtnorm.corpus import (
     CorpusDistribution,
     LabeledSentence,
@@ -35,6 +38,7 @@ OUTPUTS_AND_TRACES = "796578dfecc77cd04c6345eaac760f24122a7e10cbd091fcff7a39456b
 REFERENCES = "56713d41bbcf5421622ac77f87cd69340950051f32e6a2d19079b723a55f8931"
 TRACE_FILE = "4c796a0013f8e946f19714c27934cc3062c2225299c0de06e01d2760aa3fd6b4"
 OVERSAMPLED = "a88c89fff508779ab1de2629d361b62097b17391fc7a7a18bffec99da44303d7"
+READINGS = "1a759f76eae25154e34b587b1de3094f485073dce84500965157fedbcef556f1"
 
 
 def dense_lines(n_lines, seed):
@@ -91,3 +95,19 @@ def test_oversample_expand():
     corpus = generate_synthetic_corpus(CorpusDistribution.default(), 3000, seed=7)
     payload = [[s.text, encode_spans(s)] for s in oversample_expand(corpus, seed=7)]
     assert sha256(json.dumps(payload, ensure_ascii=False).encode()) == OVERSAMPLED
+
+
+def test_readings():
+    rng = random.Random(28)
+    values = [*range(100_000), 10**12 - 1, *(rng.randrange(10**12) for _ in range(20_000))]
+    payload = []
+    for n in values:
+        s = str(n)
+        payload.append([
+            s,
+            reader.read_number_positional(s),
+            reader.spell_digits(s),
+            reader.spell_digits(s, use_yao=True),
+        ])
+    assert sha256(json.dumps(payload, ensure_ascii=False).encode()) == READINGS
+    assert reader._read_group.cache_info().currsize <= 9999

@@ -608,6 +608,8 @@ class TestConfig:
             ("gamma", float("nan"), "gamma must be >= 0"),
             ("learning_rate", float("inf"), "learning_rate must be > 0 and finite"),
             ("gamma", float("inf"), "gamma must be >= 0 and finite"),
+            ("seed", -1, "seed must be >= 0"),
+            ("seed", -3, "seed must be >= 0"),
         ],
     )
     def test_values_that_break_training_rejected(self, field, value, message):

@@ -80,6 +80,26 @@ class TestSpell:
             spell_digits("1-3")
 
 
+class TestNonAsciiDigits:
+    """Decimal digits outside ASCII read as they did before the translate tables."""
+
+    def test_full_width(self):
+        assert spell_digits("３０") == "三零"
+        assert read_number_positional("３０") == "三十"
+
+    def test_full_width_yao(self):
+        assert spell_digits("１１０", use_yao=True) == "幺幺零"
+
+    def test_mixed_widths(self):
+        assert spell_digits("2０1９") == "二零一九"
+
+    @pytest.mark.parametrize("read", [read_number_positional, spell_digits])
+    def test_digit_that_int_refuses(self, read):
+        assert "²".isdigit()
+        with pytest.raises(ValueError):
+            read("²")
+
+
 class TestDecimal:
     def test_cases(self):
         assert read_decimal("1.5") == "一点五"
