@@ -214,21 +214,13 @@ class AblationRow:
 
 def load_grid(path: str) -> list[dict]:
     def decode(grid):
-        if not isinstance(grid, list) or not all(isinstance(e, dict) and "name" in e for e in grid):
-            raise CorpusError("ablation grid must be a list of objects with a 'name'")
+        if not isinstance(grid, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str) for e in grid
+        ):
+            raise CorpusError("ablation grid must be a list of objects with a string 'name'")
         return grid
 
     return read_json(path, decode)
-
-
-def macro_recall(predictions: list[tuple[int, int]], label_ids: set[int]) -> float:
-    """Mean recall over the given labels (labels without gold samples skipped)."""
-    recalls = []
-    for lab in sorted(label_ids):
-        gold = [(g, p) for g, p in predictions if g == lab]
-        if gold:
-            recalls.append(sum(1 for g, p in gold if g == p) / len(gold))
-    return sum(recalls) / len(recalls) if recalls else 0.0
 
 
 def run_ablation(
@@ -241,7 +233,7 @@ def run_ablation(
     base = replace(base_config or ClassifierConfig(label_count=len(DEFAULT_REGISTRY)), seed=seed)
     train_set, dev_set, test_set = split_corpus(corpus, seed)
     held_out = dev_set + test_set
-    rare = rare_labels(corpus)
+    rare = {DEFAULT_REGISTRY.by_id(lab).name for lab in rare_labels(corpus)}
     rows = []
     for entry in grid:
         entry = dict(entry)
@@ -259,8 +251,9 @@ def run_ablation(
             batch = make_training_batch(held_out, result.vocab, config)
             predicted = predict_batch(result.params, batch, config)
             pairs = list(zip(batch.targets.tolist(), predicted.tolist()))
-            _, accuracy = pattern_metrics(pairs)
-            row = AblationRow(name, accuracy, macro_recall(pairs, rare))
+            per_label, accuracy = pattern_metrics(pairs)
+            recalls = [m.recall for lab, m in per_label.items() if lab in rare and m.support]
+            row = AblationRow(name, accuracy, sum(recalls) / len(recalls) if recalls else 0.0)
         except Exception as exc:  # keep the grid running past a bad entry
             row = AblationRow(name, None, None, error=str(exc))
         rows.append(row)

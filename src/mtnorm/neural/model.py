@@ -430,8 +430,7 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
     """
     ids, rows, valid, counts = cache["ids"], cache["rows"], cache["valid"], cache["counts"]
 
-    grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
-
+    grads = dict.fromkeys(params.tensors())  # field order; each filled once below
     grads["cls_w"] = cache["pooled"].T @ dlogits
     grads["cls_b"] = dlogits.sum(axis=0)
     dpooled = dlogits @ params.cls_w.T
@@ -511,6 +510,7 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
     grads["attn_v"] = columns_to_heads(dkv_weight[:, hk:])
     dx = dkv @ kv_weight.T
     dx += dtable[:, 2 * hk :]
+    grads["embedding"] = np.zeros_like(params.embedding)
     grads["embedding"][chars] = dx[:u]
     grads["positional"] = dx[u:]
     return grads

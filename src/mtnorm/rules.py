@@ -135,10 +135,12 @@ def parse_rules(text: str, source: str = "<rules>") -> RuleSet:
             records.append((lineno, value, current))
         elif current is None:
             raise RuleError(f"{source}:{lineno}: field outside a rule record")
-        elif key in _RULE_FIELDS:
-            current[key] = value
-        else:
+        elif key not in _RULE_FIELDS:
             raise RuleError(f"{source}:{lineno}: unknown field {key!r}")
+        elif key in current:
+            raise RuleError(f"{source}:{lineno}: rule {records[-1][1]}: field {key!r} given twice")
+        else:
+            current[key] = value
 
     with warnings.catch_warnings():
         # Python 3.10 only warns of a global inline flag off a pattern's

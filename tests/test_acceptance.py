@@ -167,7 +167,6 @@ def imbalanced_runs():
     assert top5 >= 0.90
     train_set, dev, test = ev.split_corpus(corpus, seed=7)
     held = dev + test
-    rare_ids = {DEFAULT_REGISTRY.id_of(n) for n in RARE_LABELS}
     results = {}
     for key, (alpha, gamma) in (("focal", (0.5, 4.0)), ("ce", (1.0, 0.0))):
         config = ClassifierConfig(
@@ -179,10 +178,11 @@ def imbalanced_runs():
         batch = make_training_batch(held, result.vocab, config)
         predicted = predict_batch(result.params, batch, config)
         pairs = list(zip(batch.targets.tolist(), predicted.tolist()))
-        _, accuracy = ev.pattern_metrics(pairs)
+        per_label, accuracy = ev.pattern_metrics(pairs)
+        recalls = [m.recall for lab, m in per_label.items() if lab in RARE_LABELS and m.support]
         results[key] = {
             "accuracy": accuracy,
-            "rare_recall": ev.macro_recall(pairs, rare_ids),
+            "rare_recall": sum(recalls) / len(recalls),
             "seconds": elapsed,
         }
     return results

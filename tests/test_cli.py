@@ -495,6 +495,7 @@ class TestInputFiles:
             (GEN, "--templates", b'{"B_Percent": {"nsw": "percent", "templates": ["{NSW}"]}}'),
             (ABLATE, "--grid", NOT_UTF8),
             (ABLATE, "--grid", TRUNCATED),
+            (ABLATE, "--grid", b'[{"name": 5}]'),
             (RULES_ONLY, "--in", b"caf\xe9 35\n"),
             (RULES_ONLY, "--rules", b"rule: caf\xe9\nlabel: A_Read_No_Zero\n"),
             (RULES_ONLY, "--priority", b"caf\xe9\n"),
@@ -505,8 +506,8 @@ class TestInputFiles:
             "dist-not-utf-8", "dist-truncated", "dist-list", "dist-str-proportion",
             "dist-unknown-label", "templates-not-utf-8", "templates-truncated", "templates-list",
             "templates-entry-not-list", "templates-int-template", "templates-unknown-label",
-            "templates-old-layout", "grid-not-utf-8", "grid-truncated", "in-not-utf-8",
-            "rules-not-utf-8", "priority-not-utf-8",
+            "templates-old-layout", "grid-not-utf-8", "grid-truncated", "grid-int-name",
+            "in-not-utf-8", "rules-not-utf-8", "priority-not-utf-8",
         ],
     )
     def test_bad_file_names_its_path(self, workspace, tmp_path, monkeypatch, capsys,

@@ -395,6 +395,12 @@ class TestBackwardOracle:
             got = backward_batch(params, cache, dlogits)
             want = reference_backward_batch(params.tensors(), cache, dlogits)
             assert got.keys() == want.keys()
+            assert list(got) == list(params.tensors())  # field order
+            # batch_loss_and_grads adds a second part's gradients in place
+            arrays = [*got.values(), *params.tensors().values()]
+            for i, grad in enumerate(got.values()):
+                for other in arrays[i + 1 :]:
+                    assert not np.shares_memory(grad, other)
             for name, grad in want.items():
                 assert got[name].shape == grad.shape, name
                 assert np.abs(got[name] - grad).max() <= 1e-12, name

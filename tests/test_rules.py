@@ -52,6 +52,11 @@ class TestCompile:
         with pytest.raises(RuleError, match=":2: unknown field 'group'"):
             parse_rules(text)
 
+    def test_repeated_field_rejected(self):
+        text = "rule: a\npriority: 5\npriority: 9\nlabel: B_Time\nlabel: B_Percent\n"
+        with pytest.raises(RuleError, match="^t.rules:3: rule a: field 'priority' given twice$"):
+            parse_rules(text, source="t.rules")
+
     def test_duplicate_name_rejected(self):
         text = "rule: r1\nnsw: \\d+\nlabel: A_Read_No_Zero\n\nrule: r1\nnsw: \\d\nlabel: A_Read_No_Zero\n"
         with pytest.raises(RuleError, match="duplicate"):
