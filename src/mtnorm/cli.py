@@ -140,6 +140,13 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _add_input(parser: argparse.ArgumentParser) -> None:
+    """``--text`` or ``--in``, never both; with neither, lines come from stdin."""
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--text")
+    group.add_argument("--in", dest="infile", help="input file, one sentence per line")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mtnorm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -162,16 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="per-NSW labels and probabilities")
     p.add_argument("--model", required=True)
-    p.add_argument("--text")
-    p.add_argument("--in", dest="infile", help="input file, one sentence per line")
+    _add_input(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("normalize", help="run the full pipeline (or rules only)")
     p.add_argument("--model")
     p.add_argument("--rules")
     p.add_argument("--priority")
-    p.add_argument("--text")
-    p.add_argument("--in", dest="infile", help="input file, one sentence per line")
+    _add_input(p)
     p.add_argument("--out")
     p.add_argument("--trace", help="write per-NSW trace records here")
     p.add_argument("--rules-only", action="store_true")

@@ -9,12 +9,14 @@ softmax is masked to the format-legal labels.
 Only the NSW query rows are computed. With a single block, a position's
 output depends on the rest of the window only through the keys and
 values, and only NSW positions reach the pooled logits, so queries,
-attention, feed-forward and both layer norms run on those rows while
-keys and values still cover every position. This is the full block's
-result, not an approximation; the tests compare it with a full-window
-reference. A call pads every window's query rows to its largest NSW
-count, so a training step sorts its windows by NSW count and, where that
-saves padded rows, runs them in two calls.
+attention, feed-forward and both layer norms run on those rows. A call
+of two windows or more keeps only each window's live keys, the run from
+its first to its last non-padding character; a call of one window keeps
+all of them. A padding key's attention weight is exactly zero, so this
+is the full block's result, not an approximation; the tests compare it
+with a full-window reference. A call pads every window's query rows to
+its largest NSW count, so a training step sorts its windows by NSW count
+and, where that saves padded rows, runs them in two calls.
 
 The query, key and value projections are linear in the embeddings, so
 ``forward_batch`` never multiplies a window by them: it gathers rows of
@@ -24,14 +26,16 @@ backpropagates to the parameters with a hand-written backward pass, whose
 gradients the test suite checks against central finite differences, so
 forward and backward must stay in lockstep. The backward pass takes the
 key and value gradients back through the same tables: summed per distinct
-character and per position, not multiplied out per window position.
+character and per position, not multiplied out per key.
 Inference runs the same ``forward_batch`` on tables frozen once, in
 float32.
 
 Per utterance the classifier runs one window at a time, and at that size
 numpy's fixed cost per call outweighs the arithmetic. So the forward pass
 keeps its call count low: reductions call the ufuncs directly, and
-biases, residuals and the softmax update fresh arrays in place.
+biases, residuals and the softmax update fresh arrays in place. The
+attention scores are laid out key-major, so the softmax's maximum and sum
+reduce over the outer axis, one key after another in position order.
 """
 
 from __future__ import annotations
@@ -268,20 +272,28 @@ class FrozenEncoder:
             cls_w=params.cls_w.copy(), cls_b=params.cls_b.copy(),
         )
 
-    def project(self, ids: np.ndarray, rows: np.ndarray):
-        """NSW-row inputs and per-head Q, K, V from table rows; plus the key bias."""
-        b, w = ids.shape
+    def project(self, ids: np.ndarray, rows: np.ndarray, keys: np.ndarray | None = None):
+        """NSW-row inputs and per-head Q, K, V from table rows; plus the key bias.
+
+        ``keys`` holds each window's key positions; None keeps all W, in order.
+        """
+        b = ids.shape[0]
         m = rows.shape[1]
         d = self.attn_out.shape[0]
         k = d // self.heads
-        x = self.query_chars[ids[np.arange(b)[:, None], rows]]
+        windows = np.arange(b)[:, None]
+        x = self.query_chars[ids[windows, rows]]
         x += self.query_positions[rows]
-        kv = self.kv_chars[ids]
-        kv += self.kv_positions
+        if keys is None:
+            key_ids, key_positions = ids, self.kv_positions
+        else:
+            key_ids, key_positions = ids[windows, keys], self.kv_positions[keys]
+        kv = self.kv_chars[key_ids]
+        kv += key_positions
         xq = x[..., :d]
         q = x[..., d:].reshape(b, m, self.heads, k).transpose(0, 2, 1, 3)
-        kv = kv.reshape(b, w, 2, self.heads, k).transpose(2, 0, 3, 1, 4)
-        return xq, q, kv[0], kv[1], self.key_bias[ids]
+        kv = kv.reshape(b, key_ids.shape[1], 2, self.heads, k).transpose(2, 0, 3, 1, 4)
+        return xq, q, kv[0], kv[1], self.key_bias[key_ids]
 
 
 # --------------------------------------------------------------------------
@@ -327,6 +339,22 @@ def _layer_norm_backward(dout, norm, inv, scale):
     return dx, dscale, dshift
 
 
+def _live_keys(ids: np.ndarray) -> np.ndarray:
+    """Each window's key positions, (B, span): its live run first, in order.
+
+    A window's live run goes from its first non-``PAD_ID`` position to its
+    last, and ``span`` is the longest run of the batch. A shorter run is
+    followed by that window's own padding positions, wrapping round the
+    window: they are distinct, and the key bias masks them. An all-padding
+    window keeps all W.
+    """
+    w = ids.shape[1]
+    live = ids != PAD_ID
+    lo = np.argmax(live, axis=1)
+    span = int(np.maximum.reduce(w - np.argmax(live[:, ::-1], axis=1) - lo))
+    return (lo[:, None] + np.arange(span)) % w
+
+
 def forward_batch(
     encoder: FrozenEncoder, ids: np.ndarray, nsw_mask: np.ndarray, legal_mask: np.ndarray
 ) -> tuple[np.ndarray, dict]:
@@ -335,21 +363,28 @@ def forward_batch(
     Only the NSW query rows are computed. Each window's NSW positions are
     gathered into a ``(B, M)`` row index, M being the largest NSW count in
     the batch (at least 2); a window with fewer NSW takes non-NSW positions
-    as padded rows, which ``valid`` zeroes out of the pooling. Keys and
-    values cover the whole window. The result equals the full-window block
-    up to summation order: with one layer, a row's output depends on the
-    other positions only through the keys and values, and only NSW rows
-    reach the pooled logits.
+    as padded rows, which ``valid`` zeroes out of the pooling. With two
+    windows or more, keys and values cover each window's live run only
+    (``_live_keys``; the cache's ``keys`` holds the positions); one window
+    keeps all W, as there the index arithmetic costs more than the keys it
+    drops. The result equals the full-window block up to summation order:
+    with one layer, a row's output depends on the other positions only
+    through the keys and values, only NSW rows reach the pooled logits,
+    and a padding key's weight is exactly zero.
 
     The rows' inputs and Q, K, V are gathered from the encoder's tables:
     float32 ones frozen once for inference, or float64 ones that training
     freezes afresh for every step, whose cache feeds ``backward_batch``.
 
-    The attention softmax subtracts each row's maximum, one
-    ``np.maximum.reduce`` at every batch size. Sums and maxima are ufunc
+    The attention scores are key-major, ``(keys, B, H, M)``: one matmul
+    writes them through a transposed view, and the softmax's maximum,
+    exponential and sum run in place over axis 0, which adds the keys in
+    position order. Masked keys add exact zeros, so a window's sum is the
+    same whichever keys its call keeps, and its probabilities alone and in
+    a chunk agree to the float64 head's last bit as long as BLAS, too,
+    adds each product's keys in order. Sums and maxima are ufunc
     reductions and additions run in place on fresh products: at batch 1
-    numpy's per-call overhead, not the arithmetic, sets the cost. The
-    values are those of the plain expressions, bit for bit.
+    numpy's per-call overhead, not the arithmetic, sets the cost.
     """
     ids = np.asarray(ids, dtype=np.int64)
     nsw = np.asarray(nsw_mask, dtype=bool)
@@ -358,28 +393,34 @@ def forward_batch(
     counts = np.add.reduce(nsw, axis=1)
     if not counts.all():
         raise ValueError("every window must mark at least one NSW position")
+    b, w = ids.shape
     # A one-row product runs as BLAS gemv, which rounds differently from
     # gemm in float32; with two rows or more every window's result is
     # independent of the chunk it runs in. Padded rows leave the pooling,
     # so in training they get exactly zero gradient.
-    m = max(int(np.maximum.reduce(counts)), min(2, ids.shape[1]))
+    m = max(int(np.maximum.reduce(counts)), min(2, w))
     # A stable sort puts each window's NSW positions first, in order; the
     # rest of the first M are distinct non-NSW positions.
     rows = np.argsort(~nsw, axis=1, kind="stable")[:, :m]
     valid = np.arange(m) < counts[:, None]
-    xq, q, k, v, key_bias = encoder.project(ids, rows)
+    # One window keeps all W keys: there the index arithmetic would cost
+    # more than the padding keys it drops.
+    keys = _live_keys(ids) if b > 1 else None
+    xq, q, k, v, key_bias = encoder.project(ids, rows, keys)
 
-    # The softmax runs in place to avoid large temporaries.
-    scores = q @ k.swapaxes(-1, -2)
-    scores += key_bias[:, None, None, :]
-    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    # Key-major scores, (keys, B, H, M): the softmax reduces over the outer
+    # axis, adding keys in position order, and runs in place.
+    h = q.shape[1]
+    scores = np.empty((k.shape[2], b, h, m), dtype=q.dtype)
+    attn = scores.transpose(1, 2, 3, 0)
+    np.matmul(q, k.swapaxes(-1, -2), out=attn)
+    scores += key_bias.T[:, :, None, None]
+    scores -= np.maximum.reduce(scores, axis=0)
     np.exp(scores, out=scores)
-    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
-    attn = scores
+    scores /= np.add.reduce(scores, axis=0)
 
     ctx = attn @ v
-    b, h, _, hd = ctx.shape
-    concat = ctx.transpose(0, 2, 1, 3).reshape(b, m, h * hd)
+    concat = ctx.transpose(0, 2, 1, 3).reshape(b, m, -1)
     res1 = concat @ encoder.attn_out
     res1 += xq
     norm1, n1_hat, n1_inv = _layer_norm(res1, encoder.ln1_scale, encoder.ln1_shift)
@@ -400,6 +441,7 @@ def forward_batch(
 
     cache = {
         "ids": ids, "rows": rows, "valid": valid, "counts": counts,
+        "keys": np.arange(w)[None] if keys is None else keys,
         "xq": xq, "q": q, "k": k, "v": v, "attn": attn, "concat": concat,
         "n1_hat": n1_hat, "n1_inv": n1_inv, "norm1": norm1,
         "ff_pre": ff_pre, "ff_act": ff_act,
@@ -412,21 +454,24 @@ def forward_batch(
 def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. every tensor, given dloss/dlogits.
 
-    Follows the forward's row restriction: query-side gradients exist on
-    the NSW rows only (padded rows get exactly zero), and key and value
-    gradients cover every position. The forward's queries come pre-scaled
-    from the tables; the gradients are with respect to ``params``, so the
-    scale is folded into ``dq``.
+    Follows the forward's restrictions: query-side gradients exist on the
+    NSW rows only (padded rows get exactly zero), and key and value
+    gradients on the keys the forward kept (``cache["keys"]``). The
+    forward's queries come pre-scaled from the tables; the gradients are
+    with respect to ``params``, so the scale is folded into ``dq``.
 
     Keys and values were gathered from ``E @ Wkv`` and ``P @ Wkv``, so
-    their gradients go back through the same tables: the window
-    positions' dK|dV rows, with the query rows' input gradients beside
-    them, are summed once per distinct character id (one stable sort and
-    ``np.add.reduceat``) and once per position. One product with the
-    embedding rows of those characters and the positional table then gives
-    the key and value weights' gradients, and one with ``Wkv`` the
-    embedding and positional gradients. At most B*W distinct ids occur, so
-    this never costs more than products over every window position.
+    their gradients go back through the same tables: the kept keys' dK|dV
+    rows are summed once per distinct character id (one stable sort and
+    ``np.add.reduceat``; keys on ``PAD_ID`` beside a live key, whose dK and
+    dV are exactly zero, leave the sort) and once per position (one one-hot
+    product). One product with the embedding rows of those characters and
+    the positional table then gives the key and value weights' gradients,
+    and one with ``Wkv`` the embedding and positional gradients. At most
+    B*W distinct ids occur, so this never costs more than products over
+    every key. The query rows' input gradients are then added row by row,
+    ``PAD_ID`` rows included: a query row's gradient is real when an NSW
+    sits on it.
     """
     ids, rows, valid, counts = cache["ids"], cache["rows"], cache["valid"], cache["counts"]
 
@@ -462,8 +507,11 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
     dctx = dconcat.reshape(b, m, h, d // h).transpose(0, 2, 1, 3)
 
     attn, v, q, k = cache["attn"], cache["v"], cache["q"], cache["k"]
+    # dK | dV of every kept key as (B, N, 2, H, K), written by the products in place.
+    n = k.shape[2]
+    dkv = np.empty((b, n, 2, h, k.shape[3]))
+    np.matmul(attn.swapaxes(-1, -2), dctx, out=dkv[:, :, 1].transpose(0, 2, 1, 3))
     dattn = dctx @ v.swapaxes(-1, -2)
-    dv = attn.swapaxes(-1, -2) @ dctx
     # Softmax backward in place: dscores = attn * (dattn - rowdot).
     rowdot = np.einsum("bhij,bhij->bhi", dattn, attn)[:, :, :, None]
     np.subtract(dattn, rowdot, out=dattn)
@@ -471,7 +519,8 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
     dscores = dattn
     dq = dscores @ k
     dq *= 1.0 / np.sqrt(k.shape[-1])
-    dk = dscores.swapaxes(-1, -2) @ q
+    np.matmul(dscores.swapaxes(-1, -2), q, out=dkv[:, :, 0].transpose(0, 2, 1, 3))
+    dkv = dkv.reshape(b * n, -1)
 
     def columns_to_heads(grad):  # (D, H*K) -> (H, D, K)
         return np.ascontiguousarray(grad.reshape(d, h, -1).transpose(1, 0, 2))
@@ -481,38 +530,44 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
     grads["attn_q"] = columns_to_heads(cache["xq"].reshape(b * m, d).T @ dq_cat)
     dxq += (dq_cat @ _heads_to_columns(params.attn_q).T).reshape(b, m, d)
 
-    # Window positions: dK | dV | the query rows' input gradient, per position.
-    w = ids.shape[1]
-    hk = dk.shape[1] * dk.shape[3]
-    dwindow = np.zeros((b, w, 2 * hk + d))
-    dwindow[:, :, :hk] = dk.transpose(0, 2, 1, 3).reshape(b, w, hk)
-    dwindow[:, :, hk : 2 * hk] = dv.transpose(0, 2, 1, 3).reshape(b, w, hk)
-    # Rows of one window are distinct positions, so plain assignment is exact.
-    dwindow[np.arange(b)[:, None], rows, 2 * hk :] = dxq
-
-    flat_ids = ids.reshape(-1)
-    order = np.argsort(flat_ids, kind="stable")
-    sorted_ids = flat_ids[order]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+    # Keys: dK | dV summed per distinct character (one stable sort and
+    # np.add.reduceat) and per position (a one-hot product). Beside a live
+    # key, a key on PAD_ID weighs exactly zero, so its dK and dV are zero
+    # and it leaves the sort; a window of padding only keeps its keys.
+    windows = np.arange(b)[:, None]
+    keys = cache["keys"].reshape(-1)
+    key_ids = ids[windows, cache["keys"]]
+    dead = key_ids == PAD_ID
+    dead &= ~dead.all(axis=1, keepdims=True)
+    key_ids = key_ids.reshape(-1)
+    order = np.argsort(key_ids, kind="stable")
+    order = order[~dead.reshape(-1)[order]]
+    sorted_ids = key_ids[order]
+    starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
     chars = sorted_ids[starts]
-    u = len(chars)
+    u, w = len(chars), params.positional.shape[0]
     # Rows 0..U-1 sum per distinct character, rows U..U+W-1 per position.
-    dtable = np.empty((u + w, dwindow.shape[2]))
-    np.add.reduceat(dwindow.reshape(b * w, -1)[order], starts, axis=0, out=dtable[:u])
-    np.add.reduce(dwindow, axis=0, out=dtable[u:])
+    dtable = np.empty((u + w, dkv.shape[1]))
+    np.add.reduceat(dkv[order], starts, axis=0, out=dtable[:u])
+    one_hot = np.zeros((w, len(keys)))
+    one_hot[keys, np.arange(len(keys))] = 1.0
+    np.matmul(one_hot, dkv, out=dtable[u:])
+    hk = dkv.shape[1] // 2
     x = np.concatenate((params.embedding[chars], params.positional))
     kv_weight = np.concatenate(
         (_heads_to_columns(params.attn_k), _heads_to_columns(params.attn_v)), axis=1
     )
-    dkv = dtable[:, : 2 * hk]
-    dkv_weight = x.T @ dkv
+    dkv_weight = x.T @ dtable
     grads["attn_k"] = columns_to_heads(dkv_weight[:, :hk])
     grads["attn_v"] = columns_to_heads(dkv_weight[:, hk:])
-    dx = dkv @ kv_weight.T
-    dx += dtable[:, 2 * hk :]
+    dx = dtable @ kv_weight.T
     grads["embedding"] = np.zeros_like(params.embedding)
     grads["embedding"][chars] = dx[:u]
     grads["positional"] = dx[u:]
+    # The query rows' input gradients, one row at a time. An NSW may sit
+    # on a literal \x00, which reads PAD_ID, so no query row is dropped.
+    np.add.at(grads["embedding"], ids[windows, rows], dxq)
+    np.add.at(grads["positional"], rows, dxq)
     return grads
 
 
@@ -624,8 +679,10 @@ def predict_probs(encoder: FrozenEncoder, ids, nsw_mask, legal_mask) -> np.ndarr
     and a large batch's arrays outgrow the CPU cache. So windows are
     stable-sorted by NSW count and run in chunks of at most
     ``PREDICT_CHUNK``: each chunk holds windows of near-equal NSW count,
-    which leaves little padding. Each window's result does not depend on
-    the others in its chunk. Up to one chunk runs directly, unsorted.
+    which leaves little padding, and keeps its longest live run's count of
+    keys. Each window's result depends neither on the others in its chunk
+    nor on the keys the chunk keeps, beyond the float64 head's last bit.
+    Up to one chunk runs directly, unsorted.
     """
     n = len(ids)
     if n == 0:

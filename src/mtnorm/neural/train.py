@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,8 +146,10 @@ def train(corpus: list[LabeledSentence], config: ClassifierConfig, log=None) -> 
     history = []
     n = len(data)
     for epoch in range(config.epochs):
+        began = time.perf_counter()
         order = rng.permutation(n)
         epoch_loss = 0.0
+        norms = []
         correct = 0
         for start in range(0, n, config.batch_size):
             minibatch = data.take(order[start : start + config.batch_size])
@@ -154,13 +158,20 @@ def train(corpus: list[LabeledSentence], config: ClassifierConfig, log=None) -> 
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, sample offset {start}"
                 )
+            norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
             optimizer.step(params, grads)
             epoch_loss += loss * len(minibatch)
             correct += int((probs.argmax(axis=1) == minibatch.targets).sum())
-        entry = {"epoch": epoch, "loss": epoch_loss / n, "accuracy": correct / n}
+        entry = {
+            "epoch": epoch, "loss": epoch_loss / n, "accuracy": correct / n,
+            "seconds": time.perf_counter() - began, "grad_norm": sum(norms) / len(norms),
+        }
         history.append(entry)
         if log is not None:
-            log(f"epoch {epoch:3d}  loss {entry['loss']:.6f}  accuracy {entry['accuracy']:.4f}")
+            log(
+                f"epoch {epoch:3d}  loss {entry['loss']:.6f}  accuracy {entry['accuracy']:.4f}"
+                f"  grad_norm {entry['grad_norm']:.4g}  {entry['seconds']:.2f}s"
+            )
     return TrainResult(params=params, vocab=vocab, history=history)
 
 

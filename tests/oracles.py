@@ -223,15 +223,16 @@ def _reference_layer_norm_backward(dout, norm, inv, scale):
 
 
 def reference_backward_batch(tensors, cache, dlogits):
-    """Parameter gradients from a forward cache, projecting every window position.
+    """Parameter gradients from a forward cache, projecting every key position.
 
     ``tensors`` maps parameter names to arrays and ``cache`` is the dict a
     float64 forward pass returns. Above the projections this is the
-    encoder block's backward pass step by step. Below them it rebuilds each
-    window's inputs ``E[ids] + P``, takes the key and value weights'
-    gradients as products over all B*W window positions, and scatters the
-    input gradients into the embedding with ``np.add.at``, one window
-    position at a time.
+    encoder block's backward pass step by step. Below them it rebuilds the
+    inputs ``E[ids] + P`` at each window's key positions (``cache["keys"]``,
+    padding keys included), takes the key and value weights' gradients as
+    products over all of them, and scatters the key and query input
+    gradients into the embedding and positional tables with ``np.add.at``,
+    one position at a time.
     """
     t = tensors
     ids, rows, valid, counts = cache["ids"], cache["rows"], cache["valid"], cache["counts"]
@@ -259,7 +260,9 @@ def reference_backward_batch(tensors, cache, dlogits):
     dq = dscores @ k / np.sqrt(k.shape[-1])
     dk = dscores.swapaxes(-1, -2) @ q
 
-    x0 = t["embedding"][ids] + t["positional"]
+    keys = cache["keys"]
+    key_ids = np.take_along_axis(ids, keys, axis=1)
+    x0 = t["embedding"][key_ids] + t["positional"][keys]
     dxq = dres1.copy()
     dx0 = np.zeros_like(x0)
     for name, dhead, x, dx in (
@@ -271,8 +274,11 @@ def reference_backward_batch(tensors, cache, dlogits):
         dcat = dhead.transpose(0, 2, 1, 3).reshape(b * n, -1)
         grads[name] = (x.reshape(b * n, d).T @ dcat).reshape(d, h, -1).transpose(1, 0, 2)
         dx += (dcat @ t[name].transpose(1, 0, 2).reshape(d, -1).T).reshape(b, n, d)
-    dx0[np.arange(b)[:, None], rows] += dxq
+    query_ids = np.take_along_axis(ids, rows, axis=1)
     grads["embedding"] = np.zeros_like(t["embedding"])
-    np.add.at(grads["embedding"], ids, dx0)
-    grads["positional"] = dx0.sum(axis=0)
+    np.add.at(grads["embedding"], key_ids, dx0)
+    np.add.at(grads["embedding"], query_ids, dxq)
+    grads["positional"] = np.zeros_like(t["positional"])
+    np.add.at(grads["positional"], keys, dx0)
+    np.add.at(grads["positional"], rows, dxq)
     return grads

@@ -246,6 +246,17 @@ class TestNormalize:
         err = capsys.readouterr().err
         assert "--model" in err and "--rules-only" in err and err.count("\n") == 1
 
+    def test_text_and_in_exclusive(self, tmp_path, capsys):
+        # --text used to win silently over --in
+        infile = tmp_path / "in.txt"
+        infile.write_text("共3人\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["normalize", "--rules-only", "--text", "共100人", "--in", str(infile)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --in: not allowed with argument --text" in captured.err
+
     def test_input_lines_split_as_text_mode(self, tmp_path):
         # \r\n and a lone \r end lines; a blank line stays; a last newline adds none
         infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
@@ -286,6 +297,15 @@ class TestStdin:
 
 
 class TestClassify:
+    def test_text_and_in_exclusive(self, workspace, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["classify", "--model", str(workspace["model"]), "--in", "/nonexistent.txt",
+                  "--text", "只有10%的学生"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --text: not allowed with argument --in" in captured.err
+
     def test_labels_and_probabilities_printed(self, workspace, capsys):
         assert main(["classify", "--model", str(workspace["model"]),
                      "--text", "只有10%的学生参加了投票"]) == 0

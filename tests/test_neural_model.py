@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from gradcheck import gradient_check
 from oracles import reference_backward_batch, reference_forward, reference_window
 
 from mtnorm.corpus import (
@@ -286,14 +287,21 @@ class TestEncoderBlock:
 
     def test_attention_rows_sum_over_non_pad(self):
         _, vocab, params = small_setup()
-        ids = np.random.default_rng(1).integers(2, 14, size=8)
-        pad = np.asarray([False] * 5 + [True] * 3)
+        ids = np.random.default_rng(1).integers(2, 14, size=(3, 8))
+        pad = np.zeros((3, 8), dtype=bool)
+        pad[0, 5:] = pad[1, :2] = pad[2, [0, 3, 7]] = True
         ids[pad] = PAD_ID
-        attn = run_forward(params, ids, ~pad)["attn"]
-        # only the 5 NSW query rows are computed; keys cover the whole window
-        assert attn.shape == (1, 2, 5, 8)
-        assert np.allclose(attn.sum(axis=-1), 1.0)
-        assert np.all(attn[..., pad] == 0.0)
+        # one window keeps all 8 keys; a chunk keeps the longest live run, 6
+        for windows, width in ((slice(0, 1), 8), (slice(None), 6)):
+            cache = run_forward(params, ids[windows], ~pad[windows])
+            attn, keys = cache["attn"], cache["keys"]
+            # only the 5 or 6 NSW query rows are computed
+            assert keys.shape[1] == width
+            assert attn.shape == (len(keys), 2, (~pad[windows]).sum(axis=1).max(), width)
+            assert np.allclose(attn.sum(axis=-1), 1.0)
+            pad_keys = np.take_along_axis(pad[windows], keys, axis=1)[:, None, None, :]
+            assert np.all(attn[np.broadcast_to(pad_keys, attn.shape)] == 0.0)
+            assert np.all(attn[np.broadcast_to(~pad_keys, attn.shape)] > 0.0)
 
     def test_permutation_equivariance(self):
         # brute-force check at D=4, H=2, W=3 with positional encoding removed
@@ -381,13 +389,17 @@ class TestBackwardOracle:
             ("pad ids", (2, 20), 20),
             ("repeated ids", (2, 5), 20),
             ("vocabulary larger than the batch's ids", (2, 30), 500),
+            # every key masked: the window attends to its padding evenly
+            ("window of padding only", (2, 20), 20),
         ],
     )
     def test_matches_per_position_reference(self, case, id_range, vocab_size):
         config, params, rng = oracle_setup(vocab_size=vocab_size)
         for _ in range(5):
             ids, nsw, legal = ragged_windows(rng, [1, 2, 5, 12, 3, 1, 7], vocab_size=vocab_size)
-            if case != "pad ids":
+            if case == "window of padding only":
+                ids[1] = PAD_ID
+            elif case != "pad ids":
                 ids = np.where(nsw | (ids != PAD_ID), rng.integers(*id_range, ids.shape), ids)
             assert (ids == PAD_ID).any()
             _, cache = forward_batch(frozen64(params), ids, nsw, legal)
@@ -406,6 +418,90 @@ class TestBackwardOracle:
                 assert np.abs(got[name] - grad).max() <= 1e-12, name
             unseen = np.setdiff1d(np.arange(vocab_size), ids)
             assert not got["embedding"][unseen].any()
+
+
+# Windows of texts shorter than the 12-character window, so each window's
+# live run (first to last non-padding key) is shorter than the window and
+# a chunk keeps only the longest run's count of keys.
+KEPT_KEY_CASES = {
+    # NSW at the text's start: padding on the left only; at its end: on the
+    # right only; the last window is padded on both sides
+    "one-sided padding": [
+        ("35人在场有是共", NSWSpan(0, 2)),
+        ("在场有是共人12", NSWSpan(5, 7)),
+        ("120人在场有是共", NSWSpan(0, 3)),
+        ("有是共8", NSWSpan(3, 4)),
+    ],
+    # a literal \x00 reads PAD_ID inside the live run, a masked key that is kept
+    "interior padding key": [
+        ("共\x00有35人在场是", NSWSpan(3, 5)),
+        ("35人\x00在", NSWSpan(0, 2)),
+        ("在场12", NSWSpan(2, 4)),
+        ("有\x0067\x00人", NSWSpan(2, 4)),
+    ],
+}
+
+
+def kept_key_batch(case, labels=5):
+    vocab = Vocabulary({ch: i + 2 for i, ch in enumerate("0123456789共有人在场是")})
+    windows = [vocab.windows(text, [span], 12) for text, span in KEPT_KEY_CASES[case]]
+    ids, nsw = (np.concatenate(part) for part in zip(*windows))
+    legal = np.ones((len(ids), labels), dtype=bool)
+    legal[::2, 1] = False
+    return vocab, ids, nsw, legal
+
+
+@pytest.mark.parametrize("case", sorted(KEPT_KEY_CASES))
+class TestKeptKeys:
+    """A chunk of windows keeps each window's live keys only, with the result of all W."""
+
+    def test_chunk_keeps_live_runs(self, case):
+        vocab, ids, nsw, legal = kept_key_batch(case)
+        config, params, rng = oracle_setup(vocab_size=vocab.size)
+        _, cache = forward_batch(frozen64(params), ids, nsw, legal)
+        keys = cache["keys"]
+        live = ids != PAD_ID
+        lo = live.argmax(axis=1)
+        runs = ids.shape[1] - live[:, ::-1].argmax(axis=1) - lo
+        assert len(set(lo.tolist())) > 1 and len(set(runs.tolist())) > 1
+        assert keys.shape == (len(ids), runs.max()) and runs.max() < ids.shape[1]
+        for row, key_row in enumerate(keys):
+            assert len(set(key_row.tolist())) == len(key_row)
+            assert key_row[: runs[row]].tolist() == list(range(lo[row], lo[row] + runs[row]))
+            assert (ids[row, key_row[runs[row] :]] == PAD_ID).all()
+        if case == "interior padding key":
+            assert (ids[np.arange(len(ids))[:, None], keys] == PAD_ID)[:, :3].any()
+
+    def test_float64_matches_references(self, case):
+        vocab, ids, nsw, legal = kept_key_batch(case)
+        config, params, rng = oracle_setup(vocab_size=vocab.size)
+        probs, cache = forward_batch(frozen64(params), ids, nsw, legal)
+        assert cache["keys"].shape[1] < ids.shape[1]
+        want = reference_forward(params.tensors(), ids, nsw, legal, PAD_ID)
+        assert np.abs(probs - want).max() <= 1e-12
+        dlogits = rng.normal(size=(len(ids), config.label_count))
+        got = backward_batch(params, cache, dlogits)
+        for name, grad in reference_backward_batch(params.tensors(), cache, dlogits).items():
+            assert got[name].shape == grad.shape, name
+            assert np.abs(got[name] - grad).max() <= 1e-12, name
+
+    def test_float32_alone_equals_chunk(self, case):
+        vocab, ids, nsw, legal = kept_key_batch(case)
+        config, params, rng = oracle_setup(vocab_size=vocab.size)
+        encoder = FrozenEncoder.freeze(params)
+        chunk = predict_probs(encoder, ids, nsw, legal)
+        for row in range(len(ids)):
+            one = slice(row, row + 1)
+            alone, cache = forward_batch(encoder, ids[one], nsw[one], legal[one])
+            assert cache["keys"].shape[1] == ids.shape[1]
+            assert np.abs(alone[0] - chunk[row]).max() <= 1e-12
+
+    def test_gradient_check(self, case):
+        vocab, ids, nsw, legal = kept_key_batch(case)
+        config, _, _ = oracle_setup(vocab_size=vocab.size)
+        params = init_params(config, vocab.size, np.random.default_rng(2))
+        batch = TrainingBatch(ids, nsw, legal, np.asarray([0, 2, 4, 3]))
+        assert gradient_check(params, batch, config, coords_per_tensor=8) <= 1e-3
 
 
 class TestPredictProbs:
@@ -465,11 +561,12 @@ class TestFrozenForward:
         # range show a shift other than the row maximum
         config, params, rng = oracle_setup()
         ids, nsw, legal = ragged_windows(rng, [1, 2, 5, 12, 3, 1, 7, 4])
-        keys = (ids != PAD_ID)[:, None, None, :]
 
         def scores(encoder):
             _, cache = forward_batch(encoder, ids, nsw, legal)
-            return (cache["q"] @ cache["k"].swapaxes(-1, -2))[np.broadcast_to(keys, cache["attn"].shape)]
+            live = np.take_along_axis(ids, cache["keys"], axis=1) != PAD_ID
+            live = np.broadcast_to(live[:, None, None, :], cache["attn"].shape)
+            return (cache["q"] @ cache["k"].swapaxes(-1, -2))[live]
 
         params.attn_q *= 1e3 / np.abs(scores(frozen64(params))).max()
         encoder = FrozenEncoder.freeze(params)

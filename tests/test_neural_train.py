@@ -90,6 +90,36 @@ class TestTraining:
         for name, tensor in a.params.tensors().items():
             assert np.array_equal(b.params.tensors()[name], tensor)
 
+    def test_history_records_epoch_time_and_gradient_norm(self):
+        corpus, config = separable_corpus(80), toy_config(epochs=3)
+        lines = []
+        result = train(corpus, config, log=lines.append)
+        # the same steps, with no bookkeeping: one global L2 norm per step, before the step
+        vocab = build_vocab(corpus)
+        rng = np.random.default_rng(config.seed)
+        params = init_params(config, vocab.size, rng)
+        data = make_training_batch(corpus, vocab, config)
+        optimizer = AdamState(params, config.learning_rate)
+        for entry, line in zip(result.history, lines, strict=True):
+            order = rng.permutation(len(data))
+            losses, correct, norms = [], 0, []
+            for start in range(0, len(data), config.batch_size):
+                minibatch = data.take(order[start : start + config.batch_size])
+                loss, grads, probs = batch_loss_and_grads(params, minibatch, config)
+                norms.append(np.sqrt(sum((g * g).sum() for g in grads.values())))
+                optimizer.step(params, grads)
+                losses.append(loss * len(minibatch))
+                correct += int((probs.argmax(axis=1) == minibatch.targets).sum())
+            assert entry["loss"] == sum(losses) / len(data)
+            assert entry["accuracy"] == correct / len(data)
+            assert entry["grad_norm"] == pytest.approx(np.mean(norms), rel=1e-12)
+            assert len(norms) == 3 and np.isfinite(entry["grad_norm"]) and entry["grad_norm"] > 0.0
+            assert 0.0 < entry["seconds"] < 60.0
+            assert f"grad_norm {entry['grad_norm']:.4g}" in line
+            assert line.endswith(f"  {entry['seconds']:.2f}s")
+        for name, tensor in result.params.tensors().items():
+            assert np.array_equal(params.tensors()[name], tensor), name
+
     def test_zero_epochs_returns_initialization(self):
         corpus = separable_corpus(50)
         config = toy_config(epochs=0)
