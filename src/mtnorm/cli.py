@@ -8,6 +8,7 @@ stderr otherwise; all randomness is controlled by explicit --seed flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -147,7 +148,9 @@ def _add_input(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--in", dest="infile", help="input file, one sentence per line")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="mtnorm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -30,12 +30,20 @@ character and per position, not multiplied out per key.
 Inference runs the same ``forward_batch`` on tables frozen once, in
 float32.
 
+Layer normalization's centering, scale and shift and the mean pooling are
+linear as well, so the freeze folds them into the tables and weights too:
+the residual sums come out centred by construction, each layer norm keeps
+only its 1/std, layer norm 1's scale and shift live in the feed-forward
+layer, and layer norm 2's in the classifier head. The backward pass
+rebuilds from the parameters what the folded forward pass never builds
+and returns the gradients of the unfolded parameters.
+
 Per utterance the classifier runs one window at a time, and at that size
 numpy's fixed cost per call outweighs the arithmetic. So the forward pass
 keeps its call count low: reductions call the ufuncs directly, and
-biases, residuals and the softmax update fresh arrays in place. The
-attention scores are laid out key-major, so the softmax's maximum and sum
-reduce over the outer axis, one key after another in position order.
+biases, residuals, the ReLU and the softmax update fresh arrays in place.
+The attention scores are laid out key-major, so the softmax's maximum and
+sum reduce over the outer axis, one key after another in position order.
 """
 
 from __future__ import annotations
@@ -203,49 +211,59 @@ def _heads_to_columns(weight: np.ndarray) -> np.ndarray:
     return weight.transpose(1, 0, 2).reshape(weight.shape[1], -1)
 
 
-# Tensors after the attention scores that the frozen form keeps in its dtype.
-_TAIL = (
-    "attn_out", "ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln1_scale", "ln1_shift",
-    "ln2_scale", "ln2_shift",
-)
+def _centre(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x`` less each row's mean: a product with it gives rows that sum to zero."""
+    return np.subtract(x, np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1], out=out)
 
 
 @dataclass
 class FrozenEncoder:
-    """``EncoderParams`` with the projections as tables, the form ``forward_batch`` runs.
+    """``EncoderParams`` with every linear step folded in, the form ``forward_batch`` runs.
 
     With the weights fixed, ``(E[ids] + P) @ W = (E @ W)[ids] + P @ W``, so
     the query, key and value projections become per-character (V, .) and
     per-position (W, .) tables whose rows ``forward_batch`` gathers and adds.
-    The query side packs the embedding with the query projection, already
-    scaled by 1/sqrt(K), because the NSW rows need both (the residual and
-    the queries); the key side packs the key and value projections.
-    ``key_bias`` is ``ATTN_NEG`` at ``PAD_ID`` and 0 elsewhere. The tail
-    tensors are kept under their ``EncoderParams`` names in ``dtype``:
-    float32 for inference, float64 for training, where they are the
-    parameters themselves. The classifier head always stays float64: a
-    one-window chunk's logits come from a BLAS gemv, a larger chunk's from
-    gemm, and only in float64 do the two agree to 1e-12, so a window's
-    probabilities do not depend on its chunk.
+    The query side packs the residual input with the query projection,
+    already scaled by 1/sqrt(K), because the NSW rows need both; the key
+    side packs the key and value projections. ``key_bias`` is ``ATTN_NEG``
+    at ``PAD_ID`` and 0 elsewhere.
+
+    Layer normalization's centering, scale and shift and the mean pooling
+    are linear too, so they are folded the same way:
+
+    - Centering by construction. The residual columns of the query tables,
+      ``attn_out`` and ``ff_w2`` are stored with each row's mean taken
+      off, and so are ``skip``, the residual ``diag(ln1_scale)``, and
+      ``ff_b2``, which is ``ff_b2 + ln1_shift``. Both residual sums come
+      out centred, and each layer norm keeps only its 1/std.
+    - Layer norm 1's scale and shift go into the feed-forward layer:
+      ``ff_w1`` is ``ln1_scale[:, None] * ff_w1`` and ``ff_b1`` is
+      ``ln1_shift @ ff_w1 + ff_b1``.
+    - Layer norm 2's scale and shift go into the head: ``cls_w`` is
+      ``ln2_scale[:, None] * cls_w`` and ``cls_b`` is
+      ``ln2_shift @ cls_w + cls_b``, as the pooling weights sum to one.
+
+    Every table and weight is folded in float64, then cast to ``dtype``:
+    float32 for inference, float64 for training, which freezes afresh for
+    every step. The head always stays float64: a one-window chunk's
+    logits come from a BLAS gemv, a larger chunk's from gemm, and in
+    float64 the two agree to 1e-12.
     """
 
-    query_chars: np.ndarray      # (V, D + H*K): embedding | scaled query projection
+    query_chars: np.ndarray      # (V, D + H*K): centred embedding | scaled query projection
     query_positions: np.ndarray  # (W, D + H*K)
     kv_chars: np.ndarray         # (V, 2*H*K): key | value projection
     kv_positions: np.ndarray     # (W, 2*H*K)
     key_bias: np.ndarray         # (V,)
     heads: int
-    attn_out: np.ndarray
-    ff_w1: np.ndarray
-    ff_b1: np.ndarray
-    ff_w2: np.ndarray
-    ff_b2: np.ndarray
-    ln1_scale: np.ndarray
-    ln1_shift: np.ndarray
-    ln2_scale: np.ndarray
-    ln2_shift: np.ndarray
-    cls_w: np.ndarray
-    cls_b: np.ndarray
+    attn_out: np.ndarray         # (D, D), rows centred
+    ff_w1: np.ndarray            # (D, F), ln1_scale folded in
+    ff_b1: np.ndarray            # (F,), ln1_shift folded in
+    ff_w2: np.ndarray            # (F, D), rows centred
+    skip: np.ndarray             # (D, D): diag(ln1_scale), rows centred
+    ff_b2: np.ndarray            # (D,): ff_b2 + ln1_shift, centred
+    cls_w: np.ndarray            # (D, L), ln2_scale folded in; float64
+    cls_b: np.ndarray            # (L,), ln2_shift folded in; float64
 
     @classmethod
     def freeze(cls, params: EncoderParams, dtype=np.float32) -> "FrozenEncoder":
@@ -255,25 +273,36 @@ class FrozenEncoder:
             [_heads_to_columns(params.attn_k), _heads_to_columns(params.attn_v)], axis=1
         )
 
-        def tables(x):  # x: embedding or positional
-            return np.concatenate([x, x @ query], axis=1), x @ kv
+        def cast(a):
+            return np.ascontiguousarray(a, dtype=dtype)
+
+        def tables(x):  # x: embedding or positional; each cast as soon as it is built
+            query_table = np.empty((x.shape[0], d + query.shape[1]))
+            _centre(x, out=query_table[:, :d])
+            np.matmul(x, query, out=query_table[:, d:])
+            return cast(query_table), cast(x @ kv)
 
         query_chars, kv_chars = tables(params.embedding)
         query_positions, kv_positions = tables(params.positional)
         key_bias = np.zeros(params.embedding.shape[0])
         key_bias[PAD_ID] = ATTN_NEG
-
-        def cast(a):
-            return np.ascontiguousarray(a, dtype=dtype)
-
+        tail = {
+            "attn_out": _centre(params.attn_out),
+            "ff_w1": params.ln1_scale[:, None] * params.ff_w1,
+            "ff_b1": params.ln1_shift @ params.ff_w1 + params.ff_b1,
+            "ff_w2": _centre(params.ff_w2),
+            "skip": _centre(np.diag(params.ln1_scale)),
+            "ff_b2": _centre(params.ff_b2 + params.ln1_shift),
+        }
         return cls(
-            cast(query_chars), cast(query_positions), cast(kv_chars), cast(kv_positions),
-            cast(key_bias), h, **{name: cast(getattr(params, name)) for name in _TAIL},
-            cls_w=params.cls_w.copy(), cls_b=params.cls_b.copy(),
+            query_chars, query_positions, kv_chars, kv_positions,
+            cast(key_bias), h, **{name: cast(a) for name, a in tail.items()},
+            cls_w=params.ln2_scale[:, None] * params.cls_w,
+            cls_b=params.ln2_shift @ params.cls_w + params.cls_b,
         )
 
     def project(self, ids: np.ndarray, rows: np.ndarray, keys: np.ndarray | None = None):
-        """NSW-row inputs and per-head Q, K, V from table rows; plus the key bias.
+        """Centred NSW-row residual inputs, per-head Q, K, V from table rows, and the key bias.
 
         ``keys`` holds each window's key positions; None keeps all W, in order.
         """
@@ -281,14 +310,15 @@ class FrozenEncoder:
         m = rows.shape[1]
         d = self.attn_out.shape[0]
         k = d // self.heads
+        # take() gathers rows at a third of fancy indexing's fixed cost
         windows = np.arange(b)[:, None]
-        x = self.query_chars[ids[windows, rows]]
-        x += self.query_positions[rows]
+        x = self.query_chars.take(ids[windows, rows], axis=0)
+        x += self.query_positions.take(rows, axis=0)
         if keys is None:
             key_ids, key_positions = ids, self.kv_positions
         else:
-            key_ids, key_positions = ids[windows, keys], self.kv_positions[keys]
-        kv = self.kv_chars[key_ids]
+            key_ids, key_positions = ids[windows, keys], self.kv_positions.take(keys, axis=0)
+        kv = self.kv_chars.take(key_ids, axis=0)
         kv += key_positions
         xq = x[..., :d]
         q = x[..., d:].reshape(b, m, self.heads, k).transpose(0, 2, 1, 3)
@@ -300,33 +330,33 @@ class FrozenEncoder:
 # Forward
 # --------------------------------------------------------------------------
 
-def masked_softmax(logits: np.ndarray, legal: np.ndarray) -> np.ndarray:
-    """Softmax restricted to legal entries; illegal ones are exactly zero."""
-    logits = np.atleast_2d(logits)
-    legal = np.atleast_2d(np.asarray(legal, dtype=bool))
-    if not np.logical_or.reduce(legal, axis=-1).all():
-        raise ValueError("masked softmax needs at least one legal label per row")
+def masked_softmax(logits: np.ndarray, legal) -> np.ndarray:
+    """Softmax restricted to legal entries; illegal ones are exactly zero.
+
+    ``logits`` is (B, L) or (L,); ``legal`` is any array-like of the same
+    shape whose nonzero entries are legal. Returns (B, L), (1, L) for 1-D
+    input. A row with no legal entry raises ``ValueError``.
+    """
     z = np.where(legal, logits, -np.inf)
-    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    top = np.maximum.reduce(z, axis=-1, keepdims=True)
+    if top.min() == -np.inf:
+        raise ValueError("masked softmax needs at least one legal label per row")
+    z -= top
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis=-1, keepdims=True)
-    return z
+    return z if z.ndim == 2 else z.reshape(1, -1)
 
 
-def _layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
-    # the arithmetic of mean() and var(), without their Python-level overhead
+def _inv_std(x: np.ndarray) -> np.ndarray:
+    """Layer norm's 1/sqrt(var + eps) over the last axis of an ``x`` centred by construction.
+
+    Computed as sqrt(D) / sqrt(sum(x**2) + D*eps), one numpy call fewer.
+    """
     d = x.shape[-1]
-    mu = np.add.reduce(x, axis=-1, keepdims=True)
-    mu /= d
-    centered = x - mu
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
-    var /= d
-    var += LN_EPS
-    inv = 1.0 / np.sqrt(var, out=var)
-    norm = centered * inv
-    out = norm * scale
-    out += shift
-    return out, norm, inv
+    var = np.add.reduce(x * x, axis=-1, keepdims=True)
+    var += d * LN_EPS
+    np.sqrt(var, out=var)
+    return np.divide(math.sqrt(d), var, out=var)
 
 
 def _layer_norm_backward(dout, norm, inv, scale):
@@ -375,30 +405,41 @@ def forward_batch(
     The rows' inputs and Q, K, V are gathered from the encoder's tables:
     float32 ones frozen once for inference, or float64 ones that training
     freezes afresh for every step, whose cache feeds ``backward_batch``.
+    Every linear step after the attention is folded into the encoder
+    (``FrozenEncoder``), so both residual sums come out centred and each
+    layer norm is one 1/std per row, ``n1_inv`` and ``n2_inv``. The
+    feed-forward layer reads ``n1_hat``, layer norm 1's normalized rows;
+    the pooling is one batched product of the centred ``res2`` with the
+    weights ``valid / count * n2_inv``, and layer norm 2's scale and shift
+    are in the head. The ReLU runs in place, so ``ff_act`` is all that is
+    kept of the feed-forward layer's input to it.
 
     The attention scores are key-major, ``(keys, B, H, M)``: one matmul
     writes them through a transposed view, and the softmax's maximum,
     exponential and sum run in place over axis 0, which adds the keys in
     position order. Masked keys add exact zeros, so a window's sum is the
-    same whichever keys its call keeps, and its probabilities alone and in
-    a chunk agree to the float64 head's last bit as long as BLAS, too,
-    adds each product's keys in order. Sums and maxima are ufunc
-    reductions and additions run in place on fresh products: at batch 1
-    numpy's per-call overhead, not the arithmetic, sets the cost.
+    same whichever keys its call keeps. In float64 a window's
+    probabilities alone and in a chunk agree to 1e-12. In float32 they
+    agree to float32 rounding only: a BLAS sgemm kernel may round a row
+    differently with the number of rows in its product, and the kernels
+    without AVX-512 do. Sums and maxima are ufunc reductions and
+    additions run in place on fresh products: at batch 1 numpy's per-call
+    overhead, not the arithmetic, sets the cost.
     """
     ids = np.asarray(ids, dtype=np.int64)
     nsw = np.asarray(nsw_mask, dtype=bool)
     legal = np.asarray(legal_mask, dtype=bool)
 
     counts = np.add.reduce(nsw, axis=1)
-    if not counts.all():
+    per_window = counts.tolist()  # a chunk's few counts are checked faster in Python
+    if not all(per_window):
         raise ValueError("every window must mark at least one NSW position")
     b, w = ids.shape
     # A one-row product runs as BLAS gemv, which rounds differently from
-    # gemm in float32; with two rows or more every window's result is
-    # independent of the chunk it runs in. Padded rows leave the pooling,
-    # so in training they get exactly zero gradient.
-    m = max(int(np.maximum.reduce(counts)), min(2, w))
+    # gemm in float32; with two rows or more a window's result depends on
+    # the chunk it runs in by float32 rounding at most. Padded rows leave
+    # the pooling, so in training they get exactly zero gradient.
+    m = max(max(per_window), min(2, w))
     # A stable sort puts each window's NSW positions first, in order; the
     # rest of the first M are distinct non-NSW positions.
     rows = np.argsort(~nsw, axis=1, kind="stable")[:, :m]
@@ -421,21 +462,26 @@ def forward_batch(
 
     ctx = attn @ v
     concat = ctx.transpose(0, 2, 1, 3).reshape(b, m, -1)
-    res1 = concat @ encoder.attn_out
-    res1 += xq
-    norm1, n1_hat, n1_inv = _layer_norm(res1, encoder.ln1_scale, encoder.ln1_shift)
+    # Both residual sums come out centred (see FrozenEncoder), so each
+    # layer norm is one 1/std per row; layer norm 1 normalizes in place.
+    n1_hat = concat @ encoder.attn_out
+    n1_hat += xq
+    n1_inv = _inv_std(n1_hat)
+    n1_hat *= n1_inv
 
-    ff_pre = norm1 @ encoder.ff_w1
-    ff_pre += encoder.ff_b1
-    ff_act = np.maximum(ff_pre, 0.0)
+    ff_act = n1_hat @ encoder.ff_w1
+    ff_act += encoder.ff_b1
+    np.maximum(ff_act, 0.0, out=ff_act)
     res2 = ff_act @ encoder.ff_w2
+    res2 += n1_hat @ encoder.skip
     res2 += encoder.ff_b2
-    res2 += norm1
-    norm2, n2_hat, n2_inv = _layer_norm(res2, encoder.ln2_scale, encoder.ln2_shift)
+    n2_inv = _inv_std(res2)
 
-    pooled = np.add.reduce(norm2 * valid[:, :, None], axis=1)
-    pooled /= counts[:, None].astype(norm2.dtype)
-    logits = pooled @ encoder.cls_w
+    # Mean pooling and layer norm 2's 1/std in one product; its scale and
+    # shift are in the head.
+    weights = (valid / counts[:, None])[:, None, :]
+    weights *= n2_inv.transpose(0, 2, 1)
+    logits = (weights @ res2)[:, 0] @ encoder.cls_w
     logits += encoder.cls_b
     probs = masked_softmax(logits, legal)
 
@@ -443,10 +489,8 @@ def forward_batch(
         "ids": ids, "rows": rows, "valid": valid, "counts": counts,
         "keys": np.arange(w)[None] if keys is None else keys,
         "xq": xq, "q": q, "k": k, "v": v, "attn": attn, "concat": concat,
-        "n1_hat": n1_hat, "n1_inv": n1_inv, "norm1": norm1,
-        "ff_pre": ff_pre, "ff_act": ff_act,
-        "n2_hat": n2_hat, "n2_inv": n2_inv, "norm2": norm2,
-        "pooled": pooled, "probs": probs,
+        "n1_hat": n1_hat, "n1_inv": n1_inv, "ff_act": ff_act,
+        "res2": res2, "n2_inv": n2_inv, "probs": probs,
     }
     return probs, cache
 
@@ -472,26 +516,49 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
     every key. The query rows' input gradients are then added row by row,
     ``PAD_ID`` rows included: a query row's gradient is real when an NSW
     sits on it.
+
+    The forward pass runs on folded weights (``FrozenEncoder``), so what
+    the parameters' gradients need and the forward never built is rebuilt
+    here from ``params`` and the cache: the query rows' uncentred inputs
+    ``E[ids] + P`` for ``attn_q``, layer norm 1's output for ``ff_w1``,
+    and layer norm 2's normalized rows and the pooled vector for
+    ``cls_w``. Every row of a window gets its pooling share of the pooled
+    vector's gradient, so layer norm 2's scale and shift gradients come
+    from per-window vectors, and ``dres2`` is the only gradient its
+    backward pass builds at the size of ``res2``.
     """
     ids, rows, valid, counts = cache["ids"], cache["rows"], cache["valid"], cache["counts"]
+    b, m, d = cache["res2"].shape
 
+    share = (valid / counts[:, None])[:, :, None]
+    n2_inv = cache["n2_inv"]
+    n2_hat = cache["res2"] * n2_inv
+    pooled_hat = np.add.reduce(share * n2_hat, axis=1)
+    pooled = pooled_hat * params.ln2_scale
+    pooled += params.ln2_shift
     grads = dict.fromkeys(params.tensors())  # field order; each filled once below
-    grads["cls_w"] = cache["pooled"].T @ dlogits
+    grads["cls_w"] = pooled.T @ dlogits
     grads["cls_b"] = dlogits.sum(axis=0)
     dpooled = dlogits @ params.cls_w.T
 
-    dnorm2 = dpooled[:, None, :] * (valid / counts[:, None])[:, :, None]
-    dres2, grads["ln2_scale"], grads["ln2_shift"] = _layer_norm_backward(
-        dnorm2, cache["n2_hat"], cache["n2_inv"], params.ln2_scale
-    )
+    # Layer norm 2: the gradient of row (b, i) of n2_hat is share[b, i] * g[b],
+    # so dres2 = share * n2_inv * (g - mean(g) - n2_hat * (n2_hat . g) / D).
+    grads["ln2_scale"] = np.add.reduce(dpooled * pooled_hat, axis=0)
+    grads["ln2_shift"] = np.add.reduce(dpooled, axis=0)
+    g = dpooled * params.ln2_scale
+    g_centred = g - np.add.reduce(g, axis=1, keepdims=True) / d
+    dres2 = n2_hat * (n2_hat @ (g / d)[:, :, None])
+    np.subtract(g_centred[:, None, :], dres2, out=dres2)
+    dres2 *= share * n2_inv
 
-    b, m, d = dres2.shape
     dff_out = dres2
     grads["ff_w2"] = cache["ff_act"].reshape(b * m, -1).T @ dff_out.reshape(b * m, d)
     grads["ff_b2"] = dff_out.sum(axis=(0, 1))
     dff_act = dff_out @ params.ff_w2.T
-    dff_pre = dff_act * (cache["ff_pre"] > 0.0)
-    grads["ff_w1"] = cache["norm1"].reshape(b * m, d).T @ dff_pre.reshape(b * m, -1)
+    dff_pre = dff_act * (cache["ff_act"] > 0.0)
+    norm1 = cache["n1_hat"] * params.ln1_scale
+    norm1 += params.ln1_shift
+    grads["ff_w1"] = norm1.reshape(b * m, d).T @ dff_pre.reshape(b * m, -1)
     grads["ff_b1"] = dff_pre.sum(axis=(0, 1))
     dnorm1 = dres2 + dff_pre @ params.ff_w1.T
 
@@ -525,16 +592,20 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
     def columns_to_heads(grad):  # (D, H*K) -> (H, D, K)
         return np.ascontiguousarray(grad.reshape(d, h, -1).transpose(1, 0, 2))
 
-    # Query rows: one (B*M, D) x (D, H*K) product each way.
+    # Query rows: one (B*M, D) x (D, H*K) product each way, on the
+    # uncentred inputs.
+    windows = np.arange(b)[:, None]
+    query_ids = ids[windows, rows]
+    xq = params.embedding.take(query_ids, axis=0)
+    xq += params.positional.take(rows, axis=0)
     dq_cat = dq.transpose(0, 2, 1, 3).reshape(b * m, -1)
-    grads["attn_q"] = columns_to_heads(cache["xq"].reshape(b * m, d).T @ dq_cat)
+    grads["attn_q"] = columns_to_heads(xq.reshape(b * m, d).T @ dq_cat)
     dxq += (dq_cat @ _heads_to_columns(params.attn_q).T).reshape(b, m, d)
 
     # Keys: dK | dV summed per distinct character (one stable sort and
     # np.add.reduceat) and per position (a one-hot product). Beside a live
     # key, a key on PAD_ID weighs exactly zero, so its dK and dV are zero
     # and it leaves the sort; a window of padding only keeps its keys.
-    windows = np.arange(b)[:, None]
     keys = cache["keys"].reshape(-1)
     key_ids = ids[windows, cache["keys"]]
     dead = key_ids == PAD_ID
@@ -566,7 +637,7 @@ def backward_batch(params: EncoderParams, cache: dict, dlogits: np.ndarray) -> d
     grads["positional"] = dx[u:]
     # The query rows' input gradients, one row at a time. An NSW may sit
     # on a literal \x00, which reads PAD_ID, so no query row is dropped.
-    np.add.at(grads["embedding"], ids[windows, rows], dxq)
+    np.add.at(grads["embedding"], query_ids, dxq)
     np.add.at(grads["positional"], rows, dxq)
     return grads
 
@@ -681,7 +752,8 @@ def predict_probs(encoder: FrozenEncoder, ids, nsw_mask, legal_mask) -> np.ndarr
     ``PREDICT_CHUNK``: each chunk holds windows of near-equal NSW count,
     which leaves little padding, and keeps its longest live run's count of
     keys. Each window's result depends neither on the others in its chunk
-    nor on the keys the chunk keeps, beyond the float64 head's last bit.
+    nor on the keys the chunk keeps, beyond rounding: 1e-12 on float64
+    tables, float32 rounding on float32 ones (``forward_batch``).
     Up to one chunk runs directly, unsorted.
     """
     n = len(ids)

@@ -226,26 +226,35 @@ def reference_backward_batch(tensors, cache, dlogits):
     """Parameter gradients from a forward cache, projecting every key position.
 
     ``tensors`` maps parameter names to arrays and ``cache`` is the dict a
-    float64 forward pass returns. Above the projections this is the
-    encoder block's backward pass step by step. Below them it rebuilds the
-    inputs ``E[ids] + P`` at each window's key positions (``cache["keys"]``,
-    padding keys included), takes the key and value weights' gradients as
-    products over all of them, and scatters the key and query input
-    gradients into the embedding and positional tables with ``np.add.at``,
-    one position at a time.
+    float64 forward pass returns. It reads the cache's layer-norm rows
+    (``n1_hat`` and ``n1_inv``; ``res2``, the centred second residual sum,
+    and ``n2_inv``), the feed-forward activations and the attention
+    tensors, and nothing the forward pass folds: it rebuilds layer norm 1's
+    output, the pooled vector and the query rows' inputs ``E[ids] + P``
+    from ``tensors``. Above the projections this is the encoder block's
+    backward pass step by step. Below them it rebuilds the inputs at each
+    window's key positions (``cache["keys"]``, padding keys included),
+    takes the key and value weights' gradients as products over all of
+    them, and scatters the key and query input gradients into the
+    embedding and positional tables with ``np.add.at``, one position at a
+    time.
     """
     t = tensors
     ids, rows, valid, counts = cache["ids"], cache["rows"], cache["valid"], cache["counts"]
-    grads = {"cls_w": cache["pooled"].T @ dlogits, "cls_b": dlogits.sum(axis=0)}
+    n2_hat = cache["res2"] * cache["n2_inv"]
+    norm2 = n2_hat * t["ln2_scale"] + t["ln2_shift"]
+    pooled = np.stack([norm2[i, valid[i]].mean(axis=0) for i in range(len(norm2))])
+    grads = {"cls_w": pooled.T @ dlogits, "cls_b": dlogits.sum(axis=0)}
     dnorm2 = (dlogits @ t["cls_w"].T)[:, None, :] * (valid / counts[:, None])[:, :, None]
     dres2, grads["ln2_scale"], grads["ln2_shift"] = _reference_layer_norm_backward(
-        dnorm2, cache["n2_hat"], cache["n2_inv"], t["ln2_scale"]
+        dnorm2, n2_hat, cache["n2_inv"], t["ln2_scale"]
     )
     b, m, d = dres2.shape
     grads["ff_w2"] = cache["ff_act"].reshape(b * m, -1).T @ dres2.reshape(b * m, d)
     grads["ff_b2"] = dres2.sum(axis=(0, 1))
-    dff_pre = (dres2 @ t["ff_w2"].T) * (cache["ff_pre"] > 0.0)
-    grads["ff_w1"] = cache["norm1"].reshape(b * m, d).T @ dff_pre.reshape(b * m, -1)
+    dff_pre = (dres2 @ t["ff_w2"].T) * (cache["ff_act"] > 0.0)
+    norm1 = cache["n1_hat"] * t["ln1_scale"] + t["ln1_shift"]
+    grads["ff_w1"] = norm1.reshape(b * m, d).T @ dff_pre.reshape(b * m, -1)
     grads["ff_b1"] = dff_pre.sum(axis=(0, 1))
     dres1, grads["ln1_scale"], grads["ln1_shift"] = _reference_layer_norm_backward(
         dres2 + dff_pre @ t["ff_w1"].T, cache["n1_hat"], cache["n1_inv"], t["ln1_scale"]
@@ -263,10 +272,12 @@ def reference_backward_batch(tensors, cache, dlogits):
     keys = cache["keys"]
     key_ids = np.take_along_axis(ids, keys, axis=1)
     x0 = t["embedding"][key_ids] + t["positional"][keys]
+    query_ids = np.take_along_axis(ids, rows, axis=1)
+    xq = t["embedding"][query_ids] + t["positional"][rows]
     dxq = dres1.copy()
     dx0 = np.zeros_like(x0)
     for name, dhead, x, dx in (
-        ("attn_q", dq, cache["xq"], dxq),
+        ("attn_q", dq, xq, dxq),
         ("attn_k", dk, x0, dx0),
         ("attn_v", dv, x0, dx0),
     ):
@@ -274,7 +285,6 @@ def reference_backward_batch(tensors, cache, dlogits):
         dcat = dhead.transpose(0, 2, 1, 3).reshape(b * n, -1)
         grads[name] = (x.reshape(b * n, d).T @ dcat).reshape(d, h, -1).transpose(1, 0, 2)
         dx += (dcat @ t[name].transpose(1, 0, 2).reshape(d, -1).T).reshape(b, n, d)
-    query_ids = np.take_along_axis(ids, rows, axis=1)
     grads["embedding"] = np.zeros_like(t["embedding"])
     np.add.at(grads["embedding"], key_ids, dx0)
     np.add.at(grads["embedding"], query_ids, dxq)

@@ -11,7 +11,7 @@ import pytest
 from oracles import reference_window
 
 from mtnorm import evaluate as ev
-from mtnorm.cli import main
+from mtnorm.cli import build_parser, main
 from mtnorm.corpus import (
     CorpusDistribution,
     LabeledSentence,
@@ -273,6 +273,43 @@ def normalize_stdin(data: bytes) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "mtnorm.cli", "normalize", "--rules-only"],
         input=data, env=env, capture_output=True,
     )
+
+
+class TestParserReuse:
+    """``build_parser`` runs once per process; one ``main`` call leaves nothing for the next."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_rules_only_then_model(self, workspace, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        text = "会议定于上午10:30开始，共100人"
+
+        def run(*system):
+            assert main(["normalize", *system, "--text", text, "--trace", str(trace)]) == 0
+            routes = [json.loads(line)["route"] for line in trace.read_text("utf-8").splitlines()]
+            return capsys.readouterr().out, routes
+
+        hybrid = run("--model", str(workspace["model"]))
+        rules_only = run("--rules-only")
+        assert "neural" in hybrid[1] and "neural" not in rules_only[1]
+        assert run("--model", str(workspace["model"])) == hybrid
+        assert run("--rules-only") == rules_only
+        # without either flag the call is refused, as on a first call
+        assert main(["normalize", "--text", text]) == 2
+        assert build_parser().parse_args(["normalize", "--text", text]).rules_only is False
+
+    def test_trace_then_no_trace(self, workspace, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        argv = ["normalize", "--model", str(workspace["model"]), "--text", "只有10%的学生"]
+        assert main([*argv, "--trace", str(trace)]) == 0
+        assert len(trace.read_text("utf-8").splitlines()) == 1
+        traced = capsys.readouterr().out
+        trace.unlink()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == traced
+        assert not trace.exists()
+        assert build_parser().parse_args(argv).trace is None
 
 
 class TestStdin:

@@ -265,6 +265,8 @@ class TestEmbedding:
         ids, nsw = vocab.windows(PAD_CHAR * 8, [NSWSpan(0, 8)], 8)
         cache = run_forward(params, ids, nsw)
         expected = params.embedding[PAD_ID][None, :] + params.positional[:8]
+        # the residual input is stored centred: layer norm 1 removes its mean
+        expected -= expected.mean(axis=1, keepdims=True)
         assert np.allclose(cache["xq"][0], expected)
 
     def test_locality(self):
@@ -283,7 +285,8 @@ class TestEncoderBlock:
         _, _, params = small_setup()
         ids = np.random.default_rng(0).integers(2, 14, size=(3, 8))
         cache = run_forward(params, ids)
-        assert cache["norm2"].shape == cache["xq"].shape == (3, 8, 16)
+        assert cache["res2"].shape == cache["n1_hat"].shape == cache["xq"].shape == (3, 8, 16)
+        assert cache["n1_inv"].shape == cache["n2_inv"].shape == (3, 8, 1)
 
     def test_attention_rows_sum_over_non_pad(self):
         _, vocab, params = small_setup()
@@ -310,8 +313,8 @@ class TestEncoderBlock:
         params.positional[:] = 0.0
         ids = np.asarray([2, 5, 3])
         perm = [2, 0, 1]
-        out = run_forward(params, ids, labels=2)["norm2"][0]
-        out_perm = run_forward(params, ids[perm], labels=2)["norm2"][0]
+        out = run_forward(params, ids, labels=2)["res2"][0]
+        out_perm = run_forward(params, ids[perm], labels=2)["res2"][0]
         assert np.allclose(out_perm, out[perm], atol=1e-10)
 
 
@@ -590,7 +593,8 @@ class TestFrozenForward:
         assert probs.argmax() == want.argmax()
 
     def test_chunk_equals_one_by_one(self):
-        # one-NSW windows alone and a one-window chunk take other BLAS paths
+        # one-NSW windows alone and a one-window chunk take other BLAS paths;
+        # sgemm kernels without AVX-512 round a row by its product's row count
         config, params, rng = oracle_setup()
         encoder = FrozenEncoder.freeze(params)
         for counts in ([1, 1, 1], [1, 2, 5, 12, 1, 7, 2]):
@@ -599,7 +603,30 @@ class TestFrozenForward:
             for row in range(len(ids)):
                 one = slice(row, row + 1)
                 single = predict_probs(encoder, ids[one], nsw[one], legal[one])
-                assert np.abs(single[0] - batched[row]).max() <= 1e-12
+                assert np.abs(single[0] - batched[row]).max() <= self.TOLERANCE
+                assert single[0].argmax() == batched[row].argmax()
+
+    def test_large_common_embedding_offset(self):
+        # Layer norm 1 removes an offset shared by every coordinate of the
+        # residual. The query tables store the residual centred, in float64,
+        # so float32 inference never adds or subtracts the offset; centring
+        # in float32 would round it into every coordinate. Projections with
+        # zero column sums keep the offset out of the attention.
+        config, params, rng = oracle_setup()
+        for name in ("attn_q", "attn_k", "attn_v"):
+            weight = getattr(params, name)
+            weight -= weight.mean(axis=1, keepdims=True)
+        ids, nsw, legal = ragged_windows(rng, [1, 2, 5, config.window, 3, 1, 7])
+        want = reference_forward(params.tensors(), ids, nsw, legal, PAD_ID)
+        assert len(set(want.argmax(axis=1).tolist())) > 1
+        for offset in (1e2, 1e4):
+            shifted = params.copy()
+            shifted.embedding += offset
+            probs, _ = forward_batch(FrozenEncoder.freeze(shifted), ids, nsw, legal)
+            got = reference_forward(shifted.tensors(), ids, nsw, legal, PAD_ID)
+            assert np.abs(got - want).max() <= 1e-9
+            assert np.array_equal(probs.argmax(axis=1), want.argmax(axis=1))
+            assert np.abs(probs - want).max() <= self.TOLERANCE
 
     def test_padding_row_is_inert(self):
         # padding keys are suppressed, so the padding embedding reaches no output
