@@ -50,8 +50,9 @@ class LabeledSentence:
     spans: tuple[NSWSpan, ...] = ()
 
     def __post_init__(self):
+        spans = tuple(sorted(self.spans, key=lambda s: s.start))
         prev_end = 0
-        for span in sorted(self.spans, key=lambda s: s.start):
+        for span in spans:
             if span.end > len(self.text):
                 raise CorpusError(
                     f"span ({span.start}, {span.end}) exceeds text length {len(self.text)}"
@@ -59,7 +60,7 @@ class LabeledSentence:
             if span.start < prev_end:
                 raise CorpusError(f"overlapping span at {span.start} in {self.text!r}")
             prev_end = span.end
-        object.__setattr__(self, "spans", tuple(sorted(self.spans, key=lambda s: s.start)))
+        object.__setattr__(self, "spans", spans)
 
     def surface(self, span: NSWSpan) -> str:
         return self.text[span.start : span.end]
@@ -228,7 +229,16 @@ def generate_synthetic_corpus(
     seed: int,
     templates: dict[str, tuple[str, ...]] | None = None,
 ) -> list[LabeledSentence]:
-    """Deterministic corpus following ``dist``: one template and one drawn surface a sentence."""
+    """Deterministic corpus following ``dist``: one template and one drawn surface a sentence.
+
+    ``n`` and ``seed`` must be non-negative: ``random.Random`` seeds with
+    an integer's absolute value, so a negative seed would silently repeat
+    its positive twin.
+    """
+    if n < 0:
+        raise CorpusError(f"sentence count must be >= 0, got {n}")
+    if seed < 0:
+        raise CorpusError(f"seed must be >= 0, got {seed}")
     if templates is None:
         templates = load_templates()
     names = [name for name, p in dist.proportions.items() if p > 0]

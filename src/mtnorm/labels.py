@@ -40,11 +40,19 @@ class PatternLabel:
 
 
 class LabelRegistry:
-    """Dense, ordered registry of pattern labels (name and id unique)."""
+    """Dense, ordered registry of pattern labels (name and id unique).
+
+    ``readers`` holds each label's reader and ``_fullmatch`` its format's
+    bound ``fullmatch``, in id order, so the per-span calls (the legality
+    mask, the verifier, the neural route's rendering) index a tuple rather
+    than walk label attributes.
+    """
 
     def __init__(self):
         self._labels: list[PatternLabel] = []
         self._by_name: dict[str, PatternLabel] = {}
+        self._fullmatch: tuple[Callable[[str], re.Match | None], ...] = ()
+        self.readers: tuple[Callable[[str], str], ...] = ()
 
     def register(
         self,
@@ -63,6 +71,8 @@ class LabelRegistry:
         lab = PatternLabel(len(self._labels), name, compiled, read, draw, description)
         self._labels.append(lab)
         self._by_name[name] = lab
+        self._fullmatch += (compiled.fullmatch,)
+        self.readers += (read,)
         return lab
 
     def __len__(self) -> int:
@@ -90,10 +100,12 @@ class LabelRegistry:
 
     def legal_labels(self, surface: str) -> list[bool]:
         """Per-label admissibility flags for an NSW surface."""
-        return [lab.format.fullmatch(surface) is not None for lab in self._labels]
+        return [fullmatch(surface) is not None for fullmatch in self._fullmatch]
 
     def verify(self, surface: str, label_id: int) -> bool:
-        return self.by_id(label_id).format.fullmatch(surface) is not None
+        if not 0 <= label_id < len(self._fullmatch):
+            raise KeyError(f"unknown label id: {label_id}")
+        return self._fullmatch[label_id](surface) is not None
 
 
 # Synthetic-surface generators. Each draws only surfaces its label's format

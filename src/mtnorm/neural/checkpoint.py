@@ -27,13 +27,15 @@ class CheckpointError(ValueError):
 
 
 def save_params(path: str, params: EncoderParams, config: ClassifierConfig, vocab: Vocabulary) -> None:
-    np.savez(
-        path,
-        format_version=np.asarray(FORMAT_VERSION),
-        config_json=np.asarray(config.to_json()),
-        vocab_json=np.asarray(json.dumps({"char_to_id": vocab.char_to_id}, ensure_ascii=False)),
-        **params.tensors(),
-    )
+    # np.savez appends ".npz" to a path without it; an open file is written as named
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            format_version=np.asarray(FORMAT_VERSION),
+            config_json=np.asarray(config.to_json()),
+            vocab_json=np.asarray(json.dumps({"char_to_id": vocab.char_to_id}, ensure_ascii=False)),
+            **params.tensors(),
+        )
 
 
 def load_params(path: str) -> tuple[EncoderParams, ClassifierConfig, Vocabulary]:

@@ -12,13 +12,16 @@ rule. With a classifier, so does a span whose rule is a context rule (a
 surface; these take the priority route too, before legality, windows
 and the classifier. A span with no legal label takes the rule fallback.
 A span with one legal label needs no classifier: its masked softmax
-could only return that label's one-hot, so it gets that one-hot
-directly. Every other span's window goes to the classifier. Each span's
-legal labels are computed once, from the shipped label table
-(``labels.DEFAULT_REGISTRY``): the chosen label is rendered by its
-reader if the surface is legal for it, and otherwise, or if the reader
-refuses, the span takes the rule fallback with its probabilities kept in
-the trace; a span nothing can handle stays verbatim. A rule renders with
+could only return that label's one-hot, so it takes that label
+(``mask.index(True)``) and records as probabilities that label's row of
+one shared read-only identity matrix, without a numpy call. Every other
+span's window goes to the classifier, and one ``argmax`` over the
+returned rows picks their labels. Each span's legal labels are computed
+once, from the shipped label table (``labels.DEFAULT_REGISTRY``): the
+chosen label is rendered by its reader (``LabelRegistry.readers``) if
+the surface is legal for it, and otherwise, or if the reader refuses,
+the span takes the rule fallback with its probabilities kept in the
+trace; a span nothing can handle stays verbatim. A rule renders with
 ``Rule.read``. A reader that raises any exception, not only
 ``ValueError``, refuses just its own span. A system without a classifier
 is the rules-only baseline: every non-priority span takes the fallback
@@ -51,6 +54,13 @@ ROUTE_PRIORITY = "priority_rule"
 ROUTE_NEURAL = "neural"
 ROUTE_FALLBACK = "fallback_rule"
 ROUTE_UNMATCHED = "unmatched"
+
+# A one-label span's probabilities: its label's row of one read-only
+# identity, shared by every such trace; the rows are held in a tuple so
+# the route indexes them without a numpy call.
+_EYE = np.eye(len(DEFAULT_REGISTRY))
+_EYE.flags.writeable = False
+_ONE_HOT = tuple(_EYE)
 
 
 @dataclass
@@ -123,13 +133,18 @@ def _rule_route(rule: Rule | None, span: NSWSpan, surface: str, route: str, prob
 
 
 def _neural_route(
-    rule: Rule | None, span: NSWSpan, surface: str, legal: list[bool], probs: np.ndarray
+    rule: Rule | None,
+    span: NSWSpan,
+    surface: str,
+    legal: list[bool],
+    label: int,
+    probs: np.ndarray,
 ):
-    """Render the argmax label if ``legal`` admits it, else take the rule fallback."""
-    label = int(probs.argmax())
+    """Render ``label``, the argmax of ``probs``, if ``legal`` admits it, else
+    take the rule fallback."""
     if legal[label]:
         try:
-            sfw = DEFAULT_REGISTRY.by_id(label).read(surface)
+            sfw = DEFAULT_REGISTRY.readers[label](surface)
         except Exception:  # a reader fault stays inside its span
             pass
         else:
@@ -173,8 +188,8 @@ def normalize_many(
                 traces[i] = _rule_route(rule, span, surface, ROUTE_FALLBACK)
             elif choices == 1:
                 # the masked softmax of any logits: exactly 1.0 there, 0.0 elsewhere
-                onehot = np.array(mask, dtype=np.float64)
-                traces[i] = _neural_route(rule, span, surface, legal, onehot)
+                label = mask.index(True)
+                traces[i] = _neural_route(rule, span, surface, legal, label, _ONE_HOT[label])
             else:
                 routed.append(span)
                 pending.append((traces, i, rule, span, surface, legal))
@@ -186,8 +201,9 @@ def normalize_many(
     if pending:
         ids, nsw = windows[0] if len(windows) == 1 else map(np.concatenate, zip(*windows))
         probs = predict_probs(sys.encoder, ids, nsw, masks)
-        for (traces, i, rule, span, surface, legal), p in zip(pending, probs):
-            traces[i] = _neural_route(rule, span, surface, legal, p)
+        labels = probs.argmax(axis=1).tolist()
+        for (traces, i, rule, span, surface, legal), label, p in zip(pending, labels, probs):
+            traces[i] = _neural_route(rule, span, surface, legal, label, p)
 
     return [
         (splice(text, ((t.span, t.sfw) for t in traces if t.sfw is not None)), traces)

@@ -71,6 +71,16 @@ class TestGenCorpus:
         assert code == 1
         assert "mtnorm gen-corpus:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--n", "-3"), ("--seed", "-1")])
+    def test_negative_count_or_seed_fails_with_no_file(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.jsonl"
+        argv = ["gen-corpus", "--n", "5", "--seed", "1", "--out", str(out)]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mtnorm gen-corpus: ") and f"got {value}" in err
+        assert not out.exists()
+
     def test_bad_templates_fail_with_no_sentences(self, tmp_path, capsys):
         templates = tmp_path / "templates.json"
         templates.write_text('{"B_Percent": {"nsw": "bogus", "templates": ["{NSW}"]}}',
@@ -93,6 +103,16 @@ class TestTrain:
         b, _, _ = load_params(str(other))
         for name, tensor in a.tensors().items():
             assert np.array_equal(b.tensors()[name], tensor)
+
+    def test_checkpoint_written_at_the_exact_path(self, workspace, tmp_path, capsys):
+        # a path without .npz is written as given, and normalize reads it back
+        model = tmp_path / "model.ckpt"
+        assert main(["train", "--corpus", str(workspace["corpus"]),
+                     "--config", str(workspace["config"]), "--out", str(model)]) == 0
+        assert f"saved checkpoint to {model}" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+        assert main(["normalize", "--model", str(model), "--text", "只有10%的学生"]) == 0
+        assert capsys.readouterr().out == "只有百分之十的学生\n"
 
     def test_corpus_without_spans_fails_with_cause(self, tmp_path, capsys):
         corpus = tmp_path / "plain.jsonl"

@@ -258,6 +258,15 @@ class TestGeneration:
     def test_zero_samples(self):
         assert generate_synthetic_corpus(DIST, 0, seed=1) == []
 
+    @pytest.mark.parametrize("n, seed, message", [
+        (-3, 1, "sentence count must be >= 0, got -3"),
+        (5, -1, "seed must be >= 0, got -1"),
+    ])
+    def test_negative_count_or_seed_refused(self, n, seed, message):
+        # random.Random(-1) seeds as random.Random(1) would
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            generate_synthetic_corpus(DIST, n, seed=seed)
+
     def test_histogram_tracks_distribution(self):
         corpus = generate_synthetic_corpus(DIST, 10000, seed=7)
         hist = Counter(DEFAULT_REGISTRY.by_id(s.spans[0].label).name for s in corpus)

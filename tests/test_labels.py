@@ -25,6 +25,21 @@ class TestRegister:
         with pytest.raises(ValueError, match="bad pattern for B_Hour"):
             LabelRegistry().register("B_Hour", r"\d(", str, str)
 
+    def test_readers_in_id_order(self):
+        assert DEFAULT_REGISTRY.readers == tuple(lab.read for lab in DEFAULT_REGISTRY)
+
+
+class TestLegality:
+    def test_mask_and_verify_equal_each_format(self, fixture_rows):
+        """Both answer exactly what each label's format fullmatch answers."""
+        surfaces = {surface for surface, _, _ in fixture_rows}
+        for surface in sorted(surfaces):
+            want = [lab.format.fullmatch(surface) is not None for lab in DEFAULT_REGISTRY]
+            assert DEFAULT_REGISTRY.legal_labels(surface) == want, surface
+            for lab in DEFAULT_REGISTRY:
+                assert DEFAULT_REGISTRY.verify(surface, lab.id) is want[lab.id], (surface, lab.name)
+        assert len(surfaces) > 200
+
 
 class TestRuleFormatAgreement:
     def test_rule_surfaces_pass_label_format(self, ruleset, fixture_rows):

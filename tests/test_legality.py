@@ -51,8 +51,9 @@ class TestLegalLabels:
             assert not FORMATS.verify("", lid(name))
 
     def test_unregistered_label_rejected(self):
-        with pytest.raises(KeyError):
-            FORMATS.verify("200", 99)
+        for label_id in (99, -1):  # -1 must not index the table from its end
+            with pytest.raises(KeyError, match=f"unknown label id: {label_id}"):
+                FORMATS.verify("200", label_id)
 
 
 class TestTableCoverage:

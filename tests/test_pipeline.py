@@ -66,6 +66,9 @@ def swap_reader(monkeypatch):
         labels[swapped.id] = swapped
         monkeypatch.setattr(DEFAULT_REGISTRY, "_labels", labels)
         monkeypatch.setattr(DEFAULT_REGISTRY, "_by_name", {**DEFAULT_REGISTRY._by_name, name: swapped})
+        readers = list(DEFAULT_REGISTRY.readers)
+        readers[swapped.id] = read
+        monkeypatch.setattr(DEFAULT_REGISTRY, "readers", tuple(readers))
         return replace(system, rules=compile_rules(data_path("rules.txt")))
 
     return swap
@@ -357,6 +360,37 @@ class TestOneLabelSpans:
             assert trace.probabilities.dtype == probs.dtype
             assert np.array_equal(trace.probabilities, probs)
             assert trace.label == label
+
+    def test_probabilities_are_read_only_one_hot_rows(self, tiny_system):
+        texts = [s.text for s in generate_synthetic_corpus(DIST, 400, seed=23)]
+        one_label = 0
+        for text, (_, traces) in zip(texts, normalize_many(texts, tiny_system)):
+            for trace in traces:
+                legal = DEFAULT_REGISTRY.legal_labels(text[trace.span.start:trace.span.end])
+                if trace.probabilities is None or sum(legal) != 1:
+                    continue
+                one_label += 1
+                probs = trace.probabilities
+                assert probs.dtype == np.float64 and not probs.flags.writeable
+                assert np.array_equal(probs, np.array(legal, dtype=np.float64))
+                with pytest.raises(ValueError, match="read-only"):
+                    probs[0] = 0.5
+        assert one_label > 50
+
+    def test_reader_fault_takes_the_rule_fallback_with_the_one_hot(
+        self, tiny_system, swap_reader
+    ):
+        # the rules keep B_Percent's own reader; only the label table's raises
+        text = "只有10%的学生"
+        _, before = normalize(text, tiny_system)
+        assert before[0].route == ROUTE_NEURAL
+        swap_reader(tiny_system, "B_Percent", divide_by_zero)
+        out, traces = normalize(text, tiny_system)
+        assert out == "只有百分之十的学生"
+        assert traces[0].route == ROUTE_FALLBACK
+        assert (traces[0].label, traces[0].sfw) == (before[0].label, before[0].sfw)
+        assert np.array_equal(traces[0].probabilities, before[0].probabilities)
+        assert traces[0].probabilities[before[0].label] == 1.0
 
 
 class TestNormalizeMany:
