@@ -140,9 +140,11 @@ def read_jsonl(path: str, decode: Callable) -> list:
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> None:
+    """One JSON object per line; a NaN or infinite float raises ``ValueError``,
+    since strict JSON has no literal for it."""
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(record, ensure_ascii=False, allow_nan=False) + "\n")
 
 
 def splice(text: str, replacements: Iterable[tuple[NSWSpan, str]]) -> str:

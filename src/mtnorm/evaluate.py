@@ -10,6 +10,7 @@ whose text key is ``"input"``, plus a ``"reference"`` string.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass, replace
 
@@ -157,14 +158,22 @@ def evaluate_golden(golden: Golden, sys: pipeline.HybridSystem) -> GoldenReport:
 
 
 def golden_report_records(report: GoldenReport) -> list[dict]:
-    """Machine-readable line records mirroring the aligned table."""
+    """Machine-readable line records mirroring the aligned table.
+
+    A pattern accuracy with no gold span to score is ``null``, where the
+    table prints ``nan``: JSON has no NaN.
+    """
+
+    def defined(accuracy: float) -> float | None:
+        return None if math.isnan(accuracy) else accuracy
+
     records = [
         {"record": "system", "name": "rules",
          "sentence_accuracy": report.rules_sentence_accuracy,
-         "pattern_accuracy": report.rules_pattern_accuracy},
+         "pattern_accuracy": defined(report.rules_pattern_accuracy)},
         {"record": "system", "name": "hybrid",
          "sentence_accuracy": report.hybrid_sentence_accuracy,
-         "pattern_accuracy": report.hybrid_pattern_accuracy},
+         "pattern_accuracy": defined(report.hybrid_pattern_accuracy)},
         {"record": "unextracted_gold_spans", "count": report.unextracted_gold_spans},
     ]
     return records + [
@@ -230,7 +239,7 @@ def run_ablation(
     base_config: ClassifierConfig | None = None,
 ) -> list[AblationRow]:
     """Train and score one model per grid entry on a shared split."""
-    base = replace(base_config or ClassifierConfig(label_count=len(DEFAULT_REGISTRY)), seed=seed)
+    base = replace(base_config or ClassifierConfig(), seed=seed)
     train_set, dev_set, test_set = split_corpus(corpus, seed)
     held_out = dev_set + test_set
     rare = {DEFAULT_REGISTRY.by_id(lab).name for lab in rare_labels(corpus)}

@@ -54,6 +54,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from ..labels import DEFAULT_REGISTRY
 from .loss import focal_loss_grad, focal_loss_vec
 from .vocab import PAD_ID
 
@@ -70,7 +71,7 @@ class ClassifierConfig:
     heads: int = 8
     model_dim: int = 64
     ff_dim: int = 128
-    label_count: int = 11
+    label_count: int = len(DEFAULT_REGISTRY)
     alpha: float = 0.5
     gamma: float = 4.0
     learning_rate: float = 1e-3

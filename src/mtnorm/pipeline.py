@@ -6,26 +6,31 @@ shift the context other spans depend on; ``Vocabulary.windows`` cuts
 their windows from the text in one call), then splice the spoken forms
 in with ``corpus.splice``. Each span's rule is matched once, by one
 ``match_nsw`` call before routing, and every route that needs a rule
-takes that one. Routing per span: priority surfaces go straight to the
-rule. With a classifier, so does a span whose rule is a context rule (a
-``pre:`` or ``post:`` pattern), if that rule's reader accepts the
-surface; these take the priority route too, before legality, windows
-and the classifier. A span with no legal label takes the rule fallback.
-A span with one legal label needs no classifier: its masked softmax
-could only return that label's one-hot, so it takes that label
-(``mask.index(True)``) and records as probabilities that label's row of
-one shared read-only identity matrix, without a numpy call. Every other
-span's window goes to the classifier, and one ``argmax`` over the
-returned rows picks their labels. Each span's legal labels are computed
-once, from the shipped label table (``labels.DEFAULT_REGISTRY``): the
-chosen label is rendered by its reader (``LabelRegistry.readers``) if
-the surface is legal for it, and otherwise, or if the reader refuses,
-the span takes the rule fallback with its probabilities kept in the
-trace; a span nothing can handle stays verbatim. A rule renders with
-``Rule.read``. A reader that raises any exception, not only
-``ValueError``, refuses just its own span. A system without a classifier
-is the rules-only baseline: every non-priority span takes the fallback
-route.
+takes that one. Routing per span is one chain; the first that applies
+decides:
+
+1. a priority surface takes its rule (the priority route);
+2. a system without a classifier is the rules-only baseline: every
+   other span takes the rule fallback;
+3. a span whose rule is a context rule (a ``pre:`` or ``post:``
+   pattern) takes the priority route too, if that rule's reader accepts
+   the surface, before legality, windows and the classifier;
+4. a span with no legal label takes the rule fallback;
+5. a span with one legal label needs no classifier: its masked softmax
+   could only return that label's one-hot, so it takes that label
+   (``mask.index(True)``) and records as probabilities that label's row
+   of one shared read-only identity matrix, without a numpy call;
+6. every other span's window goes to the classifier, and one ``argmax``
+   over the returned rows picks their labels.
+
+Each span's legal labels are computed once, from the shipped label table
+(``labels.DEFAULT_REGISTRY``): the chosen label is rendered by its
+reader (``LabelRegistry.readers``) if the surface is legal for it, and
+otherwise, or if the reader refuses, the span takes the rule fallback
+with its probabilities kept in the trace; a span nothing can handle
+stays verbatim. A rule renders with ``Rule.read``. Every reading goes
+through one guarded call, ``_read``: a reader that raises any exception,
+not only ``ValueError``, refuses just its own span.
 
 The classifier decides each span from its own window, so nothing ties a
 forward pass to one sentence: ``normalize_many`` routes every span of
@@ -121,15 +126,25 @@ class HybridSystem:
         self.encoder = FrozenEncoder.freeze(self.params)
 
 
+def _read(read, surface: str) -> str | None:
+    """``read(surface)``, or ``None`` if the reader raises any exception: a
+    reader fault stays inside its span."""
+    try:
+        return read(surface)
+    except Exception:
+        return None
+
+
+def _mask(legal: list[bool], use_mask: bool) -> list[bool]:
+    """The classifier's label mask: the legal labels, or every label unmasked."""
+    return legal if use_mask else [True] * len(legal)
+
+
 def _rule_route(rule: Rule | None, span: NSWSpan, surface: str, route: str, probs=None):
-    if rule is not None:
-        try:
-            sfw = rule.read(surface)
-        except Exception:  # a reader fault stays inside its span
-            pass
-        else:
-            return NormalizationTrace(span, route, rule.label, sfw, probs)
-    return NormalizationTrace(span, ROUTE_UNMATCHED, None, None, probs)
+    sfw = None if rule is None else _read(rule.read, surface)
+    if sfw is None:
+        return NormalizationTrace(span, ROUTE_UNMATCHED, None, None, probs)
+    return NormalizationTrace(span, route, rule.label, sfw, probs)
 
 
 def _neural_route(
@@ -142,14 +157,10 @@ def _neural_route(
 ):
     """Render ``label``, the argmax of ``probs``, if ``legal`` admits it, else
     take the rule fallback."""
-    if legal[label]:
-        try:
-            sfw = DEFAULT_REGISTRY.readers[label](surface)
-        except Exception:  # a reader fault stays inside its span
-            pass
-        else:
-            return NormalizationTrace(span, ROUTE_NEURAL, label, sfw, probs)
-    return _rule_route(rule, span, surface, ROUTE_FALLBACK, probs)
+    sfw = _read(DEFAULT_REGISTRY.readers[label], surface) if legal[label] else None
+    if sfw is None:
+        return _rule_route(rule, span, surface, ROUTE_FALLBACK, probs)
+    return NormalizationTrace(span, ROUTE_NEURAL, label, sfw, probs)
 
 
 def normalize_many(
@@ -169,24 +180,19 @@ def normalize_many(
             rule = match_nsw(sys.rules, text, span)
             if priority_check(surface, sys.priority):
                 traces[i] = _rule_route(rule, span, surface, ROUTE_PRIORITY)
-                continue
-            if sys.encoder is None:
+            elif sys.encoder is None:
                 traces[i] = _rule_route(rule, span, surface, ROUTE_FALLBACK)
-                continue
-            if rule is not None and rule.context:
-                try:
-                    sfw = rule.read(surface)
-                except Exception:
-                    pass  # the classifier decides, as for any other span
-                else:
-                    traces[i] = NormalizationTrace(span, ROUTE_PRIORITY, rule.label, sfw)
-                    continue
-            legal = DEFAULT_REGISTRY.legal_labels(surface)
-            mask = legal if sys.config.use_mask else [True] * len(legal)
-            choices = sum(mask)
-            if choices == 0:
+            elif (
+                rule is not None
+                and rule.context
+                and (sfw := _read(rule.read, surface)) is not None
+            ):
+                traces[i] = NormalizationTrace(span, ROUTE_PRIORITY, rule.label, sfw)
+            elif not any(
+                mask := _mask(legal := DEFAULT_REGISTRY.legal_labels(surface), sys.config.use_mask)
+            ):
                 traces[i] = _rule_route(rule, span, surface, ROUTE_FALLBACK)
-            elif choices == 1:
+            elif mask.count(True) == 1:
                 # the masked softmax of any logits: exactly 1.0 there, 0.0 elsewhere
                 label = mask.index(True)
                 traces[i] = _neural_route(rule, span, surface, legal, label, _ONE_HOT[label])
@@ -214,27 +220,6 @@ def normalize_many(
 def normalize(text: str, sys: HybridSystem) -> tuple[str, list[NormalizationTrace]]:
     """Normalize one sentence; returns the output text and per-NSW traces."""
     return normalize_many([text], sys)[0]
-
-
-def routing_stats(corpus, sys: HybridSystem) -> tuple[float, float, float]:
-    """(priority, neural, fallback) fractions over all extracted spans.
-
-    ``corpus`` is a list of sentences (labeled or raw strings). Read from
-    the traces: priority is the ``priority_rule`` share (with a classifier,
-    context-rule spans too) and neural the share that was scored (the
-    traces with probabilities, a one-hot for a span with one legal label);
-    fallback is the sub-fraction of the scored spans that the neural route
-    did not render. Spans with no legal label, and every non-priority span
-    of a system without a classifier, are in neither.
-    """
-    texts = [item if isinstance(item, str) else item.text for item in corpus]
-    traces = [trace for _, traced in normalize_many(texts, sys) for trace in traced]
-    if not traces:
-        return 0.0, 0.0, 0.0
-    priority = sum(trace.route == ROUTE_PRIORITY for trace in traces)
-    neural = sum(trace.probabilities is not None for trace in traces)
-    fallback = neural - sum(trace.route == ROUTE_NEURAL for trace in traces)
-    return priority / len(traces), neural / len(traces), fallback / neural if neural else 0.0
 
 
 def write_traces(path: str, traced: list[tuple[str, list[NormalizationTrace]]]) -> None:

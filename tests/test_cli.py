@@ -508,6 +508,27 @@ class TestEvaluate:
         [unextracted] = [r for r in records if r["record"] == "unextracted_gold_spans"]
         assert isinstance(unextracted["count"], int)
 
+    def test_report_without_gold_spans_is_strict_json(self, workspace, tmp_path, capsys):
+        # no gold span to score: the table prints nan, the records hold null
+        golden = tmp_path / "golden.jsonl"
+        golden.write_text(
+            json.dumps({"input": "共有35人", "reference": "共有三十五人"}, ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
+        report = tmp_path / "report.jsonl"
+        assert main(["evaluate", "--golden", str(golden),
+                     "--model", str(workspace["model"]), "--report", str(report)]) == 0
+        assert "nan" in capsys.readouterr().out
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        lines = report.read_text("utf-8").splitlines()
+        records = [json.loads(line, parse_constant=refuse) for line in lines]
+        systems = [r for r in records if r["record"] == "system"]
+        assert [r["pattern_accuracy"] for r in systems] == [None, None]
+        assert [r["sentence_accuracy"] for r in systems] == [1.0, 1.0]
+
 
 class TestAblate:
     def test_grid_rows_printed(self, workspace, capsys):

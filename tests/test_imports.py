@@ -80,6 +80,40 @@ def test_json_parsed_only_in_the_input_layer():
     assert parsers - {"corpus.py", "neural/checkpoint.py"} == set()
 
 
+def broad_except_owners(node, owner=None):
+    """The enclosing function's name, once per bare ``except`` or ``except
+    Exception`` (alone or in a tuple; ``BaseException`` too) under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from broad_except_owners(child, child.name)
+            continue
+        if isinstance(child, ast.ExceptHandler):
+            caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+            if any(
+                c is None or isinstance(c, ast.Name) and c.id in ("Exception", "BaseException")
+                for c in caught
+            ):
+                yield owner
+        yield from broad_except_owners(child, owner)
+
+
+def test_broad_excepts_only_at_fault_boundaries():
+    # a fault is caught broadly only where it must not spread: a CLI run, an
+    # ablation grid entry, a checkpoint file, and one span's reading
+    package = Path(mtnorm.__file__).parent
+    found = sorted(
+        (path.relative_to(package).as_posix(), owner)
+        for path in package.rglob("*.py")
+        for owner in broad_except_owners(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert found == [
+        ("cli.py", "main"),
+        ("evaluate.py", "run_ablation"),
+        ("neural/checkpoint.py", "load_params"),
+        ("pipeline.py", "_read"),
+    ]
+
+
 def test_neural_exports_have_callers():
     # the package re-exports what the program calls, plus its error classes;
     # tests import everything else from its submodule

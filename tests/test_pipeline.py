@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from mtnorm import pipeline
 from mtnorm.corpus import CorpusDistribution, LabeledSentence, data_path, generate_synthetic_corpus
 from mtnorm.extractor import extract_nsw, priority_check
 from mtnorm.labels import DEFAULT_REGISTRY, LabelRegistry
-from mtnorm.neural import model
+from mtnorm.neural import load_params, model
 from mtnorm.reader import render
 from mtnorm.rules import compile_rules, match_nsw, parse_rules
 from mtnorm.pipeline import (
@@ -21,7 +23,6 @@ from mtnorm.pipeline import (
     HybridSystem,
     normalize,
     normalize_many,
-    routing_stats,
     write_traces,
 )
 
@@ -38,6 +39,23 @@ def classify_alone(system, text, span, legal):
     ids = [[system.vocab.id_of(ch) for ch in chars]]
     probs = model.predict_probs(system.encoder, ids, [mask], [legal])[0]
     return probs, int(np.argmax(probs))
+
+
+def assert_equals_alone(texts, many, system):
+    """``many``, the ``normalize_many`` result of ``texts``, decides as
+    ``normalize`` of each text alone: probabilities to float32 rounding."""
+    for text, (out, traces) in zip(texts, many):
+        alone_out, alone_traces = normalize(text, system)
+        assert out == alone_out, text
+        assert [(t.span, t.route, t.label, t.sfw) for t in traces] == [
+            (t.span, t.route, t.label, t.sfw) for t in alone_traces
+        ], text
+        for got, want in zip(traces, alone_traces):
+            assert (got.probabilities is None) == (want.probabilities is None)
+            if want.probabilities is not None:
+                assert np.allclose(
+                    got.probabilities, want.probabilities, rtol=0.0, atol=FLOAT32_TOLERANCE
+                ), text
 
 
 def definite(system, text, span):
@@ -412,18 +430,7 @@ class TestNormalizeMany:
         seen = [count for call in forward_calls for count in call]
         assert seen == sorted(seen)  # NSW counts non-decreasing across the calls
         assert len(many) == len(texts)
-        for text, (out, traces) in zip(texts, many):
-            alone_out, alone_traces = normalize(text, tiny_system)
-            assert out == alone_out
-            assert [(t.span, t.route, t.label, t.sfw) for t in traces] == [
-                (t.span, t.route, t.label, t.sfw) for t in alone_traces
-            ]
-            for got, want in zip(traces, alone_traces):
-                assert (got.probabilities is None) == (want.probabilities is None)
-                if want.probabilities is not None:
-                    assert np.allclose(
-                        got.probabilities, want.probabilities, rtol=0.0, atol=FLOAT32_TOLERANCE
-                    )
+        assert_equals_alone(texts, many, tiny_system)
         assert many[-2] == ("大家好才是真的好", [])
         assert [t.route for t in many[-1][1]] == [ROUTE_PRIORITY, ROUTE_NEURAL, ROUTE_UNMATCHED]
         assert many[-1][1][2].sfw is None and many[-1][1][2].probabilities is None
@@ -512,6 +519,88 @@ class TestNormalizeMany:
         assert many == [normalize(text, rules_system) for text in texts]
 
 
+class TestDifferentialFuzz:
+    """Seeded random strings of NSW characters, Han units and full-width forms."""
+
+    ALPHABET = "0123456789.:-~—/%,$年月日人组度元比分个３０％ "
+
+    @pytest.fixture(scope="class")
+    def texts(self):
+        rng = random.Random(41)
+        return [
+            "".join(rng.choice(self.ALPHABET) for _ in range(rng.randint(1, 30)))
+            for _ in range(1000)
+        ]
+
+    def test_batched_equals_alone_and_renders_no_digit(self, texts, tiny_system, rules_system):
+        spans = {}
+        for system in (tiny_system, rules_system):
+            many = normalize_many(texts, system)  # never raises, whatever the input
+            spans[system is tiny_system] = [[t.span for t in traces] for _, traces in many]
+            assert_equals_alone(texts, many, system)
+            for text, (_, traces) in zip(texts, many):
+                for t in traces:
+                    assert t.sfw is None or not any("0" <= ch <= "9" for ch in t.sfw), (text, t)
+        # evaluate_golden zips the two systems' traces span by span
+        assert spans[True] == spans[False]
+
+
+class TestCommittedCheckpoint:
+    """What the hybrid does with a committed checkpoint, pinned as one digest.
+
+    ``tests/data/hybrid_small.npz`` (83,602 bytes) was trained with the CLI::
+
+        mtnorm gen-corpus --n 5000 --seed 7 --out corpus.jsonl
+        mtnorm train --corpus corpus.jsonl --config small.json --out hybrid_small.npz
+
+    where ``small.json`` is ``{"model_dim": 16, "heads": 2, "ff_dim": 32,
+    "epochs": 6, "seed": 0}``. Its inputs are the 3000 seed-7 stream
+    sentences. The dense lines are not pinned with it: 3 of their 4348
+    classified spans have margins below 1e-3, where float32 rounding
+    could flip a label.
+    """
+
+    # sha256 of json.dumps([[output, [[start, end, route, label, sfw], ...]], ...],
+    # ensure_ascii=False): probabilities are left out, since their float32
+    # digits differ between BLAS kernels; the margin test below bounds that.
+    DIGEST = "8e64cd51a372e016a50bde8aaa2a89b256d3ae16e65b8f4388d65d959433b378"
+    CLASSIFIED_SPANS = 1351
+    # The smallest top-1/top-2 margin measured is 0.124; float32 inference
+    # differs between kernels by about 1e-6, far below this floor.
+    MARGIN_FLOOR = 0.1
+
+    @pytest.fixture(scope="class")
+    def traced(self, rules_system):
+        path = Path(__file__).with_name("data") / "hybrid_small.npz"
+        params, config, vocab = load_params(str(path))
+        system = replace(rules_system, params=params, config=config, vocab=vocab)
+        texts = [s.text for s in generate_synthetic_corpus(DIST, 3000, seed=7)]
+        return texts, normalize_many(texts, system)
+
+    def test_classified_margins_clear_the_floor(self, traced):
+        margins = []
+        for text, (_, traces) in zip(*traced):
+            for t in traces:
+                surface = text[t.span.start : t.span.end]
+                if t.probabilities is not None and sum(DEFAULT_REGISTRY.legal_labels(surface)) > 1:
+                    second, first = np.sort(t.probabilities)[-2:]
+                    margins.append(first - second)
+        assert len(margins) == self.CLASSIFIED_SPANS
+        # below the floor a kernel's rounding could flip a label, and the
+        # digest would fail for that reason, not for a change in routing
+        assert min(margins) > self.MARGIN_FLOOR
+
+    def test_routes_labels_and_outputs_digest(self, traced):
+        payload = json.dumps(
+            [
+                [out, [[t.span.start, t.span.end, t.route, t.label, t.sfw] for t in traces]]
+                for out, traces in traced[1]
+            ],
+            ensure_ascii=False,
+        )
+        assert hashlib.sha256(payload.encode()).hexdigest() == self.DIGEST
+
+
 class TestReaderFaults:
     """A reader that raises anything fails only its own span, never the call."""
 
@@ -554,36 +643,6 @@ class TestFormatOverride:
         # system takes no other
         with pytest.raises(ValueError, match="label table"):
             replace(rules_system, formats=LabelRegistry())
-
-
-class TestRoutingStats:
-    def test_all_priority(self, tiny_system):
-        stats = routing_stats(["请拨打911", "快打110报警"], tiny_system)
-        assert stats == (1.0, 0.0, 0.0)
-
-    def test_no_priority(self, tiny_system):
-        corpus = generate_synthetic_corpus(
-            CorpusDistribution({"B_Percent": 0.5, "B_Date_YMD": 0.5}), 50, seed=36)
-        # labeled sentences are accepted directly
-        priority, neural, fallback = routing_stats(corpus, tiny_system)
-        assert priority == 0.0
-        assert neural == 1.0
-        assert 0.0 <= fallback <= 1.0
-
-    def test_partition_sums_to_one(self, tiny_system):
-        texts = [s.text for s in generate_synthetic_corpus(DIST, 100, seed=37)]
-        texts += ["请拨打911求助"]
-        priority, neural, _ = routing_stats(texts, tiny_system)
-        assert priority + neural == pytest.approx(1.0)
-        assert priority > 0.0
-
-    def test_empty(self, tiny_system):
-        assert routing_stats(["没有数字"], tiny_system) == (0.0, 0.0, 0.0)
-
-    def test_rules_only_scores_nothing(self, rules_system):
-        # without a classifier no span is neural, whatever its route
-        stats = routing_stats(["温度是25.3左右", "只有10%的学生", "请拨打911"], rules_system)
-        assert stats == (pytest.approx(1 / 3), 0.0, 0.0)
 
 
 class TestTraceOutput:
