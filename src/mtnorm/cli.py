@@ -132,12 +132,21 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     data = corpus_mod.load_corpus(args.corpus)
+    golden = eval_mod.load_golden(args.golden)
     grid = eval_mod.load_grid(args.grid) if args.grid else list(eval_mod.ABLATION_GRID)
     base = _read_config(args.config) if args.config else None
-    rows = eval_mod.run_ablation(grid, data, args.seed, base_config=base)
-    print(eval_mod.format_ablation_rows(rows))
+    system = _build_system(args, None)
+    results = eval_mod.run_ablation(grid, data, golden, system, args.seed, base_config=base)
+    records = []
+    for name, report in results:
+        if isinstance(report, str):
+            print(f"{name}: failed ({report})\n")
+            records.append({"entry": name, "record": "error", "message": report})
+        else:
+            print(f"{name}:\n{eval_mod.format_golden_report(report)}\n")
+            records += [{"entry": name, **r} for r in eval_mod.golden_report_records(report)]
     if args.report:
-        corpus_mod.write_jsonl(args.report, eval_mod.ablation_records(rows))
+        corpus_mod.write_jsonl(args.report, records)
     return 0
 
 
@@ -193,13 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="also write machine-readable line records here")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("ablate", help="train and score the ablation grid")
+    p = sub.add_parser("ablate", help="train each grid entry, score it on a golden set")
     p.add_argument("--grid", help="grid JSON (default: shipped grid)")
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--corpus", required=True, help="training corpus")
+    p.add_argument("--golden", required=True)
     p.add_argument("--config", help="base classifier config JSON")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--report", help="also write machine-readable line records here")
-    p.set_defaults(func=cmd_ablate)
+    # scored with the shipped rules and priority list
+    p.set_defaults(func=cmd_ablate, rules=None, priority=None)
     return parser
 
 

@@ -1,24 +1,24 @@
 """Metrics and experiment harnesses.
 
 Per-label precision/recall/F1 with zero denominators scored 0, exact-match
-pattern accuracy, character-exact sentence accuracy, the deterministic
-80/10/10 split, golden-set comparison of the hybrid system against the
-rule-only baseline, and the ablation grid runner. A golden set is a list
-of (``LabeledSentence``, reference output) pairs, stored as corpus records
-whose text key is ``"input"``, plus a ``"reference"`` string.
+pattern accuracy, character-exact sentence accuracy, golden-set comparison
+of the hybrid system against the rule-only baseline, and the ablation grid
+runner, which trains one model per entry and scores each with that
+comparison. A golden set is a list of (``LabeledSentence``, reference
+output) pairs, stored as corpus records whose text key is ``"input"``,
+plus a ``"reference"`` string.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import asdict, dataclass, replace
 
 from . import pipeline, reader
 from .corpus import CorpusError, LabeledSentence, decode_sentence, encode_spans, oversample_expand
-from .corpus import rare_labels, read_json, read_jsonl, splice, write_jsonl
+from .corpus import read_json, read_jsonl, splice, write_jsonl
 from .labels import DEFAULT_REGISTRY
-from .neural import ClassifierConfig, make_training_batch, predict_batch, train
+from .neural import ClassifierConfig, train
 
 
 @dataclass(frozen=True)
@@ -61,17 +61,6 @@ def sentence_accuracy(pairs: list[tuple[str, str]]) -> float:
     if not pairs:
         raise ValueError("no sentence pairs to score")
     return sum(1 for out, ref in pairs if out == ref) / len(pairs)
-
-
-def split_corpus(
-    corpus: list[LabeledSentence], seed: int
-) -> tuple[list[LabeledSentence], list[LabeledSentence], list[LabeledSentence]]:
-    """Deterministic 80/10/10 train/dev/test split by seeded shuffle."""
-    order = list(corpus)
-    random.Random(seed).shuffle(order)
-    n = len(order)
-    a, b = int(n * 0.8), int(n * 0.9)
-    return order[:a], order[a:b], order[b:]
 
 
 # --------------------------------------------------------------------------
@@ -213,14 +202,6 @@ ABLATION_GRID = (
 )
 
 
-@dataclass
-class AblationRow:
-    name: str
-    accuracy: float | None
-    rare_recall: float | None
-    error: str | None = None
-
-
 def load_grid(path: str) -> list[dict]:
     def decode(grid):
         if not isinstance(grid, list) or not all(
@@ -235,49 +216,35 @@ def load_grid(path: str) -> list[dict]:
 def run_ablation(
     grid: list[dict],
     corpus: list[LabeledSentence],
+    golden: Golden,
+    system: pipeline.HybridSystem,
     seed: int,
     base_config: ClassifierConfig | None = None,
-) -> list[AblationRow]:
-    """Train and score one model per grid entry on a shared split."""
+) -> list[tuple[str, GoldenReport | str]]:
+    """Train one model per grid entry on ``corpus`` and score it with
+    ``evaluate_golden``, as ``system``'s classifier.
+
+    An entry is a name plus the config fields it changes, and two knobs of
+    its own: ``"window": "max"`` is the longest corpus sentence, and
+    ``"expand": true`` trains on ``oversample_expand`` of the corpus, drawn
+    with the entry's seed. Each entry gives its name with its report, or
+    with its error message.
+    """
     base = replace(base_config or ClassifierConfig(), seed=seed)
-    train_set, dev_set, test_set = split_corpus(corpus, seed)
-    held_out = dev_set + test_set
-    rare = {DEFAULT_REGISTRY.by_id(lab).name for lab in rare_labels(corpus)}
-    rows = []
+    results = []
     for entry in grid:
         entry = dict(entry)
         name = entry.pop("name")
-        expand = entry.pop("expand", False)
-        window = entry.pop("window", base.window)
-        if window == "max":
-            window = max(len(s.text) for s in corpus)
         try:
-            config = replace(base, window=int(window), **entry)
-            train_corpus = train_set
-            if expand:
-                train_corpus = oversample_expand(train_set, seed)
-            result = train(train_corpus, config)
-            batch = make_training_batch(held_out, result.vocab, config)
-            predicted = predict_batch(result.params, batch, config)
-            pairs = list(zip(batch.targets.tolist(), predicted.tolist()))
-            per_label, accuracy = pattern_metrics(pairs)
-            recalls = [m.recall for lab, m in per_label.items() if lab in rare and m.support]
-            row = AblationRow(name, accuracy, sum(recalls) / len(recalls) if recalls else 0.0)
+            expand = entry.pop("expand", False)
+            if not isinstance(expand, bool):
+                raise TypeError(f"expand must be true or false, not {expand!r}")
+            if entry.get("window") == "max":
+                entry["window"] = max(len(s.text) for s in corpus)
+            config = replace(base, **entry)
+            result = train(oversample_expand(corpus, config.seed) if expand else corpus, config)
+            trained = replace(system, params=result.params, config=config, vocab=result.vocab)
+            results.append((name, evaluate_golden(golden, trained)))
         except Exception as exc:  # keep the grid running past a bad entry
-            row = AblationRow(name, None, None, error=str(exc))
-        rows.append(row)
-    return rows
-
-
-def ablation_records(rows: list[AblationRow]) -> list[dict]:
-    return [{"record": "ablation", **asdict(row)} for row in rows]
-
-
-def format_ablation_rows(rows: list[AblationRow]) -> str:
-    lines = [f"{'setup':18s}  {'accuracy':>8s}  {'rare recall':>11s}"]
-    for row in rows:
-        if row.error is not None:
-            lines.append(f"{row.name:18s}  {'failed':>8s}  ({row.error})")
-        else:
-            lines.append(f"{row.name:18s}  {row.accuracy:8.4f}  {row.rare_recall:11.4f}")
-    return "\n".join(lines)
+            results.append((name, str(exc)))
+    return results

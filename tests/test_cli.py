@@ -531,14 +531,29 @@ class TestEvaluate:
 
 
 class TestAblate:
-    def test_grid_rows_printed(self, workspace, capsys):
+    def test_grid_rows_printed(self, workspace, tmp_path, capsys):
         grid = workspace["root"] / "grid.json"
-        grid.write_text(json.dumps([{"name": "proposed"}, {"name": "ce", "alpha": 1.0,
-                                                           "gamma": 0.0}]), encoding="utf-8")
+        grid.write_text(json.dumps([
+            {"name": "proposed"},
+            {"name": "ce", "alpha": 1.0, "gamma": 0.0},
+            {"name": "broken", "heads": 7},
+        ]), encoding="utf-8")
+        report = tmp_path / "ablate.jsonl"
         assert main(["ablate", "--grid", str(grid), "--corpus", str(workspace["corpus"]),
-                     "--config", str(workspace["config"]), "--seed", "3"]) == 0
+                     "--golden", str(workspace["golden"]), "--config", str(workspace["config"]),
+                     "--seed", "3", "--report", str(report)]) == 0
         out = capsys.readouterr().out
-        assert "proposed" in out and "ce" in out
+        assert out.count("rule-based baseline") == 2
+        assert "proposed:\n" in out and "ce:\n" in out
+        assert "broken: failed (model_dim must be divisible by heads)" in out
+        records = [json.loads(line) for line in report.read_text("utf-8").splitlines()]
+        assert {r["entry"] for r in records} == {"proposed", "ce", "broken"}
+        assert [r for r in records if r["entry"] == "broken"] == [{
+            "entry": "broken", "record": "error",
+            "message": "model_dim must be divisible by heads",
+        }]
+        systems = [r["name"] for r in records if r["record"] == "system"]
+        assert systems == ["rules", "hybrid", "rules", "hybrid"]
 
     def test_negative_seed_refused_before_training(self, workspace, monkeypatch, capsys):
         def no_training(*args, **kwargs):
@@ -546,18 +561,31 @@ class TestAblate:
 
         monkeypatch.setattr(ev, "train", no_training)
         assert main(["ablate", "--corpus", str(workspace["corpus"]),
+                     "--golden", str(workspace["golden"]),
                      "--config", str(workspace["config"]), "--seed", "-2"]) == 1
         captured = capsys.readouterr()
         assert captured.err == "mtnorm ablate: seed must be >= 0\n"
+        assert captured.out == ""
+
+    def test_bad_golden_refused_before_training(self, workspace, tmp_path, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before reading the golden set")
+
+        monkeypatch.setattr(ev, "train", no_training)
+        golden = tmp_path / "golden.jsonl"
+        golden.write_text('{"input": "共3人"}\n', encoding="utf-8")
+        assert main(["ablate", "--corpus", str(workspace["corpus"]), "--golden", str(golden),
+                     "--config", str(workspace["config"]), "--seed", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"mtnorm ablate: {golden}:1: record needs a string")
         assert captured.out == ""
 
     def test_bad_grid_fails_cleanly(self, workspace, capsys):
         grid = workspace["root"] / "badgrid.json"
         grid.write_text('{"not": "a list"}', encoding="utf-8")
         assert main(["ablate", "--grid", str(grid), "--corpus", str(workspace["corpus"]),
-                     "--seed", "3"]) == 1
+                     "--golden", str(workspace["golden"]), "--seed", "3"]) == 1
         assert "mtnorm ablate:" in capsys.readouterr().err
-
 
 
 NOT_UTF8 = b'{"B_Percent": "caf\xe9"}\n'
@@ -594,6 +622,9 @@ class TestInputFiles:
             (ABLATE, "--grid", NOT_UTF8),
             (ABLATE, "--grid", TRUNCATED),
             (ABLATE, "--grid", b'[{"name": 5}]'),
+            (ABLATE, "--golden", NOT_UTF8),
+            (ABLATE, "--golden", TRUNCATED),
+            (ABLATE, "--golden", b'{"input": "x3", "spans": [[1, 2, "A_Read_No_Zero"]]}\n'),
             (RULES_ONLY, "--in", b"caf\xe9 35\n"),
             (RULES_ONLY, "--rules", b"rule: caf\xe9\nlabel: A_Read_No_Zero\n"),
             (RULES_ONLY, "--priority", b"caf\xe9\n"),
@@ -605,6 +636,7 @@ class TestInputFiles:
             "dist-unknown-label", "templates-not-utf-8", "templates-truncated", "templates-list",
             "templates-entry-not-list", "templates-int-template", "templates-unknown-label",
             "templates-old-layout", "grid-not-utf-8", "grid-truncated", "grid-int-name",
+            "golden-not-utf-8", "golden-truncated", "golden-no-reference",
             "in-not-utf-8", "rules-not-utf-8", "priority-not-utf-8",
         ],
     )
@@ -615,7 +647,11 @@ class TestInputFiles:
         path.write_bytes(content)
         if argv in (TRAIN, ABLATE):
             argv = [*argv, "--corpus", str(workspace["corpus"])]
+        if argv[0] == "ablate" and option != "--golden":
+            argv = [*argv, "--golden", str(workspace["golden"])]
         assert main([*argv, option, str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"mtnorm {argv[0]}: {path}: ")
+        # a golden set is read line by line, so its faults name the line too
+        where = f"{path}:1" if option == "--golden" else path
+        assert err.startswith(f"mtnorm {argv[0]}: {where}: ")
         assert err.count("\n") == 1

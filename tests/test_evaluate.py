@@ -1,12 +1,14 @@
 import json
 import random
 import sys
+from dataclasses import asdict, replace
 
 import pytest
 
 from oracles import confusion_matrix_metrics
 
 from mtnorm import evaluate as ev
+from mtnorm import pipeline
 from mtnorm.corpus import (
     CorpusDistribution,
     CorpusError,
@@ -15,7 +17,7 @@ from mtnorm.corpus import (
     generate_synthetic_corpus,
 )
 from mtnorm.labels import DEFAULT_REGISTRY
-from mtnorm.neural import ClassifierConfig
+from mtnorm.neural import ClassifierConfig, train
 
 DIST = CorpusDistribution.default()
 
@@ -116,16 +118,6 @@ class TestSentenceAccuracy:
             ev.sentence_accuracy([])
 
 
-class TestSplit:
-    def test_deterministic_80_10_10(self):
-        corpus = generate_synthetic_corpus(DIST, 500, seed=41)
-        a1, b1, c1 = ev.split_corpus(corpus, seed=9)
-        a2, b2, c2 = ev.split_corpus(corpus, seed=9)
-        assert (a1, b1, c1) == (a2, b2, c2)
-        assert len(a1) == 400 and len(b1) == 50 and len(c1) == 50
-        assert sorted(s.text for s in a1 + b1 + c1) == sorted(s.text for s in corpus)
-
-
 class TestGolden:
     def test_build_and_reload(self, tmp_path):
         corpus = generate_synthetic_corpus(DIST, 30, seed=42)
@@ -210,46 +202,104 @@ class TestAblation:
         epochs=1, batch_size=32,
     )
 
-    def test_grid_of_one(self):
-        corpus = generate_synthetic_corpus(DIST, 150, seed=45)
-        rows = ev.run_ablation([{"name": "only"}], corpus, seed=2, base_config=self.BASE)
-        assert len(rows) == 1
-        assert rows[0].error is None
-        assert 0.0 <= rows[0].accuracy <= 1.0
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return ev.build_golden(generate_synthetic_corpus(DIST, 100, seed=50))
 
-    def test_identical_runs_identical_rows(self):
+    def test_grid_of_one(self, golden, rules_system):
+        corpus = generate_synthetic_corpus(DIST, 150, seed=45)
+        results = ev.run_ablation(
+            [{"name": "only"}], corpus, golden, rules_system, seed=2, base_config=self.BASE
+        )
+        [(name, report)] = results
+        assert name == "only" and isinstance(report, ev.GoldenReport)
+        assert 0.0 <= report.hybrid_sentence_accuracy <= 1.0
+
+    def test_identical_runs_identical_rows(self, golden, rules_system):
         corpus = generate_synthetic_corpus(DIST, 150, seed=46)
         grid = [{"name": "a"}, {"name": "a_again"}]
-        rows = ev.run_ablation(grid, corpus, seed=2, base_config=self.BASE)
-        assert rows[0].accuracy == rows[1].accuracy
-        assert rows[0].rare_recall == rows[1].rare_recall
+        [(_, a), (_, b)] = ev.run_ablation(
+            grid, corpus, golden, rules_system, seed=2, base_config=self.BASE
+        )
+        assert asdict(a) == asdict(b)
 
-    def test_failed_row_keeps_running(self):
+    def test_ablate_is_train_then_evaluate(self, golden, rules_system):
+        corpus = generate_synthetic_corpus(DIST, 300, seed=49)
+        grid = [
+            {"name": "proposed"},
+            {"name": "ce_loss", "alpha": 1.0, "gamma": 0.0},
+            {"name": "seed_1", "seed": 1},
+        ]
+        results = ev.run_ablation(
+            grid, corpus, golden, rules_system, seed=2, base_config=self.BASE
+        )
+        texts = [sentence.text for sentence, _ in golden]
+        rules_outputs = [out for out, _ in pipeline.normalize_many(texts, rules_system)]
+        rules_accuracy = ev.sentence_accuracy(
+            [(out, ref) for out, (_, ref) in zip(rules_outputs, golden)]
+        )
+        assert [name for name, _ in results] == ["proposed", "ce_loss", "seed_1"]
+        for (_, report), entry in zip(results, grid):
+            overrides = {"seed": 2, **{k: v for k, v in entry.items() if k != "name"}}
+            config = replace(self.BASE, **overrides)
+            result = train(corpus, config)
+            system = replace(
+                rules_system, params=result.params, config=config, vocab=result.vocab
+            )
+            assert asdict(report) == asdict(ev.evaluate_golden(golden, system))
+            assert report.rules_sentence_accuracy == rules_accuracy
+
+    def test_failed_row_keeps_running(self, golden, rules_system):
         corpus = generate_synthetic_corpus(DIST, 120, seed=47)
         grid = [{"name": "broken", "heads": 7}, {"name": "fine"}]
-        rows = ev.run_ablation(grid, corpus, seed=2, base_config=self.BASE)
-        assert rows[0].error is not None and rows[0].accuracy is None
-        assert rows[1].error is None
-        table = ev.format_ablation_rows(rows)
-        assert "failed" in table
+        [(_, broken), (_, fine)] = ev.run_ablation(
+            grid, corpus, golden, rules_system, seed=2, base_config=self.BASE
+        )
+        assert broken == "model_dim must be divisible by heads"
+        assert isinstance(fine, ev.GoldenReport)
 
-    def test_registry_reaches_training_and_held_out_masks(self, monkeypatch):
-        # both the training and the held-out batch take their legality masks
-        # from the label table
+    @pytest.mark.parametrize(
+        "override, error",
+        [
+            ({"window": True}, "window must be int, not True"),
+            ({"window": "12"}, "window must be int, not '12'"),
+            ({"window": 12.9}, "window must be int, not 12.9"),
+            ({"expand": "no"}, "expand must be true or false, not 'no'"),
+        ],
+        ids=["window-bool", "window-str", "window-float", "expand-str"],
+    )
+    def test_grid_values_keep_config_type_checks(
+        self, monkeypatch, rules_system, override, error
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on an ill-typed grid entry")
+
+        monkeypatch.setattr(ev, "train", no_training)
+        corpus = generate_synthetic_corpus(DIST, 20, seed=51)
+        [(_, report)] = ev.run_ablation(
+            [{"name": "bad", **override}], corpus, [], rules_system, seed=2,
+            base_config=self.BASE,
+        )
+        assert report == error
+
+    def test_registry_reaches_training_masks(self, golden, rules_system, monkeypatch):
+        # the training batch takes its legality masks from the label table
         batches = []
-        real = ev.make_training_batch
+        module = sys.modules["mtnorm.neural.train"]
+        real = module.make_training_batch
 
         def spy(corpus, vocab, config):
             batch = real(corpus, vocab, config)
             batches.append((corpus, batch))
             return batch
 
-        monkeypatch.setattr(ev, "make_training_batch", spy)
-        monkeypatch.setattr(sys.modules["mtnorm.neural.train"], "make_training_batch", spy)
+        monkeypatch.setattr(module, "make_training_batch", spy)
         corpus = generate_synthetic_corpus(DIST, 120, seed=48)
-        rows = ev.run_ablation([{"name": "only"}], corpus, seed=2, base_config=self.BASE)
-        assert rows[0].error is None
-        assert len(batches) == 2
+        [(_, report)] = ev.run_ablation(
+            [{"name": "only"}], corpus, golden, rules_system, seed=2, base_config=self.BASE
+        )
+        assert isinstance(report, ev.GoldenReport)
+        assert len(batches) == 1
         for sentences, batch in batches:
             want = [DEFAULT_REGISTRY.legal_labels(s.surface(span))
                     for s in sentences for span in s.spans]

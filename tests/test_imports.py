@@ -124,3 +124,35 @@ def test_neural_exports_have_callers():
         if not (isinstance(obj := getattr(neural, name), type) and issubclass(obj, Exception))
     }
     assert exported - package_names_used("mtnorm.neural") == set()
+
+
+def module_imports(tree: ast.Module):
+    """(bound name, line) per module-level import, ``__future__`` left out."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_no_unused_module_imports():
+    # an import is read somewhere in its module, or re-exported through __all__
+    package = Path(mtnorm.__file__).parent
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported |= set(ast.literal_eval(node.value))
+        unused += [
+            f"{path.relative_to(package).as_posix()}:{line}: {name}"
+            for name, line in module_imports(tree)
+            if name not in read | exported
+        ]
+    assert unused == []
